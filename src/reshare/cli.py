@@ -2,6 +2,7 @@
 
 import argparse
 import sys
+import traceback
 
 from .errors import ConfigError, DataError
 from .pipeline import (
@@ -99,7 +100,8 @@ def main(argv=None) -> int:
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
+        traceback.print_exc()
         print(f"unexpected error: {exc}", file=sys.stderr)
         return 2
 

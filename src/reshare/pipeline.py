@@ -1,12 +1,13 @@
 """End-to-end orchestration: propensities, debiased embeddings, outcomes,
 effect models, and a deterministic report, with resumable stage outputs.
 
-Every stage writes its artifacts plus a ``<stage>.done`` marker containing a
-hash of the effective configuration. With ``resume=True`` a stage whose
-marker matches is skipped and its outputs are reloaded, which reproduces the
-final report byte-for-byte.
+Every stage removes its ``<stage>.done`` marker, writes its artifacts, then
+writes a marker holding a hash of the effective configuration and input CSVs.
+With ``resume=True`` a stage whose marker matches is skipped and its outputs
+are reloaded, which reproduces the final report byte-for-byte.
 """
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -152,7 +153,21 @@ class PipelineConfig:
         return dataclasses.replace(self, **changes) if changes else self
 
 
+def _file_digest(path) -> str | None:
+    """sha256 of a file's bytes; None if it cannot be read (loading it says why)."""
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(block)
+    except OSError:
+        return None
+    return digest.hexdigest()
+
+
 def config_hash(config: PipelineConfig) -> str:
+    """Hash of the effective config and of the input CSVs' contents, if it names files."""
+
     def encode(obj):
         if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
             return {f.name: encode(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
@@ -160,8 +175,11 @@ def config_hash(config: PipelineConfig) -> str:
             return [encode(v) for v in obj]
         return obj
 
-    payload = json.dumps(encode(config), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    payload = encode(config)
+    if config.synth is None:
+        inputs = (config.posts_csv, config.users_csv, config.interactions_csv)
+        payload["input_sha256"] = [_file_digest(p) for p in inputs]
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
 class _Stages:
@@ -176,14 +194,19 @@ class _Stages:
         return os.path.join(self.out_dir, f"{stage}.done")
 
     def done(self, stage: str) -> bool:
-        path = self._marker(stage)
-        if not (self.resume and os.path.exists(path)):
-            return False
-        try:
-            with open(path, encoding="utf-8") as fh:
-                return json.load(fh).get("config_hash") == self.chash
-        except (OSError, json.JSONDecodeError):
-            return False
+        """True when resuming and the marker matches; else the marker goes, as the stage reruns."""
+        if self.resume:
+            with contextlib.suppress(OSError, json.JSONDecodeError):
+                with open(self._marker(stage), encoding="utf-8") as fh:
+                    if json.load(fh).get("config_hash") == self.chash:
+                        return True
+        self.clear(stage)
+        return False
+
+    def clear(self, stage: str):
+        """Remove the stage's marker, before any of its outputs is rewritten."""
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(self._marker(stage))
 
     def payload(self, stage: str) -> dict:
         with open(self._marker(stage), encoding="utf-8") as fh:
@@ -529,6 +552,7 @@ def run_pipeline(config: PipelineConfig, resume: bool = False) -> str:
     graph, users = _load_inputs(config, out_dir, stages)
 
     with _stage("outcomes"):
+        stages.clear("outcomes")
         outcome_table = compute_outcomes(graph)
         artifacts.write_outcomes(outcome_table, os.path.join(out_dir, "outcomes.csv"))
         stages.mark("outcomes")

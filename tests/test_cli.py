@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from reshare import artifacts, cli
 from reshare.cli import main
 
 
@@ -82,6 +83,17 @@ class TestSynthCommand:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["pipeline", "--config", str(tmp_path / "none.json")]) == 1
 
+    def test_unexpected_error_prints_traceback(self, tmp_path, capsys, monkeypatch):
+        def fail(config, resume=False):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "run_pipeline", fail)
+        path = write_config(tmp_path, small_config(str(tmp_path / "x")))
+        assert main(["pipeline", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert "RuntimeError: boom" in err
+
     def test_stage_failure_exits_two(self, tmp_path, capsys):
         cfg = small_config(str(tmp_path / "x"))
         cfg["synth"]["n_hate_posts"] = 0  # no hate posts: topic stage fails first
@@ -157,6 +169,56 @@ class TestPipelineCommand:
             second = fh.read()
         assert first == second
         assert os.path.getmtime(emb_path) == mtime  # stage skipped, file untouched
+
+    def test_resume_after_input_change_matches_fresh_run(self, tmp_path):
+        data = str(tmp_path / "data")
+        assert main(["synth", "--no-truth", "--config", write_config(
+            tmp_path, small_config(data), "synth.json")]) == 0
+
+        def file_config(out):
+            cfg = small_config(str(tmp_path / out))
+            del cfg["synth"]
+            for name in ("posts", "users", "interactions"):
+                cfg[f"{name}_csv"] = os.path.join(data, f"{name}.csv")
+            return write_config(tmp_path, cfg, f"{out}.json")
+
+        cfg = file_config("resumed")
+        assert main(["pipeline", "--config", cfg]) == 0
+        interactions = os.path.join(data, "interactions.csv")
+        with open(interactions) as fh:
+            lines = fh.readlines()
+        with open(interactions, "w") as fh:  # drop every third interaction
+            fh.writelines(lines[:1] + [r for i, r in enumerate(lines[1:]) if i % 3])
+        assert main(["pipeline", "--config", cfg, "--resume"]) == 0
+        assert main(["pipeline", "--config", file_config("fresh")]) == 0
+        with open(tmp_path / "resumed" / "report.txt", "rb") as fa, open(
+            tmp_path / "fresh" / "report.txt", "rb"
+        ) as fb:
+            assert fa.read() == fb.read()
+
+    def test_resume_after_crashed_rewrite_matches_fresh_run(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, small_config(str(tmp_path / "crashed")), "crashed.json")
+        assert main(["pipeline", "--config", cfg]) == 0
+        write_embeddings = artifacts.write_embeddings
+
+        def torn_write(model, path):  # virality feeds effects and plv_embeddings.csv
+            write_embeddings(model, path)
+            if path.endswith("_virality.csv"):
+                with open(path, "r+b") as fh:
+                    fh.truncate(os.path.getsize(path) // 2)
+                raise OSError("disk full")
+
+        monkeypatch.setattr(artifacts, "write_embeddings", torn_write)
+        assert main(["pipeline", "--config", cfg]) == 2
+        monkeypatch.undo()
+        assert main(["pipeline", "--config", cfg, "--resume"]) == 0
+        fresh = write_config(tmp_path, small_config(str(tmp_path / "fresh")), "fresh.json")
+        assert main(["pipeline", "--config", fresh]) == 0
+        for name in ("report.txt", "plv_embeddings.csv"):
+            with open(tmp_path / "crashed" / name, "rb") as fa, open(
+                tmp_path / "fresh" / name, "rb"
+            ) as fb:
+                assert fa.read() == fb.read(), name
 
     def test_multi_run_welch_table(self, tmp_path, capsys):
         out = str(tmp_path / "runs")

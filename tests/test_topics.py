@@ -3,7 +3,14 @@ import pytest
 
 from reshare.dataset import Post
 from reshare.errors import DataError
-from reshare.topics import fit_lda, infer_topics, load_stopwords, perplexity, tokenize
+from reshare.topics import (
+    fit_lda,
+    infer_corpus,
+    infer_topics,
+    load_stopwords,
+    perplexity,
+    tokenize,
+)
 
 
 def post(pid, text):
@@ -130,6 +137,18 @@ class TestInfer:
         assert np.array_equal(m1, m2)
         assert m1.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(m1 >= 0)
+
+    def test_corpus_batch_matches_single_documents(self):
+        posts, _ = separable_corpus()
+        posts.append(post("p_empty", "http://example.com"))
+        posts.append(post("p_pruned", "unicorn apple rock"))  # unicorn: below min_df
+        corpus = tokenize(posts)
+        model = fit_lda(corpus, n_topics=3, iterations=40, seed=5)
+        mixes = infer_corpus(model, corpus)
+        assert list(mixes) == [p.post_id for p in posts]
+        for doc_id, doc in zip(corpus.doc_ids, corpus.documents):
+            single = infer_topics(model, [corpus.tokens[i] for i in doc])
+            np.testing.assert_allclose(mixes[doc_id], single, rtol=0, atol=1e-12)
 
 
 class TestPerplexity:
