@@ -2,9 +2,11 @@
 
 Numeric values are written with repr-level precision so that reloading a
 stage output reproduces the in-memory values bit-for-bit (resume mode relies
-on this).
+on this). Each writer fills a temporary file beside its target and then moves
+it into place, so a crash mid-write never leaves a torn file at the target.
 """
 
+import contextlib
 import csv
 import os
 
@@ -20,14 +22,27 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _write_csv(path, header, rows):
+    """Write the header and rows to ``<path>.tmp``, then replace ``path`` with it."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(rows)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_propensities(tables, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["post_id", "scheme", "mu", "theta_hat"])
-        for table in tables:
-            mu = "" if table.mu is None else _fmt(table.mu)
-            for post_id in sorted(table.values):
-                w.writerow([post_id, table.scheme, mu, _fmt(table.values[post_id])])
+    _write_csv(path, ["post_id", "scheme", "mu", "theta_hat"], (
+        [post_id, table.scheme, "" if table.mu is None else _fmt(table.mu), _fmt(theta)]
+        for table in tables
+        for post_id, theta in sorted(table.values.items())
+    ))
 
 
 def read_propensities(path, floor: float) -> dict:
@@ -49,11 +64,9 @@ def write_topic_vectors(vectors: dict, path):
     if not vectors:
         raise DataError("no topic vectors to write")
     k = len(next(iter(vectors.values())))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["post_id"] + [f"t_{i}" for i in range(k)])
-        for post_id in sorted(vectors):
-            w.writerow([post_id] + [_fmt(v) for v in vectors[post_id]])
+    _write_csv(path, ["post_id"] + [f"t_{i}" for i in range(k)], (
+        [post_id] + [_fmt(v) for v in vectors[post_id]] for post_id in sorted(vectors)
+    ))
 
 
 def read_topic_vectors(path) -> dict:
@@ -68,11 +81,10 @@ def read_topic_vectors(path) -> dict:
 
 def write_embeddings(model: BprModel, path):
     dim = model.user_factors.shape[1]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["user_id"] + [f"x_{i}" for i in range(dim)])
-        for i, user_id in enumerate(model.user_ids):
-            w.writerow([user_id] + [_fmt(v) for v in model.user_factors[i]])
+    _write_csv(path, ["user_id"] + [f"x_{i}" for i in range(dim)], (
+        [user_id] + [_fmt(v) for v in row]
+        for user_id, row in zip(model.user_ids, model.user_factors)
+    ))
 
 
 def read_embeddings(path) -> dict:
@@ -86,47 +98,34 @@ def read_embeddings(path) -> dict:
 
 
 def write_training_curve(curve, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch", "loss"])
-        for epoch, loss in enumerate(curve):
-            w.writerow([epoch, _fmt(loss)])
+    _write_csv(path, ["epoch", "loss"], ([epoch, _fmt(loss)] for epoch, loss in enumerate(curve)))
 
 
 def write_outcomes(table: OutcomeTable, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["user_id", "y_overall"] + list(table.clusters))
-        for i, user_id in enumerate(table.user_ids):
-            w.writerow(
-                [user_id, _fmt(table.overall[i])]
-                + [_fmt(v) for v in table.by_cluster[i]]
-            )
+    _write_csv(path, ["user_id", "y_overall"] + list(table.clusters), (
+        [user_id, _fmt(table.overall[i])] + [_fmt(v) for v in table.by_cluster[i]]
+        for i, user_id in enumerate(table.user_ids)
+    ))
 
 
 def write_metrics(rows, path):
     """rows: iterable of (model, metric, k, value)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["model", "metric", "k", "value"])
-        for model, metric, k, value in rows:
-            w.writerow([model, metric, k, _fmt(value)])
+    _write_csv(path, ["model", "metric", "k", "value"], (
+        [model, metric, k, _fmt(value)] for model, metric, k, value in rows
+    ))
 
 
 def write_importance(table, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["feature", "importance"])
-        for feature, importance in table.rows:
-            w.writerow([feature, _fmt(importance)])
+    _write_csv(path, ["feature", "importance"], (
+        [feature, _fmt(importance)] for feature, importance in table.rows
+    ))
 
 
 def write_curve(curve, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "value", "lower", "upper"])
-        for x, value, lower, upper in curve.rows():
-            w.writerow([_fmt(x), _fmt(value), _fmt(lower), _fmt(upper)])
+    _write_csv(path, ["x", "value", "lower", "upper"], (
+        [_fmt(x), _fmt(value), _fmt(lower), _fmt(upper)]
+        for x, value, lower, upper in curve.rows()
+    ))
 
 
 def write_embedding_analysis(rows, path):

@@ -9,7 +9,9 @@ outscore non-interacted ones. Three triplet-weighting modes are supported:
                    for bounded variance when propensities are tiny.
 
 Training is plain mini-batch SGD with decoupled l2 decay and is fully
-deterministic for a given seed.
+deterministic for a given seed. One pairwise step function serves both
+``batch_gradients`` and ``train``, so the gradient the tests check against
+finite differences is the update that training applies.
 """
 
 import dataclasses
@@ -138,6 +140,13 @@ def _membership(keys_sorted: np.ndarray, query: np.ndarray) -> np.ndarray:
     return (keys_sorted[pos] == query).astype(np.float64)
 
 
+def _draw_negatives(rng, keys_sorted, n_posts, users, pos):
+    """A uniform post other than ``pos`` per triplet, and whether its user has it."""
+    neg = rng.integers(0, n_posts - 1, pos.size)
+    neg = neg + (neg >= pos)
+    return neg, _membership(keys_sorted, users * n_posts + neg)
+
+
 def sample_triplets(
     graph: InteractionGraph,
     n: int,
@@ -153,10 +162,7 @@ def sample_triplets(
     eu, ep = graph.edge_arrays
     pick = rng.integers(0, graph.n_edges, n)
     users, pos = eu[pick], ep[pick]
-    neg = rng.integers(0, graph.n_posts - 1, n)
-    neg = neg + (neg >= pos)
-    keys = _edge_keys(graph)
-    neg_obs = _membership(keys, users * graph.n_posts + neg)
+    neg, neg_obs = _draw_negatives(rng, _edge_keys(graph), graph.n_posts, users, pos)
     batch = TripletBatch(
         users=users,
         pos=pos,
@@ -188,33 +194,38 @@ def _triplet_weights(batch: TripletBatch, mode: str) -> np.ndarray:
     return w
 
 
-def _score_diffs(user_f, post_f, batch: TripletBatch) -> np.ndarray:
-    return np.einsum(
-        "ij,ij->i", user_f[batch.users], post_f[batch.pos] - post_f[batch.neg]
-    )
-
-
 def batch_loss(model: BprModel, batch: TripletBatch, mode: str) -> float:
     """Mean weighted pairwise loss of a triplet batch under the given mode."""
-    w = _triplet_weights(batch, mode)
-    r = _score_diffs(model.user_factors, model.post_factors, batch)
-    return float(np.mean(w * np.logaddexp(0.0, -r)))
+    u_f, p_f = model.user_factors, model.post_factors
+    r = np.einsum("ij,ij->i", u_f[batch.users], p_f[batch.pos] - p_f[batch.neg])
+    return float(np.mean(_triplet_weights(batch, mode) * np.logaddexp(0.0, -r)))
+
+
+def _pair_step(user_f, post_f, users, pos, neg, w, scale, out_u, out_p) -> np.ndarray:
+    """Add ``coef * (h_pos - h_neg)`` to the users' rows of ``out_u`` and
+    ``+-coef * x_user`` to the posts' rows of ``out_p``, where ``coef = scale * w *
+    sigmoid(-r)``; return the weighted losses ``w * -ln sigmoid(r)``. All rows are
+    read before any is written, so the outputs may be the factors themselves."""
+    u = user_f[users]
+    diff = post_f[pos] - post_f[neg]
+    r = np.einsum("ij,ij->i", u, diff)
+    coef = scale * w * _sigmoid_neg(r)
+    np.add.at(out_u, users, coef[:, None] * diff)
+    gp = coef[:, None] * u
+    np.add.at(out_p, pos, gp)
+    np.add.at(out_p, neg, -gp)
+    return w * np.logaddexp(0.0, -r)
 
 
 def batch_gradients(model: BprModel, batch: TripletBatch, mode: str):
     """Loss and dense analytic gradients (d loss / d user_factors, d post_factors)."""
-    u_f, p_f = model.user_factors, model.post_factors
-    w = _triplet_weights(batch, mode)
-    r = _score_diffs(u_f, p_f, batch)
-    loss = float(np.mean(w * np.logaddexp(0.0, -r)))
+    du = np.zeros_like(model.user_factors)
+    dh = np.zeros_like(model.post_factors)
     # d/dr of -ln sigmoid(r) is -sigmoid(-r)
-    coef = -w * _sigmoid_neg(r) / len(batch)
-    du = np.zeros_like(u_f)
-    dh = np.zeros_like(p_f)
-    np.add.at(du, batch.users, coef[:, None] * (p_f[batch.pos] - p_f[batch.neg]))
-    np.add.at(dh, batch.pos, coef[:, None] * u_f[batch.users])
-    np.add.at(dh, batch.neg, -coef[:, None] * u_f[batch.users])
-    return loss, du, dh
+    w = _triplet_weights(batch, mode)
+    losses = _pair_step(model.user_factors, model.post_factors, batch.users, batch.pos,
+                        batch.neg, w, -1.0 / len(batch), du, dh)
+    return float(np.mean(losses)), du, dh
 
 
 def train(
@@ -238,11 +249,8 @@ def train(
     post_f = rng.uniform(-scale, scale, (graph.n_posts, d))
     eu, ep = graph.edge_arrays
     keys = _edge_keys(graph)
-    theta = None
-    if propensity is not None:
-        theta = propensity.for_posts([p.post_id for p in graph.posts])
-        if np.any(theta <= 0.0):
-            raise ValueError("propensity table contains non-positive entries")
+    post_ids = tuple(p.post_id for p in graph.posts)
+    theta = None if propensity is None else propensity.for_posts(post_ids)
     lr = hyper.learning_rate
     n_batches = max(1, -(-graph.n_edges // hyper.batch_size))
     decay = max(0.0, 1.0 - 2.0 * lr * hyper.l2_reg) ** n_batches
@@ -252,7 +260,7 @@ def train(
     stale = 0
     model = BprModel(
         user_ids=graph.users,
-        post_ids=tuple(p.post_id for p in graph.posts),
+        post_ids=post_ids,
         user_factors=user_f,
         post_factors=post_f,
         hyper=hyper,
@@ -261,32 +269,19 @@ def train(
     for epoch in range(hyper.epochs):
         order = rng.permutation(graph.n_edges)
         users, pos = eu[order], ep[order]
-        neg = rng.integers(0, graph.n_posts - 1, graph.n_edges)
-        neg = neg + (neg >= pos)
-        neg_obs = _membership(keys, users * graph.n_posts + neg)
+        neg, neg_obs = _draw_negatives(rng, keys, graph.n_posts, users, pos)
+        thetas = () if theta is None else (theta[pos], theta[neg])
+        batch = TripletBatch(users, pos, neg, np.ones(graph.n_edges), neg_obs, *thetas)
+        w = _triplet_weights(batch, hyper.loss_mode)
         epoch_loss = 0.0
         for start in range(0, graph.n_edges, hyper.batch_size):
-            sl = slice(start, min(start + hyper.batch_size, graph.n_edges))
-            batch = TripletBatch(
-                users=users[sl],
-                pos=pos[sl],
-                neg=neg[sl],
-                pos_observed=np.ones(sl.stop - sl.start, dtype=np.float64),
-                neg_observed=neg_obs[sl],
-                pos_theta=None if theta is None else theta[pos[sl]],
-                neg_theta=None if theta is None else theta[neg[sl]],
-            )
-            w = _triplet_weights(batch, hyper.loss_mode)
-            r = _score_diffs(user_f, post_f, batch)
-            epoch_loss += float(np.sum(w * np.logaddexp(0.0, -r)))
+            sl = slice(start, start + hyper.batch_size)
             # per-triplet step (batching only vectorizes; the learning rate is
             # the per-example rate, as usual for BPR-style SGD)
-            coef = -lr * w * _sigmoid_neg(r)
-            gu = coef[:, None] * (post_f[batch.pos] - post_f[batch.neg])
-            gp = coef[:, None] * user_f[batch.users]
-            np.add.at(user_f, batch.users, -gu)
-            np.add.at(post_f, batch.pos, -gp)
-            np.add.at(post_f, batch.neg, gp)
+            losses = _pair_step(
+                user_f, post_f, users[sl], pos[sl], neg[sl], w[sl], lr, user_f, post_f
+            )
+            epoch_loss += float(np.sum(losses))
         if hyper.l2_reg > 0.0:
             user_f *= decay
             post_f *= decay

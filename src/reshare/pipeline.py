@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +54,7 @@ MODEL_NAMES = {
 
 
 class StageError(RuntimeError):
-    def __init__(self, stage: str, cause: BaseException):
+    def __init__(self, stage: str, cause: Exception):
         super().__init__(f"stage {stage!r} failed: {cause}")
         self.stage = stage
         self.cause = cause
@@ -221,14 +222,17 @@ class _Stages:
 
 
 def _stage(name: str):
-    """Decorator-free stage wrapper: re-raise any failure tagged with the stage."""
+    """Decorator-free stage wrapper: re-raise any error tagged with the stage.
+
+    Only ``Exception`` is wrapped; ``KeyboardInterrupt`` and ``SystemExit`` pass
+    through unchanged."""
 
     class _Ctx:
         def __enter__(self):
             return None
 
         def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, StageError):
+            if isinstance(exc, Exception) and not isinstance(exc, StageError):
                 raise StageError(name, exc) from exc
             return False
 
@@ -581,18 +585,10 @@ def run_pipeline(config: PipelineConfig, resume: bool = False) -> str:
                     rows.append((MODEL_NAMES[scheme], metric, k, float(np.mean(vals))))
         artifacts.write_metrics(rows, os.path.join(out_dir, "metrics.csv"))
         canonical = _canonical_scheme(config)
-        src = os.path.join(out_dir, f"plv_embeddings_{canonical}.csv")
-        if os.path.exists(src):
-            with open(src, encoding="utf-8") as fh:
-                data = fh.read()
-            with open(os.path.join(out_dir, "plv_embeddings.csv"), "w", encoding="utf-8") as fh:
-                fh.write(data)
-        curve_src = os.path.join(out_dir, f"training_curve_{canonical}.csv")
-        if os.path.exists(curve_src):
-            with open(curve_src, encoding="utf-8") as fh:
-                data = fh.read()
-            with open(os.path.join(out_dir, "training_curve.csv"), "w", encoding="utf-8") as fh:
-                fh.write(data)
+        for name in ("plv_embeddings", "training_curve"):
+            src = os.path.join(out_dir, f"{name}_{canonical}.csv")
+            if os.path.exists(src):
+                shutil.copyfile(src, os.path.join(out_dir, f"{name}.csv"))
     return report
 
 

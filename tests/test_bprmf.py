@@ -250,6 +250,49 @@ class TestTrain:
         assert np.array_equal(m1.post_factors, m2.post_factors)
         assert m1.training_curve == m2.training_curve
 
+    def test_one_full_batch_epoch_is_one_gradient_step(self):
+        tol = 1e-12
+        graph = self.two_block_graph()
+        table = PropensityTable.from_values(
+            {f"p{i}": 0.1 + 0.04 * i for i in range(20)}, scheme="test", mu=None, floor=1e-3
+        )
+        eu, ep = graph.edge_arrays
+        edges = set(zip(eu.tolist(), ep.tolist()))
+        n, d = graph.n_edges, 4
+        for mode in ("naive", "unbiased", "nonneg"):
+            hyper = BprHyper(embedding_dim=d, learning_rate=0.05, batch_size=n, l2_reg=0.0,
+                             epochs=1, loss_mode=mode, seed=7)
+            trained = train(graph, table, hyper)
+            # train's RNG protocol: user init, post init, permutation, negatives
+            rng = np.random.default_rng(hyper.seed)
+            scale = 1.0 / np.sqrt(d)
+            init = BprModel(
+                user_ids=graph.users,
+                post_ids=trained.post_ids,
+                user_factors=rng.uniform(-scale, scale, (graph.n_users, d)),
+                post_factors=rng.uniform(-scale, scale, (graph.n_posts, d)),
+                hyper=hyper,
+            )
+            order = rng.permutation(n)
+            users, pos = eu[order], ep[order]
+            neg = rng.integers(0, graph.n_posts - 1, n)
+            neg = neg + (neg >= pos)
+            theta = table.for_posts(trained.post_ids)
+            batch = TripletBatch(
+                users=users,
+                pos=pos,
+                neg=neg,
+                pos_observed=np.ones(n),
+                neg_observed=np.array([float(e in edges) for e in zip(users.tolist(), neg.tolist())]),
+                pos_theta=theta[pos],
+                neg_theta=theta[neg],
+            )
+            loss, du, dh = batch_gradients(init, batch, mode)
+            step = hyper.learning_rate * n
+            assert np.max(np.abs(trained.user_factors - (init.user_factors - step * du))) < tol
+            assert np.max(np.abs(trained.post_factors - (init.post_factors - step * dh))) < tol
+            assert abs(trained.training_curve[0] - loss) < tol
+
     def test_mode_requires_propensity(self):
         graph = self.two_block_graph()
         with pytest.raises(ValueError, match="propensity"):

@@ -5,8 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from reshare import artifacts, cli
+from reshare import artifacts, cli, pipeline
 from reshare.cli import main
+from reshare.pipeline import PipelineConfig, run_pipeline
 
 
 def small_config(out_dir, runs=1):
@@ -94,6 +95,15 @@ class TestSynthCommand:
         assert "Traceback" in err
         assert "RuntimeError: boom" in err
 
+    def test_keyboard_interrupt_is_not_a_stage_failure(self, tmp_path, monkeypatch):
+        def interrupt(graph):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pipeline, "compute_outcomes", interrupt)
+        config = PipelineConfig.from_json(write_config(tmp_path, small_config(str(tmp_path / "x"))))
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(config)
+
     def test_stage_failure_exits_two(self, tmp_path, capsys):
         cfg = small_config(str(tmp_path / "x"))
         cfg["synth"]["n_hate_posts"] = 0  # no hate posts: topic stage fails first
@@ -146,6 +156,13 @@ class TestPipelineCommand:
             header = fh.readline().strip().split(",")
         assert header[0] == "user_id"
         assert header[1] == "x_0" and header[-1] == "x_7"
+
+    def test_canonical_copies_equal_their_sources(self, tmp_path):
+        out = tmp_path / "copies"
+        assert main(["pipeline", "--config", write_config(tmp_path, small_config(str(out)))]) == 0
+        for name in ("plv_embeddings", "training_curve"):
+            copy, source = out / f"{name}.csv", out / f"{name}_virality.csv"
+            assert copy.read_bytes() == source.read_bytes(), name
 
     def test_deterministic_report_bytes(self, tmp_path):
         out_a, out_b = str(tmp_path / "da"), str(tmp_path / "db")
@@ -278,3 +295,31 @@ class TestEmbedAnalyzeCommand:
         assert rows[0]["dataset_tag"] == "demo"
         assert int(rows[0]["n_clusters"]) == 2
         assert float(rows[0]["silhouette"]) > 0.9
+
+
+class TestArtifactWriters:
+    def test_bytes_written(self, tmp_path):
+        path = str(tmp_path / "metrics.csv")
+        artifacts.write_metrics([("BPRMF", "recall", 5, 0.5), ("BPRMF", "ndcg", 5, 0.1)], path)
+        with open(path, "rb") as fh:
+            assert fh.read() == (
+                b"model,metric,k,value\r\n"
+                b"BPRMF,recall,5,0.5\r\n"
+                b"BPRMF,ndcg,5,0.10000000000000001\r\n"
+            )
+
+    def test_failed_rewrite_keeps_previous_file(self, tmp_path):
+        path = str(tmp_path / "metrics.csv")
+        artifacts.write_metrics([("BPRMF", "recall", 5, 0.5)], path)
+        with open(path, "rb") as fh:
+            before = fh.read()
+
+        def rows():
+            yield ("BPRMF", "recall", 10, 0.25)
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            artifacts.write_metrics(rows(), path)
+        with open(path, "rb") as fh:
+            assert fh.read() == before
+        assert os.listdir(tmp_path) == ["metrics.csv"]
