@@ -69,16 +69,6 @@ def write_topic_vectors(vectors: dict, path):
     ))
 
 
-def read_topic_vectors(path) -> dict:
-    out = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        for row in reader:
-            out[row[0]] = np.array([float(v) for v in row[1:]], dtype=np.float64)
-    return out
-
-
 def write_embeddings(model: BprModel, path):
     dim = model.user_factors.shape[1]
     _write_csv(path, ["user_id"] + [f"x_{i}" for i in range(dim)], (
@@ -87,7 +77,8 @@ def write_embeddings(model: BprModel, path):
     ))
 
 
-def read_embeddings(path) -> dict:
+def read_vectors(path) -> dict:
+    """Reload an id-keyed vector table (topic vectors or embeddings)."""
     out = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)

@@ -1,12 +1,14 @@
 """Explainable additive effect models over user features.
 
 The main fitter is a cyclic, histogram-binned gradient-boosting GAM: per
-boosting round every feature in turn absorbs a learning-rate-scaled slice of
-the current residual into its per-bin values. Models are averaged over
-bootstrap bags, which also yields per-bin uncertainty and out-of-bag early
-stopping. After the main effects, the strongest residual interactions are
-boosted as 2-D binned terms. An ordinary-least-squares baseline shares the
-same model surface so downstream comparison code does not branch.
+boosting round every term in turn absorbs a learning-rate-scaled slice of
+the current residual into its per-cell values. The bootstrap bags are drawn
+once, and one loop boosts every bag and keeps its best out-of-bag round:
+first for the 1-D main effects, then, on each bag's main-effect prediction,
+for the strongest residual interactions as flattened 2-D grids. Averaging
+over the bags yields the shapes and their per-bin uncertainty. An
+ordinary-least-squares baseline shares the same model surface so downstream
+comparison code does not branch.
 
 All shape functions are exported train-mean-centered: the intercept carries
 the average prediction and each curve reads as a deviation from it.
@@ -241,68 +243,70 @@ def predict(model: EffectModel, features: FeatureMatrix) -> np.ndarray:
     return _predict_array(model, features.X)
 
 
-def _boost_cycle(
-    targets: list,
-    bag_bin_idx: list,
-    bag_counts: list,
-    residual: np.ndarray,
-    oob_bin_idx: list,
-    oob_pred: np.ndarray,
-    y_oob: np.ndarray,
-    shapes: list,
-    lr: float,
-    min_leaf: int,
-    max_rounds: int,
-    patience: int,
-    tol: float,
-    rmse_curve: list | None = None,
-):
-    """Shared cyclic boosting loop over 1-D (or flattened 2-D) binned terms.
+def _train_mean(cells: np.ndarray, values: np.ndarray) -> float:
+    """Mean of a binned term over the train rows, whose cells are ``cells``."""
+    return float(np.bincount(cells, minlength=values.size) / cells.size @ values)
 
-    Mutates ``shapes``/``residual``/``oob_pred`` in place; returns the
-    best-round snapshot of the shapes according to out-of-bag error.
+
+def _boost_bags(cells, sizes, base, y, bags, hyper: EbmHyper, min_leaf: int, rmse_curve=None):
+    """Cyclic boosting of binned terms on each bootstrap bag.
+
+    ``cells[t]`` holds every train row's cell in term ``t`` (a 1-D bin, or a
+    flattened 2-D grid cell) out of ``sizes[t]``; each bag is a ``(rows, oob)``
+    pair and its terms add to the ``(n,)`` prediction ``base[b]``. Per round
+    every term in turn absorbs a learning-rate slice of its cells' mean in-bag
+    residual. Returns, per bag, the term values of the round with the lowest
+    out-of-bag MSE (in-bag MSE when the bag has no out-of-bag rows).
     ``min_leaf`` gates updates per occupied cell: 1-D bins already guarantee
     occupancy at construction, so mains pass 1; 2-D grids are not merged and
-    pass the configured minimum to keep near-empty cells silent.
+    pass the configured minimum to keep near-empty cells silent. The first
+    bag's in-bag RMSE per round is appended to ``rmse_curve`` when given.
     """
-    best_err = np.inf
-    best_shapes = [v.copy() for v in shapes]
-    stale = 0
-    use_oob = y_oob.size > 0
-    for _ in range(max_rounds):
-        for m in targets:
-            counts = bag_counts[m]
-            sums = np.bincount(bag_bin_idx[m], weights=residual, minlength=counts.size)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                means = np.where(counts >= min_leaf, sums / np.maximum(counts, 1), 0.0)
-            upd = lr * means
-            shapes[m] += upd
-            residual -= upd[bag_bin_idx[m]]
-            if use_oob:
-                oob_pred += upd[oob_bin_idx[m]]
-        if rmse_curve is not None:
-            rmse_curve.append(float(np.sqrt(np.mean(residual**2))))
-        err = (
-            float(np.mean((y_oob - oob_pred) ** 2))
-            if use_oob
-            else float(np.mean(residual**2))
-        )
-        if err < best_err - tol:
-            best_err = err
-            best_shapes = [v.copy() for v in shapes]
-            stale = 0
-        else:
-            stale += 1
-            if stale >= patience:
-                break
-    return best_shapes
+    out = []
+    for b, (rows, oob) in enumerate(bags):
+        residual = (y - base[b])[rows]
+        in_cells = [c[rows] for c in cells]
+        counts = [np.bincount(c, minlength=s).astype(np.float64) for c, s in zip(in_cells, sizes)]
+        oob_cells = [c[oob] for c in cells]
+        oob_pred, y_oob = base[b][oob], y[oob]
+        values = [np.zeros(s) for s in sizes]
+        best = [v.copy() for v in values]
+        best_err = np.inf
+        stale = 0
+        for _ in range(hyper.max_rounds):
+            for t, c in enumerate(in_cells):
+                sums = np.bincount(c, weights=residual, minlength=sizes[t])
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    means = np.where(counts[t] >= min_leaf, sums / np.maximum(counts[t], 1), 0.0)
+                upd = hyper.learning_rate * means
+                values[t] += upd
+                residual -= upd[c]
+                oob_pred += upd[oob_cells[t]]
+            if rmse_curve is not None and b == 0:
+                rmse_curve.append(float(np.sqrt(np.mean(residual**2))))
+            err = (
+                float(np.mean((y_oob - oob_pred) ** 2))
+                if oob.size
+                else float(np.mean(residual**2))
+            )
+            if err < best_err - hyper.early_stop_tol:
+                best_err = err
+                best = [v.copy() for v in values]
+                stale = 0
+            else:
+                stale += 1
+                if stale >= hyper.early_stop_patience:
+                    break
+        out.append(best)
+    return out
 
 
 def fit_ebm(features: FeatureMatrix, hyper: EbmHyper) -> EffectModel:
     """Bagged cyclic gradient-boosting GAM with identity link.
 
-    Shape values are bag-averaged and then centered so the train-set mean of
-    every term is exactly zero, with the intercept absorbing the means.
+    Every term is centered so its train-set mean is exactly zero, with the
+    intercept absorbing the means: main shapes are centered per bag and then
+    averaged, pair grids are averaged and then centered.
     """
     X, y = features.X, features.y
     n, p = X.shape
@@ -327,90 +331,48 @@ def fit_ebm(features: FeatureMatrix, hyper: EbmHyper) -> EffectModel:
             train_levels=_discrete_levels(X),
         )
 
-    bin_idx = np.column_stack([bins[m].assign(X[:, m]) for m in range(p)])
-    full_counts = [
-        np.bincount(bin_idx[:, m], minlength=bins[m].n_bins).astype(np.float64)
-        for m in range(p)
-    ]
-    full_weights = [c / n for c in full_counts]
-
-    seeds = np.random.SeedSequence(hyper.seed).spawn(hyper.n_bags)
-    bag_main_values: list[list[np.ndarray]] = []
-    bag_intercepts: list[float] = []
-    bag_rows: list[np.ndarray] = []
+    cells = [bins[m].assign(X[:, m]) for m in range(p)]
+    bags = []
+    for seed in np.random.SeedSequence(hyper.seed).spawn(hyper.n_bags):
+        rows = np.random.default_rng(seed).integers(0, n, n)
+        bags.append((rows, np.setdiff1d(np.arange(n), np.unique(rows))))
+    intercepts = [float(np.mean(y[rows])) for rows, _ in bags]
     train_rmse_curve: list[float] = []
-    for b in range(hyper.n_bags):
-        rng = np.random.default_rng(seeds[b])
-        rows = rng.integers(0, n, n)
-        bag_rows.append(rows)
-        oob = np.setdiff1d(np.arange(n), np.unique(rows))
-        intercept_b = float(np.mean(y[rows]))
-        residual = y[rows] - intercept_b
-        shapes_b = [np.zeros(bins[m].n_bins) for m in range(p)]
-        bag_idx = [bin_idx[rows, m] for m in range(p)]
-        bag_counts = [
-            np.bincount(bag_idx[m], minlength=bins[m].n_bins).astype(np.float64)
-            for m in range(p)
-        ]
-        oob_idx = [bin_idx[oob, m] for m in range(p)]
-        oob_pred = np.full(oob.size, intercept_b)
-        best = _boost_cycle(
-            targets=list(range(p)),
-            bag_bin_idx=bag_idx,
-            bag_counts=bag_counts,
-            residual=residual,
-            oob_bin_idx=oob_idx,
-            oob_pred=oob_pred,
-            y_oob=y[oob],
-            shapes=shapes_b,
-            lr=hyper.learning_rate,
-            min_leaf=1,
-            max_rounds=hyper.max_rounds,
-            patience=hyper.early_stop_patience,
-            tol=hyper.early_stop_tol,
-            rmse_curve=train_rmse_curve if b == 0 else None,
-        )
-        # center this bag's shapes on the full train distribution
+    bag_values = _boost_bags(
+        cells,
+        [b.n_bins for b in bins],
+        [np.full(n, c) for c in intercepts],
+        y,
+        bags,
+        hyper,
+        min_leaf=1,
+        rmse_curve=train_rmse_curve,
+    )
+    for b, values in enumerate(bag_values):
         for m in range(p):
-            shift = float(full_weights[m] @ best[m])
-            best[m] -= shift
-            intercept_b += shift
-        bag_main_values.append(best)
-        bag_intercepts.append(intercept_b)
+            shift = _train_mean(cells[m], values[m])
+            values[m] -= shift
+            intercepts[b] += shift
 
     shapes = []
     for m in range(p):
-        stack = np.vstack([bag_main_values[b][m] for b in range(hyper.n_bags)])
+        stack = np.vstack([values[m] for values in bag_values])
         mean_vals = stack.mean(axis=0)
         stderr = stack.std(axis=0, ddof=0) / np.sqrt(hyper.n_bags)
         shapes.append(FeatureShape(bins=bins[m], values=mean_vals, stderr=stderr))
-    intercept = float(np.mean(bag_intercepts))
+    intercept = float(np.mean(intercepts))
 
     pair_terms: list[PairTerm] = []
     if hyper.n_interactions > 0 and p >= 2:
-        pair_terms = _fit_interactions(
-            X,
-            y,
-            bin_idx,
-            bins,
-            shapes,
-            intercept,
-            bag_rows,
-            bag_main_values,
-            bag_intercepts,
-            hyper,
-        )
-        # center pair grids on the full train distribution
-        for term in pair_terms:
-            bi = term.bins_i.assign(X[:, term.i])
-            bj = term.bins_j.assign(X[:, term.j])
-            flat = bi * term.bins_j.n_bins + bj
-            w = np.bincount(flat, minlength=term.values.size) / n
-            shift = float(w @ term.values.ravel())
-            term.values -= shift
-            intercept += shift
+        base = []
+        for b, values in enumerate(bag_values):
+            pred_b = np.full(n, intercepts[b])
+            for m in range(p):
+                pred_b += values[m][cells[m]]
+            base.append(pred_b)
+        pair_terms, intercept = _fit_interactions(X, y, cells, shapes, intercept, bags, base, hyper)
 
-    model = EffectModel(
+    return EffectModel(
         kind="ebm",
         columns=features.columns,
         intercept=intercept,
@@ -420,7 +382,6 @@ def fit_ebm(features: FeatureMatrix, hyper: EbmHyper) -> EffectModel:
         train_levels=_discrete_levels(X),
         train_rmse_curve=train_rmse_curve,
     )
-    return model
 
 
 def _interaction_strength(res: np.ndarray, fi: np.ndarray, fj: np.ndarray, nb: int) -> float:
@@ -431,22 +392,16 @@ def _interaction_strength(res: np.ndarray, fi: np.ndarray, fj: np.ndarray, nb: i
     return float(np.sum(sums[nz] ** 2 / counts[nz]) / res.size)
 
 
-def _fit_interactions(
-    X,
-    y,
-    bin_idx,
-    bins,
-    shapes,
-    intercept,
-    bag_rows,
-    bag_main_values,
-    bag_intercepts,
-    hyper: EbmHyper,
-) -> list:
+def _fit_interactions(X, y, cells, shapes, intercept, bags, base, hyper: EbmHyper) -> tuple:
+    """Rank pairs on the averaged mains' residual, then boost the strongest as
+    2-D grids on each bag's own main-effect prediction ``base[b]``.
+
+    Returns the centered pair terms and the intercept with their means added.
+    """
     n, p = X.shape
     pred_main = np.full(n, intercept)
     for m in range(p):
-        pred_main += shapes[m](X[:, m])
+        pred_main += shapes[m].values[cells[m]]
     res_full = y - pred_main
 
     detect = [_build_bins(X[:, m], hyper.detect_bins, hyper.min_samples_leaf) for m in range(p)]
@@ -463,7 +418,7 @@ def _fit_interactions(
     ranked.sort()
     chosen = [(i, j) for _, i, j in ranked[: hyper.n_interactions]]
     if not chosen:
-        return []
+        return [], intercept
 
     pair_bins = {}
     for i, j in chosen:
@@ -472,61 +427,25 @@ def _fit_interactions(
         if j not in pair_bins:
             pair_bins[j] = _build_bins(X[:, j], hyper.pair_bins, hyper.min_samples_leaf)
     pair_idx = {m: pair_bins[m].assign(X[:, m]) for m in pair_bins}
-
-    grids = []  # per pair: (n_bins_i * n_bins_j) flattened values, per bag
-    for b in range(hyper.n_bags):
-        rows = bag_rows[b]
-        oob = np.setdiff1d(np.arange(n), np.unique(rows))
-        pred_b = np.full(n, bag_intercepts[b])
-        for m in range(p):
-            pred_b += bag_main_values[b][m][bin_idx[:, m]]
-        residual = (y - pred_b)[rows]
-        flat_idx = []
-        flat_counts = []
-        flat_oob = []
-        sizes = []
-        for i, j in chosen:
-            nbj = pair_bins[j].n_bins
-            flat = pair_idx[i] * nbj + pair_idx[j]
-            sizes.append(pair_bins[i].n_bins * nbj)
-            flat_idx.append(flat[rows])
-            flat_counts.append(
-                np.bincount(flat[rows], minlength=sizes[-1]).astype(np.float64)
-            )
-            flat_oob.append(flat[oob])
-        values = [np.zeros(s) for s in sizes]
-        oob_pred = pred_b[oob].copy()
-        best = _boost_cycle(
-            targets=list(range(len(chosen))),
-            bag_bin_idx=flat_idx,
-            bag_counts=flat_counts,
-            residual=residual,
-            oob_bin_idx=flat_oob,
-            oob_pred=oob_pred,
-            y_oob=y[oob],
-            shapes=values,
-            lr=hyper.learning_rate,
-            min_leaf=hyper.min_samples_leaf,
-            max_rounds=hyper.max_rounds,
-            patience=hyper.early_stop_patience,
-            tol=hyper.early_stop_tol,
-        )
-        grids.append(best)
+    flat = [pair_idx[i] * pair_bins[j].n_bins + pair_idx[j] for i, j in chosen]
+    sizes = [pair_bins[i].n_bins * pair_bins[j].n_bins for i, j in chosen]
+    grids = _boost_bags(flat, sizes, base, y, bags, hyper, min_leaf=hyper.min_samples_leaf)
 
     terms = []
     for t, (i, j) in enumerate(chosen):
-        stack = np.vstack([grids[b][t] for b in range(hyper.n_bags)])
-        mean_vals = stack.mean(axis=0)
+        mean_vals = np.vstack([grid[t] for grid in grids]).mean(axis=0)
+        shift = _train_mean(flat[t], mean_vals)
+        intercept += shift
         terms.append(
             PairTerm(
                 i=i,
                 j=j,
                 bins_i=pair_bins[i],
                 bins_j=pair_bins[j],
-                values=mean_vals.reshape(pair_bins[i].n_bins, pair_bins[j].n_bins),
+                values=(mean_vals - shift).reshape(pair_bins[i].n_bins, pair_bins[j].n_bins),
             )
         )
-    return terms
+    return terms, intercept
 
 
 def fit_linear(features: FeatureMatrix, allow_ridge: bool = True) -> EffectModel:

@@ -1,10 +1,13 @@
 """End-to-end orchestration: propensities, debiased embeddings, outcomes,
 effect models, and a deterministic report, with resumable stage outputs.
 
-Every stage removes its ``<stage>.done`` marker, writes its artifacts, then
-writes a marker holding a hash of the effective configuration and input CSVs.
-With ``resume=True`` a stage whose marker matches is skipped and its outputs
-are reloaded, which reproduces the final report byte-for-byte.
+Only the resumable stages (dataset, topics, propensity, ``plv_<scheme>`` and
+``effects_<variant>``) keep a ``<stage>.done`` marker: such a stage removes
+its marker, writes its artifacts, then writes a marker holding a hash of the
+effective configuration and input CSVs. With ``resume=True`` a stage whose
+marker matches is skipped and its outputs are reloaded, which reproduces the
+final report byte-for-byte. The cheap outcomes stage always recomputes and
+keeps no marker.
 """
 
 import contextlib
@@ -201,13 +204,9 @@ class _Stages:
                 with open(self._marker(stage), encoding="utf-8") as fh:
                     if json.load(fh).get("config_hash") == self.chash:
                         return True
-        self.clear(stage)
-        return False
-
-    def clear(self, stage: str):
-        """Remove the stage's marker, before any of its outputs is rewritten."""
         with contextlib.suppress(FileNotFoundError):
             os.remove(self._marker(stage))
+        return False
 
     def payload(self, stage: str) -> dict:
         with open(self._marker(stage), encoding="utf-8") as fh:
@@ -261,7 +260,7 @@ def _load_inputs(config: PipelineConfig, out_dir: str, stages: _Stages):
 def _topic_vectors(config, graph, out_dir, stages):
     path = os.path.join(out_dir, "topics.csv")
     if stages.done("topics"):
-        return artifacts.read_topic_vectors(path)
+        return artifacts.read_vectors(path)
     with _stage("topics"):
         hate_posts = [p for p in graph.posts if p.is_hate]
         stop = load_stopwords(config.stopwords_path) if config.stopwords_path else ()
@@ -309,7 +308,7 @@ def _train_ranker(config, scheme, table, train_h, test_h, run_seed, rdir, stages
     curve_path = os.path.join(rdir, f"training_curve_{scheme}.csv")
     if stages.done(stage):
         payload = stages.payload(stage)
-        emb = artifacts.read_embeddings(emb_path)
+        emb = artifacts.read_vectors(emb_path)
         metrics = {
             (m, int(k)): v for m, k, v in payload["metrics"]
         }
@@ -556,10 +555,8 @@ def run_pipeline(config: PipelineConfig, resume: bool = False) -> str:
     graph, users = _load_inputs(config, out_dir, stages)
 
     with _stage("outcomes"):
-        stages.clear("outcomes")
         outcome_table = compute_outcomes(graph)
         artifacts.write_outcomes(outcome_table, os.path.join(out_dir, "outcomes.csv"))
-        stages.mark("outcomes")
 
     topic_vectors = None
     if "neural" in config.schemes:
@@ -651,7 +648,7 @@ def run_embed_analysis(
 ) -> tuple:
     """DBSCAN + silhouette over an exported embedding table."""
     os.makedirs(out_dir, exist_ok=True)
-    emb = artifacts.read_embeddings(embeddings_path)
+    emb = artifacts.read_vectors(embeddings_path)
     points = np.vstack([emb[u] for u in sorted(emb)])
     labels = dbscan(points, eps=eps, min_pts=min_pts)
     n_clusters = len(set(labels[labels >= 0].tolist()))

@@ -156,6 +156,26 @@ class TestFitEbm:
         assert np.allclose(curve.lower, curve.value)
         assert np.allclose(curve.upper, curve.value)
 
+    def test_bag_without_oob_rows_stops_on_in_bag_error(self):
+        X = np.arange(4.0)[:, None]
+        y = np.array([0.0, 1.0, 0.0, 2.0])
+        hyper = EbmHyper(
+            n_bags=1,
+            min_samples_leaf=1,
+            n_interactions=0,
+            max_rounds=50,
+            early_stop_patience=5,
+            seed=34,
+        )
+        # seed 34's only bag draws every row, so it has no out-of-bag rows
+        bag_seed = np.random.SeedSequence(34).spawn(1)[0]
+        assert set(np.random.default_rng(bag_seed).integers(0, 4, 4)) == {0, 1, 2, 3}
+        fm = fmatrix(X, ("a",), y)
+        model = fit_ebm(fm, hyper)
+        assert len(model.train_rmse_curve) == 50
+        rmse = float(np.sqrt(np.mean((predict(model, fm) - y) ** 2)))
+        assert rmse < y.std()
+
     def test_binary_feature_two_rows_centered(self, rng):
         X, cols = matrix_from(rng, n=1000)
         y = 0.4 * X[:, 2] + rng.normal(0, 0.02, 1000)
