@@ -120,11 +120,11 @@ def write_curve(curve, path):
 
 
 def write_embedding_analysis(rows, path):
-    """rows: iterable of (dataset_tag, n_clusters, n_noise, silhouette)."""
-    exists = os.path.exists(path)
-    with open(path, "a", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        if not exists:
-            w.writerow(["dataset_tag", "n_clusters", "n_noise", "silhouette"])
-        for tag, n_clusters, n_noise, sil in rows:
-            w.writerow([tag, n_clusters, n_noise, _fmt(sil)])
+    """Add rows of (dataset_tag, n_clusters, n_noise, silhouette) to the table at ``path``."""
+    kept = []
+    with contextlib.suppress(FileNotFoundError):
+        with open(path, newline="", encoding="utf-8") as fh:
+            kept = list(csv.reader(fh))[1:]
+    _write_csv(path, ["dataset_tag", "n_clusters", "n_noise", "silhouette"], kept + [
+        [tag, n_clusters, n_noise, _fmt(sil)] for tag, n_clusters, n_noise, sil in rows
+    ])

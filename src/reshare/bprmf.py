@@ -9,9 +9,13 @@ outscore non-interacted ones. Three triplet-weighting modes are supported:
                    for bounded variance when propensities are tiny.
 
 Training is plain mini-batch SGD with decoupled l2 decay and is fully
-deterministic for a given seed. One pairwise step function serves both
-``batch_gradients`` and ``train``, so the gradient the tests check against
-finite differences is the update that training applies.
+deterministic for a given seed. ``train_stack`` fits one model per propensity
+table in a single loop: with one seed every table draws the same init,
+permutations and negatives, so the members share them and differ only in
+their triplet weights; ``train`` is a stack of one. One pairwise step function
+serves both ``batch_gradients`` and training, so the gradient the tests check
+against finite differences is the update that training applies. It scatters
+the gradients of all members with one flat ``np.add.at`` per batch.
 """
 
 import dataclasses
@@ -133,10 +137,9 @@ def _edge_keys(graph: InteractionGraph) -> np.ndarray:
 
 
 def _membership(keys_sorted: np.ndarray, query: np.ndarray) -> np.ndarray:
-    pos = np.searchsorted(keys_sorted, query)
-    pos = np.minimum(pos, keys_sorted.size - 1) if keys_sorted.size else pos
     if keys_sorted.size == 0:
         return np.zeros(query.shape, dtype=np.float64)
+    pos = np.minimum(np.searchsorted(keys_sorted, query), keys_sorted.size - 1)
     return (keys_sorted[pos] == query).astype(np.float64)
 
 
@@ -201,31 +204,42 @@ def batch_loss(model: BprModel, batch: TripletBatch, mode: str) -> float:
     return float(np.mean(_triplet_weights(batch, mode) * np.logaddexp(0.0, -r)))
 
 
-def _pair_step(user_f, post_f, users, pos, neg, w, scale, out_u, out_p) -> np.ndarray:
-    """Add ``coef * (h_pos - h_neg)`` to the users' rows of ``out_u`` and
-    ``+-coef * x_user`` to the posts' rows of ``out_p``, where ``coef = scale * w *
-    sigmoid(-r)``; return the weighted losses ``w * -ln sigmoid(r)``. All rows are
-    read before any is written, so the outputs may be the factors themselves."""
-    u = user_f[users]
-    diff = post_f[pos] - post_f[neg]
-    r = np.einsum("ij,ij->i", u, diff)
-    coef = scale * w * _sigmoid_neg(r)
-    np.add.at(out_u, users, coef[:, None] * diff)
-    gp = coef[:, None] * u
-    np.add.at(out_p, pos, gp)
-    np.add.at(out_p, neg, -gp)
+def _pair_step(factors, users, pos, neg, w, scale, out) -> np.ndarray:
+    """One pairwise step for every member of a stack of factor blocks.
+
+    ``factors`` and ``out`` are C-contiguous ``(S, rows, d)`` blocks, users'
+    rows first and posts' after them; ``users``, ``pos`` and ``neg`` are row
+    indices shared by all members and ``w`` is the ``(S, B)`` triplet weights.
+    Adds ``coef * (h_pos - h_neg)`` to the users' rows and ``+-coef * x_user``
+    to the posts' rows, where ``coef = scale * w * sigmoid(-r)``, through one
+    1-D ``np.add.at`` over the user, pos and neg rows in that order; returns the
+    weighted losses ``w * -ln sigmoid(r)``. All rows are read before any is
+    written, so ``out`` may be ``factors``."""
+    n_members, n_rows, d = factors.shape
+    b = users.size
+    rows = np.concatenate((users, pos, neg)) + n_rows * np.arange(n_members)[:, None]
+    grads = factors.reshape(-1, d)[rows]  # x_user, h_pos, h_neg; overwritten by their steps
+    u, h_pos, h_neg = grads[:, :b], grads[:, b : 2 * b], grads[:, 2 * b :]
+    diff = h_pos - h_neg
+    r = np.einsum("sij,sij->si", u, diff)
+    coef = (scale * w * _sigmoid_neg(r))[:, :, None]
+    np.multiply(coef, u, out=h_pos)
+    np.multiply(coef, diff, out=u)
+    np.negative(h_pos, out=h_neg)
+    np.add.at(out.reshape(-1), (rows[:, :, None] * d + np.arange(d)).ravel(), grads.ravel())
     return w * np.logaddexp(0.0, -r)
 
 
 def batch_gradients(model: BprModel, batch: TripletBatch, mode: str):
     """Loss and dense analytic gradients (d loss / d user_factors, d post_factors)."""
-    du = np.zeros_like(model.user_factors)
-    dh = np.zeros_like(model.post_factors)
+    n_users = model.user_factors.shape[0]
+    factors = np.concatenate((model.user_factors, model.post_factors))[None]
+    grad = np.zeros_like(factors)
     # d/dr of -ln sigmoid(r) is -sigmoid(-r)
     w = _triplet_weights(batch, mode)
-    losses = _pair_step(model.user_factors, model.post_factors, batch.users, batch.pos,
-                        batch.neg, w, -1.0 / len(batch), du, dh)
-    return float(np.mean(losses)), du, dh
+    losses = _pair_step(factors, batch.users, batch.pos + n_users, batch.neg + n_users,
+                        w[None], -1.0 / len(batch), grad)
+    return float(np.mean(losses[0])), grad[0, :n_users], grad[0, n_users:]
 
 
 def train(
@@ -238,65 +252,99 @@ def train(
     Stops early once the epoch loss has improved by less than
     ``early_stop_tol`` for ``early_stop_patience`` consecutive epochs.
     """
-    if hyper.loss_mode != "naive" and propensity is None:
+    return train_stack(graph, [propensity], hyper)[0]
+
+
+def train_stack(graph: InteractionGraph, propensities, hyper: BprHyper) -> list:
+    """``train`` on each propensity table (``None`` for ``naive``), in one loop.
+
+    Every member starts from the same seeded init and sees the same permuted
+    edges and negatives, so each returned model equals ``train`` on its table
+    bit for bit. The members' factors form one ``(S, users + posts, d)`` block,
+    and a member leaves the block when it stops early.
+    """
+    if hyper.loss_mode != "naive" and any(t is None for t in propensities):
         raise ValueError(f"loss mode {hyper.loss_mode!r} requires a propensity table")
+    if not propensities:
+        raise ValueError("training needs at least one propensity table (None for naive)")
     if graph.n_edges < 1 or graph.n_posts < 2:
         raise ValueError("training needs at least one edge and two posts")
     rng = np.random.default_rng(hyper.seed)
     d = hyper.embedding_dim
     scale = 1.0 / np.sqrt(d)
-    user_f = rng.uniform(-scale, scale, (graph.n_users, d))
-    post_f = rng.uniform(-scale, scale, (graph.n_posts, d))
+    n_users = graph.n_users
+    block = np.repeat(np.concatenate((
+        rng.uniform(-scale, scale, (n_users, d)),
+        rng.uniform(-scale, scale, (graph.n_posts, d)),
+    ))[None], len(propensities), axis=0)
     eu, ep = graph.edge_arrays
     keys = _edge_keys(graph)
     post_ids = tuple(p.post_id for p in graph.posts)
-    theta = None if propensity is None else propensity.for_posts(post_ids)
+    thetas = [None if t is None else t.for_posts(post_ids) for t in propensities]
     lr = hyper.learning_rate
     n_batches = max(1, -(-graph.n_edges // hyper.batch_size))
     decay = max(0.0, 1.0 - 2.0 * lr * hyper.l2_reg) ** n_batches
 
-    curve: list[float] = []
-    best = np.inf
-    stale = 0
-    model = BprModel(
-        user_ids=graph.users,
-        post_ids=post_ids,
-        user_factors=user_f,
-        post_factors=post_f,
-        hyper=hyper,
-        training_curve=curve,
-    )
+    models = [None] * len(propensities)
+    curves = [[] for _ in propensities]
+    best = [np.inf] * len(propensities)
+    stale = [0] * len(propensities)
+    active = list(range(len(propensities)))
+
+    def finish(m, factors):
+        models[m] = BprModel(
+            user_ids=graph.users,
+            post_ids=post_ids,
+            user_factors=factors[:n_users],
+            post_factors=factors[n_users:],
+            hyper=hyper,
+            training_curve=curves[m],
+        )
+
     for epoch in range(hyper.epochs):
         order = rng.permutation(graph.n_edges)
         users, pos = eu[order], ep[order]
         neg, neg_obs = _draw_negatives(rng, keys, graph.n_posts, users, pos)
-        thetas = () if theta is None else (theta[pos], theta[neg])
-        batch = TripletBatch(users, pos, neg, np.ones(graph.n_edges), neg_obs, *thetas)
-        w = _triplet_weights(batch, hyper.loss_mode)
-        epoch_loss = 0.0
+        observed = np.ones(graph.n_edges)
+        w = np.empty((len(active), graph.n_edges))
+        for i, m in enumerate(active):
+            theta = () if thetas[m] is None else (thetas[m][pos], thetas[m][neg])
+            batch = TripletBatch(users, pos, neg, observed, neg_obs, *theta)
+            w[i] = _triplet_weights(batch, hyper.loss_mode)
+        pos_rows, neg_rows = pos + n_users, neg + n_users
+        epoch_loss = np.zeros(len(active))
         for start in range(0, graph.n_edges, hyper.batch_size):
             sl = slice(start, start + hyper.batch_size)
             # per-triplet step (batching only vectorizes; the learning rate is
             # the per-example rate, as usual for BPR-style SGD)
-            losses = _pair_step(
-                user_f, post_f, users[sl], pos[sl], neg[sl], w[sl], lr, user_f, post_f
-            )
-            epoch_loss += float(np.sum(losses))
+            losses = _pair_step(block, users[sl], pos_rows[sl], neg_rows[sl], w[:, sl], lr, block)
+            epoch_loss += losses.sum(axis=1)
         if hyper.l2_reg > 0.0:
-            user_f *= decay
-            post_f *= decay
+            block *= decay
         epoch_loss /= graph.n_edges
-        if not np.isfinite(epoch_loss):
+        if not np.all(np.isfinite(epoch_loss)):
             raise RuntimeError(f"training diverged (non-finite loss) at epoch {epoch}")
-        curve.append(epoch_loss)
-        if best - epoch_loss < hyper.early_stop_tol:
-            stale += 1
-            if stale >= hyper.early_stop_patience:
+        keep = []
+        for i, m in enumerate(active):
+            loss = float(epoch_loss[i])
+            curves[m].append(loss)
+            if best[m] - loss < hyper.early_stop_tol:
+                stale[m] += 1
+                if stale[m] >= hyper.early_stop_patience:
+                    finish(m, block[i].copy())  # the block is rebuilt without it
+                    continue
+            else:
+                stale[m] = 0
+            best[m] = min(best[m], loss)
+            keep.append(i)
+        if len(keep) < len(active):
+            block = block[keep]
+            active = [active[i] for i in keep]
+            if not active:
                 break
-        else:
-            stale = 0
-        best = min(best, epoch_loss)
-    return model
+    for i, m in enumerate(active):
+        finish(m, block[i])
+    return models
 
 
 @dataclass

@@ -8,6 +8,11 @@ effective configuration and input CSVs. With ``resume=True`` a stage whose
 marker matches is skipped and its outputs are reloaded, which reproduces the
 final report byte-for-byte. The cheap outcomes stage always recomputes and
 keeps no marker.
+
+The ``plv_<scheme>`` stages of a run share one stacked BPR training: every
+scheme whose marker does not match trains in one ``train_stack`` call, then
+each writes its embeddings, curve and marker in ``config.schemes`` order. The
+mu sweep likewise trains all of its (scheme, mu) cells in one call.
 """
 
 import contextlib
@@ -21,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import artifacts
-from .bprmf import BprHyper, ranking_metrics, train
+from .bprmf import BprHyper, ranking_metrics, train_stack
 from .dataset import FEATURE_COLUMNS, load_dataset, split, write_dataset
 from .effects import (
     EbmHyper,
@@ -302,30 +307,41 @@ def _propensity_tables(config, train_h, users, topic_vectors, rdir, stages):
     return tables
 
 
-def _train_ranker(config, scheme, table, train_h, test_h, run_seed, rdir, stages):
-    stage = f"plv_{scheme}"
-    emb_path = os.path.join(rdir, f"plv_embeddings_{scheme}.csv")
-    curve_path = os.path.join(rdir, f"training_curve_{scheme}.csv")
-    if stages.done(stage):
-        payload = stages.payload(stage)
-        emb = artifacts.read_vectors(emb_path)
-        metrics = {
-            (m, int(k)): v for m, k, v in payload["metrics"]
-        }
-        return emb, metrics, payload["n_skipped"]
-    with _stage(stage):
-        hyper = dataclasses.replace(config.bpr, seed=config.bpr.seed + run_seed)
-        model = train(train_h, table, hyper)
-        report = ranking_metrics(model, test_h, config.k_list, train=train_h)
-        emb = {u: model.user_factors[i] for i, u in enumerate(model.user_ids)}
-        artifacts.write_embeddings(model, emb_path)
-        artifacts.write_training_curve(model.training_curve, curve_path)
-        stages.mark(
-            stage,
-            metrics=[[m, k, v] for (m, k), v in sorted(report.values.items())],
-            n_skipped=report.n_skipped,
-        )
-        return emb, report.values, report.n_skipped
+def _train_rankers(config, tables, train_h, test_h, run_seed, rdir, stages):
+    """The ``plv_<scheme>`` stages: train every scheme whose marker is not done in
+    one stacked loop, then write and mark each scheme in config order."""
+    pending = [s for s in config.schemes if not stages.done(f"plv_{s}")]
+    models = {}
+    if pending:
+        with _stage("plv"):
+            hyper = dataclasses.replace(config.bpr, seed=config.bpr.seed + run_seed)
+            models = dict(zip(pending, train_stack(train_h, [tables[s] for s in pending], hyper)))
+    ranking, skipped, embeddings = {}, {}, {}
+    for scheme in config.schemes:
+        stage = f"plv_{scheme}"
+        emb_path = os.path.join(rdir, f"plv_embeddings_{scheme}.csv")
+        if scheme not in models:
+            payload = stages.payload(stage)
+            embeddings[scheme] = artifacts.read_vectors(emb_path)
+            ranking[scheme] = {(m, int(k)): v for m, k, v in payload["metrics"]}
+            skipped[scheme] = payload["n_skipped"]
+            continue
+        with _stage(stage):
+            model = models.pop(scheme)
+            report = ranking_metrics(model, test_h, config.k_list, train=train_h)
+            artifacts.write_embeddings(model, emb_path)
+            artifacts.write_training_curve(
+                model.training_curve, os.path.join(rdir, f"training_curve_{scheme}.csv")
+            )
+            stages.mark(
+                stage,
+                metrics=[[m, k, v] for (m, k), v in sorted(report.values.items())],
+                n_skipped=report.n_skipped,
+            )
+        embeddings[scheme] = {u: model.user_factors[i] for i, u in enumerate(model.user_ids)}
+        ranking[scheme] = report.values
+        skipped[scheme] = report.n_skipped
+    return ranking, skipped, embeddings
 
 
 def _subset_rows(fm: FeatureMatrix, user_set) -> FeatureMatrix:
@@ -435,16 +451,9 @@ def _run_once(config, graph, users, outcome_table, topic_vectors, out_dir, run_i
 
     tables = _propensity_tables(config, train_h, users, topic_vectors, rdir, stages)
 
-    ranking = {}
-    skipped = {}
-    embeddings = {}
-    for scheme in config.schemes:
-        emb, metrics, n_skipped = _train_ranker(
-            config, scheme, tables[scheme], train_h, test_h, run_seed, rdir, stages
-        )
-        ranking[scheme] = metrics
-        skipped[scheme] = n_skipped
-        embeddings[scheme] = emb
+    ranking, skipped, embeddings = _train_rankers(
+        config, tables, train_h, test_h, run_seed, rdir, stages
+    )
 
     variants = ["base"] + [s for s in config.schemes if s != "biased"]
     rmses = {}
@@ -623,18 +632,19 @@ def run_mu_sweep(config: PipelineConfig, mu_list) -> list:
         train_h, test_h = pair.train, pair.test
     rows = []
     with _stage("mu-sweep"):
-        for scheme in ("virality", "follower"):
-            for mu in mu_list:
-                if scheme == "virality":
-                    table = virality_propensity(train_h, mu=mu, floor=config.floor)
-                else:
-                    table = follower_propensity(train_h, users, mu=mu, floor=config.floor)
-                hyper = dataclasses.replace(config.bpr, seed=config.bpr.seed + config.seed)
-                model = train(train_h, table, hyper)
-                report = ranking_metrics(model, test_h, config.k_list, train=train_h)
-                label = f"{MODEL_NAMES[scheme]} mu={mu:g}"
-                for k in config.k_list:
-                    rows.append((label, "recall", k, report[("recall", k)]))
+        cells = [(scheme, mu) for scheme in ("virality", "follower") for mu in mu_list]
+        tables = [
+            virality_propensity(train_h, mu=mu, floor=config.floor)
+            if scheme == "virality"
+            else follower_propensity(train_h, users, mu=mu, floor=config.floor)
+            for scheme, mu in cells
+        ]
+        hyper = dataclasses.replace(config.bpr, seed=config.bpr.seed + config.seed)
+        for (scheme, mu), model in zip(cells, train_stack(train_h, tables, hyper)):
+            report = ranking_metrics(model, test_h, config.k_list, train=train_h)
+            label = f"{MODEL_NAMES[scheme]} mu={mu:g}"
+            for k in config.k_list:
+                rows.append((label, "recall", k, report[("recall", k)]))
         artifacts.write_metrics(rows, os.path.join(out_dir, "mu_sweep.csv"))
     return rows
 

@@ -7,16 +7,19 @@ from reshare.bprmf import (
     BprHyper,
     BprModel,
     TripletBatch,
+    _pair_step,
+    _sigmoid_neg,
     batch_gradients,
     batch_loss,
     pair_loss,
     ranking_metrics,
     sample_triplets,
     train,
+    train_stack,
     user_embedding,
 )
 from reshare.errors import ConfigError
-from reshare.propensity import PropensityTable
+from reshare.propensity import PropensityTable, biased_propensity, virality_propensity
 
 from conftest import brute_force_ranking, make_graph
 
@@ -194,6 +197,29 @@ class TestGradients:
                     assert np.max(np.abs(grad - fd)) / scale < 1e-4
 
 
+class TestPairStep:
+    def test_flat_scatter_equals_row_scatter(self, rng):
+        n_users, n_posts, d = 4, 6, 5
+        users = np.array([0, 2, 0, 3, 2, 0])
+        pos = np.array([1, 4, 3, 0, 1, 5])
+        neg = np.array([3, 1, 2, 4, 0, 1])  # triplet 1's neg is triplets 0 and 4's pos
+        w = rng.uniform(0.0, 2.0, (2, users.size))
+        block = rng.normal(0.0, 0.5, (2, n_users + n_posts, d))
+        expected = block.copy()
+        for s in range(2):  # the per-array 2-D np.add.at form, member by member
+            user_f, post_f = expected[s, :n_users], expected[s, n_users:]
+            u = user_f[users]
+            diff = post_f[pos] - post_f[neg]
+            r = np.einsum("ij,ij->i", u, diff)
+            coef = 0.3 * w[s] * _sigmoid_neg(r)
+            np.add.at(user_f, users, coef[:, None] * diff)
+            gp = coef[:, None] * u
+            np.add.at(post_f, pos, gp)
+            np.add.at(post_f, neg, -gp)
+        _pair_step(block, users, pos + n_users, neg + n_users, w, 0.3, block)
+        assert np.array_equal(block, expected)
+
+
 class TestTrain:
     def two_block_graph(self):
         # users of block A share exactly the posts of block A
@@ -297,6 +323,33 @@ class TestTrain:
         graph = self.two_block_graph()
         with pytest.raises(ValueError, match="propensity"):
             train(graph, None, BprHyper(loss_mode="nonneg"))
+
+    def test_stack_members_equal_solo_training(self):
+        rng = np.random.default_rng(3)
+        posts = [(f"p{j}", False, None) for j in range(20)]
+        edges = [(u, f"p{j}") for u in range(30) for j in range(20) if rng.random() < 0.6 / (1 + j)]
+        graph = make_graph(30, posts, edges)
+        tables = [virality_propensity(graph, mu=mu) for mu in (0.1, 0.5, 1.0)]
+        tables.append(biased_propensity(graph))
+        hyper = BprHyper(embedding_dim=8, learning_rate=0.01, batch_size=16, epochs=15,
+                         early_stop_tol=1e-3, early_stop_patience=2, seed=0)
+        stacked = train_stack(graph, tables, hyper)
+        lengths = [len(m.training_curve) for m in stacked]
+        assert len(set(lengths)) == len(tables) and min(lengths) < hyper.epochs
+        for table, member in zip(tables, stacked):
+            solo = train(graph, table, hyper)
+            assert np.array_equal(member.user_factors, solo.user_factors)
+            assert np.array_equal(member.post_factors, solo.post_factors)
+            assert member.training_curve == solo.training_curve
+
+    def test_stack_requires_every_propensity(self):
+        graph = self.two_block_graph()
+        table = biased_propensity(graph)
+        with pytest.raises(ValueError) as solo:
+            train(graph, None, BprHyper(loss_mode="nonneg"))
+        with pytest.raises(ValueError) as stacked:
+            train_stack(graph, [table, None], BprHyper(loss_mode="nonneg"))
+        assert str(stacked.value) == str(solo.value)
 
     def test_invalid_hyper(self):
         with pytest.raises(ConfigError):

@@ -237,6 +237,30 @@ class TestPipelineCommand:
             ) as fb:
                 assert fa.read() == fb.read(), name
 
+    def test_one_stacked_training_per_run_and_resume_trains_only_missing(
+        self, tmp_path, monkeypatch
+    ):
+        calls = []
+        train_stack = pipeline.train_stack
+
+        def spy(graph, tables, hyper):
+            calls.append([table.scheme for table in tables])
+            return train_stack(graph, tables, hyper)
+
+        monkeypatch.setattr(pipeline, "train_stack", spy)
+        out = tmp_path / "stacked"
+        cfg = write_config(tmp_path, small_config(str(out), runs=2))
+        assert main(["pipeline", "--config", cfg]) == 0
+        assert calls == [list(pipeline.RANKING_SCHEMES)] * 2
+        names = ("report.txt", "plv_embeddings_follower.csv", "training_curve_follower.csv")
+        cold = {name: (out / name).read_bytes() for name in names}
+        (out / "plv_follower.done").unlink()
+        calls.clear()
+        assert main(["pipeline", "--config", cfg, "--resume"]) == 0
+        assert calls == [["follower"]]
+        for name in names:
+            assert (out / name).read_bytes() == cold[name], name
+
     def test_multi_run_welch_table(self, tmp_path, capsys):
         out = str(tmp_path / "runs")
         cfg = write_config(tmp_path, small_config(out, runs=2))
@@ -323,3 +347,25 @@ class TestArtifactWriters:
         with open(path, "rb") as fh:
             assert fh.read() == before
         assert os.listdir(tmp_path) == ["metrics.csv"]
+
+    def test_embedding_analysis_keeps_rows_and_survives_failed_write(self, tmp_path):
+        path = str(tmp_path / "embedding_analysis.csv")
+        artifacts.write_embedding_analysis([("a", 2, 1, 0.5)], path)
+        artifacts.write_embedding_analysis([("b", 3, 0, 0.25)], path)
+        with open(path, "rb") as fh:
+            before = fh.read()
+        assert before == (
+            b"dataset_tag,n_clusters,n_noise,silhouette\r\n"
+            b"a,2,1,0.5\r\n"
+            b"b,3,0,0.25\r\n"
+        )
+
+        def rows():
+            yield ("c", 1, 0, 0.1)
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            artifacts.write_embedding_analysis(rows(), path)
+        with open(path, "rb") as fh:
+            assert fh.read() == before
+        assert os.listdir(tmp_path) == ["embedding_analysis.csv"]
