@@ -3,7 +3,8 @@
 Numeric values are written with repr-level precision so that reloading a
 stage output reproduces the in-memory values bit-for-bit (resume mode relies
 on this). Each writer fills a temporary file beside its target and then moves
-it into place, so a crash mid-write never leaves a torn file at the target.
+it into place, so a crash mid-write never leaves a torn file at the target;
+``report.txt`` goes through the same helper.
 """
 
 import contextlib
@@ -22,14 +23,14 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_csv(path, header, rows):
-    """Write the header and rows to ``<path>.tmp``, then replace ``path`` with it."""
+@contextlib.contextmanager
+def _replacing(path, newline=None):
+    """Open ``<path>.tmp`` for writing, then replace ``path`` with it; on any
+    error the temp file goes and ``path`` keeps its previous contents."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
+        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -37,26 +38,41 @@ def _write_csv(path, header, rows):
         raise
 
 
+def _write_csv(path, header, rows):
+    with _replacing(path, newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_report(text: str, path):
+    with _replacing(path) as fh:
+        fh.write(text)
+
+
 def write_propensities(tables, path):
     _write_csv(path, ["post_id", "scheme", "mu", "theta_hat"], (
         [post_id, table.scheme, "" if table.mu is None else _fmt(table.mu), _fmt(theta)]
         for table in tables
-        for post_id, theta in sorted(table.values.items())
+        for post_id, theta in zip(table.post_ids, table.theta)
     ))
 
 
 def read_propensities(path, floor: float) -> dict:
-    """Reload propensity tables keyed by scheme."""
-    by_scheme: dict[str, dict] = {}
-    mus: dict[str, float | None] = {}
+    """Reload propensity tables keyed by scheme, in the post order they were written."""
+    by_scheme: dict[str, list] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
-            scheme = row["scheme"]
-            by_scheme.setdefault(scheme, {})[row["post_id"]] = float(row["theta_hat"])
-            mus[scheme] = float(row["mu"]) if row["mu"] else None
+            by_scheme.setdefault(row["scheme"], []).append(row)
     return {
-        scheme: PropensityTable.from_values(vals, scheme=scheme, mu=mus[scheme], floor=floor)
-        for scheme, vals in by_scheme.items()
+        scheme: PropensityTable(
+            scheme,
+            float(rows[0]["mu"]) if rows[0]["mu"] else None,
+            floor,
+            tuple(r["post_id"] for r in rows),
+            np.clip([float(r["theta_hat"]) for r in rows], floor, 1.0),
+        )
+        for scheme, rows in by_scheme.items()
     }
 
 

@@ -98,12 +98,6 @@ class BprModel:
             self._uidx = {u: i for i, u in enumerate(self.user_ids)}
         return self._uidx
 
-    @property
-    def post_index(self) -> dict:
-        if not hasattr(self, "_pidx"):
-            self._pidx = {p: i for i, p in enumerate(self.post_ids)}
-        return self._pidx
-
 
 def user_embedding(model: BprModel, user_id: str) -> np.ndarray:
     """The user's factor row (a copy, so the model stays immutable)."""
@@ -133,7 +127,7 @@ def _sigmoid_neg(r: np.ndarray) -> np.ndarray:
 
 def _edge_keys(graph: InteractionGraph) -> np.ndarray:
     u, p = graph.edge_arrays
-    return np.sort(u * graph.n_posts + p)
+    return u * graph.n_posts + p  # sorted, as the edge arrays are
 
 
 def _membership(keys_sorted: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -174,7 +168,7 @@ def sample_triplets(
         neg_observed=neg_obs,
     )
     if propensity is not None:
-        theta = propensity.for_posts([p.post_id for p in graph.posts])
+        theta = propensity.theta_for(graph)
         batch.pos_theta = theta[pos]
         batch.neg_theta = theta[neg]
     return batch
@@ -279,8 +273,7 @@ def train_stack(graph: InteractionGraph, propensities, hyper: BprHyper) -> list:
     ))[None], len(propensities), axis=0)
     eu, ep = graph.edge_arrays
     keys = _edge_keys(graph)
-    post_ids = tuple(p.post_id for p in graph.posts)
-    thetas = [None if t is None else t.for_posts(post_ids) for t in propensities]
+    thetas = [None if t is None else t.theta_for(graph) for t in propensities]
     lr = hyper.learning_rate
     n_batches = max(1, -(-graph.n_edges // hyper.batch_size))
     decay = max(0.0, 1.0 - 2.0 * lr * hyper.l2_reg) ** n_batches
@@ -294,7 +287,7 @@ def train_stack(graph: InteractionGraph, propensities, hyper: BprHyper) -> list:
     def finish(m, factors):
         models[m] = BprModel(
             user_ids=graph.users,
-            post_ids=post_ids,
+            post_ids=graph.post_ids,
             user_factors=factors[:n_users],
             post_factors=factors[n_users:],
             hyper=hyper,
@@ -370,33 +363,35 @@ def ranking_metrics(
 ) -> RankingReport:
     """recall@k and NDCG@k against held-out edges.
 
-    Candidates per user are all posts the model knows except the user's train
-    edges. Users without test edges (or unknown to the model) are skipped and
-    counted. Ties in scores break by post order, stably.
+    The test and train graphs share their users and the model's posts.
+    Candidates per user are all posts except the user's train edges. Users
+    without test edges (or unknown to the model) are skipped and counted. Ties
+    in scores break by post order, stably.
     """
     k_list = sorted(set(int(k) for k in k_list))
     if not k_list or k_list[0] < 1:
         raise ValueError("k_list must contain positive integers")
-    post_index = model.post_index
     n_posts = len(model.post_ids)
-    train_by_user = train.edges_by_user if train is not None else {}
     sums = {("recall", k): 0.0 for k in k_list}
     sums.update({("ndcg", k): 0.0 for k in k_list})
     n_eval = 0
     n_skipped = 0
     discounts = 1.0 / np.log2(np.arange(2, n_posts + 2))
     idcg_cum = np.cumsum(discounts)
-    for user in test.users:
-        rel_posts = test.edges_by_user.get(user, ())
-        if not rel_posts or user not in model.user_index:
+    if train is None:
+        train = InteractionGraph.from_indices(test.users, test.posts, [], [])
+    if not (test.post_ids == train.post_ids == model.post_ids and test.users == train.users):
+        raise ValueError("test and train graphs must share their users and the model's posts")
+    # each user's test and train posts are CSR slices of the edge arrays
+    (_, test_posts), test_ptr = test.edge_arrays, test.indptr
+    (_, train_posts), train_ptr = train.edge_arrays, train.indptr
+    for i, user in enumerate(test.users):
+        rel = test_posts[test_ptr[i] : test_ptr[i + 1]]
+        if not rel.size or user not in model.user_index:
             n_skipped += 1
             continue
-        rel = np.array([post_index[p] for p in rel_posts], dtype=np.int64)
         scores = model.post_factors @ model.user_factors[model.user_index[user]]
-        for p in train_by_user.get(user, ()):
-            idx = post_index.get(p)
-            if idx is not None:
-                scores[idx] = -np.inf
+        scores[train_posts[train_ptr[i] : train_ptr[i + 1]]] = -np.inf
         order = np.argsort(-scores, kind="stable")
         rel_mask = np.zeros(n_posts, dtype=bool)
         rel_mask[rel] = True

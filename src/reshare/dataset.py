@@ -2,7 +2,9 @@
 
 All loaded structures are canonicalized (sorted by id) and immutable after
 construction, so they are safe to share across threads and hash-stable for
-deterministic downstream processing.
+deterministic downstream processing. String ids stay at the I/O boundary: the
+reshare graph keeps its edges as int64 index arrays into its sorted user and
+post tuples, and every stage downstream works on those arrays.
 """
 
 import csv
@@ -72,27 +74,15 @@ class UserAttributeTable:
     """Immutable per-user attribute lookup, ordered by user id."""
 
     def __init__(self, rows):
-        ordered = sorted(rows, key=lambda r: r.user_id)
-        by_id: dict[str, UserAttributes] = {}
-        for row in ordered:
-            if row.user_id in by_id:
-                raise DataError(f"duplicate user_id {row.user_id!r}")
-            by_id[row.user_id] = row
-        self._rows = tuple(ordered)
-        self._by_id = by_id
+        self._rows = tuple(sorted(rows, key=lambda r: r.user_id))
+        ids = self.user_ids
+        for a, b in zip(ids, ids[1:]):
+            if a == b:
+                raise DataError(f"duplicate user_id {a!r}")
 
     @property
     def user_ids(self) -> tuple[str, ...]:
         return tuple(r.user_id for r in self._rows)
-
-    def get(self, user_id: str) -> UserAttributes:
-        try:
-            return self._by_id[user_id]
-        except KeyError:
-            raise KeyError(f"unknown user_id {user_id!r}") from None
-
-    def __contains__(self, user_id) -> bool:
-        return user_id in self._by_id
 
     def __iter__(self):
         return iter(self._rows)
@@ -119,32 +109,67 @@ class FeatureView:
         return self.matrix[self.user_ids.index(user_id)]
 
 
+def index_of(ids, query) -> tuple[np.ndarray, np.ndarray]:
+    """Position of each ``query`` id in the sorted ``ids``, and whether it is there."""
+    ids, query = np.array(ids, dtype=str), np.asarray(query, dtype=str)
+    return np.searchsorted(ids, query), np.isin(query, ids)
+
+
+def _pair_keys(users, post_ids, edges) -> np.ndarray:
+    """Sorted ``user * n_posts + post`` keys of (user_id, post_id) pairs.
+
+    Unknown users, then unknown posts, then repeated pairs raise ``DataError``
+    naming the smallest offending pair."""
+    pairs = np.array(list(edges), dtype=str).reshape(-1, 2)
+    (ui, u_ok), (pi, p_ok) = index_of(users, pairs[:, 0]), index_of(post_ids, pairs[:, 1])
+    for ok, side, kind in ((u_ok, 0, "user"), (p_ok, 1, "post")):
+        if not ok.all():
+            edge = tuple(min(pairs[~ok].tolist()))
+            raise DataError(f"edge {edge!r} references unknown {kind} {edge[side]!r}")
+    keys, counts = np.unique(ui * len(post_ids) + pi, return_counts=True)
+    if np.any(counts > 1):
+        u, p = divmod(int(keys[counts > 1][0]), len(post_ids))
+        raise DataError(f"duplicate edge {(users[u], post_ids[p])!r}")
+    return keys
+
+
 class InteractionGraph:
-    """Bipartite user-by-post reshare graph; an edge (u, h) means u reshared h."""
+    """Bipartite user-by-post reshare graph; an edge (u, h) means u reshared h.
+
+    String ids live only at this boundary. The graph holds its ``users`` and
+    ``posts`` sorted by id plus two int64 edge arrays indexing them, sorted by
+    (user index, post index); since indices follow sorted-id order, that is the
+    order of the sorted (user id, post id) pairs. ``edges`` and
+    ``edges_by_user`` are string views built on demand.
+    """
 
     def __init__(self, users, posts, edges):
-        user_tuple = tuple(sorted(users))
-        if len(set(user_tuple)) != len(user_tuple):
+        """``edges`` are (user_id, post_id) pairs in any order."""
+        users = tuple(sorted(users))
+        if len(set(users)) != len(users):
             raise DataError("duplicate user ids in graph")
-        post_tuple = tuple(sorted(posts, key=lambda p: p.post_id))
-        post_ids = [p.post_id for p in post_tuple]
+        posts = tuple(sorted(posts, key=lambda p: p.post_id))
+        post_ids = tuple(p.post_id for p in posts)
         if len(set(post_ids)) != len(post_ids):
             raise DataError("duplicate post ids in graph")
-        user_set = set(user_tuple)
-        post_set = set(post_ids)
-        edge_tuple = tuple(sorted(edges))
-        seen = set()
-        for u, p in edge_tuple:
-            if u not in user_set:
-                raise DataError(f"edge ({u!r}, {p!r}) references unknown user {u!r}")
-            if p not in post_set:
-                raise DataError(f"edge ({u!r}, {p!r}) references unknown post {p!r}")
-            if (u, p) in seen:
-                raise DataError(f"duplicate edge ({u!r}, {p!r})")
-            seen.add((u, p))
-        self.users = user_tuple
-        self.posts = post_tuple
-        self.edges = edge_tuple
+        self._assign(users, posts, _pair_keys(users, post_ids, edges))
+
+    @classmethod
+    def from_indices(cls, users, posts, user_idx, post_idx) -> "InteractionGraph":
+        """Graph over ``users`` and ``posts`` already sorted by id, with distinct
+        edges given as index arrays into them, in any order."""
+        graph = cls.__new__(cls)
+        user_idx = np.asarray(user_idx, dtype=np.int64)
+        keys = user_idx * len(posts) + np.asarray(post_idx, dtype=np.int64)
+        graph._assign(tuple(users), tuple(posts), np.sort(keys))
+        return graph
+
+    def _assign(self, users, posts, keys):
+        self.users = users
+        self.posts = posts
+        self.edge_arrays = divmod(keys, max(len(posts), 1))
+        for arr in self.edge_arrays:
+            arr.flags.writeable = False
 
     @property
     def n_users(self) -> int:
@@ -156,35 +181,33 @@ class InteractionGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return self.edge_arrays[0].size
 
     @cached_property
-    def user_index(self) -> dict[str, int]:
-        return {u: i for i, u in enumerate(self.users)}
+    def post_ids(self) -> tuple[str, ...]:
+        return tuple(p.post_id for p in self.posts)
 
     @cached_property
-    def post_index(self) -> dict[str, int]:
-        return {p.post_id: i for i, p in enumerate(self.posts)}
+    def indptr(self) -> np.ndarray:
+        """User i's edges are ``edge_arrays[k][indptr[i]:indptr[i + 1]]``."""
+        return np.searchsorted(self.edge_arrays[0], np.arange(self.n_users + 1))
 
-    @cached_property
-    def post_by_id(self) -> dict[str, Post]:
-        return {p.post_id: p for p in self.posts}
-
-    @cached_property
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edges as (user_idx, post_idx) int arrays aligned with users/posts order."""
-        ui = self.user_index
-        pi = self.post_index
-        u = np.fromiter((ui[e[0]] for e in self.edges), dtype=np.int64, count=self.n_edges)
-        p = np.fromiter((pi[e[1]] for e in self.edges), dtype=np.int64, count=self.n_edges)
-        return u, p
+    @property
+    def edges(self) -> tuple[tuple[str, str], ...]:
+        """The edges as (user_id, post_id) pairs, in sorted order; built on each call."""
+        eu, ep = self.edge_arrays
+        users = np.array(self.users, dtype=object)[eu].tolist()
+        return tuple(zip(users, np.array(self.post_ids, dtype=object)[ep].tolist()))
 
     @cached_property
     def edges_by_user(self) -> dict[str, tuple[str, ...]]:
-        out: dict[str, list[str]] = {}
-        for u, p in self.edges:
-            out.setdefault(u, []).append(p)
-        return {u: tuple(ps) for u, ps in out.items()}
+        """Post ids per user with at least one edge, in sorted order."""
+        posts = np.array(self.post_ids, dtype=object)[self.edge_arrays[1]].tolist()
+        ptr = self.indptr.tolist()
+        return {
+            self.users[i]: tuple(posts[ptr[i] : ptr[i + 1]])
+            for i in np.flatnonzero(np.diff(self.indptr)).tolist()
+        }
 
     def reshare_counts(self) -> np.ndarray:
         """Number of distinct resharing users per post, aligned with .posts order."""
@@ -193,17 +216,20 @@ class InteractionGraph:
 
     def hate_subgraph(self) -> "InteractionGraph":
         """Restrict posts (and their edges) to hate-flagged posts; users unchanged."""
-        hate_posts = [p for p in self.posts if p.is_hate]
-        hate_ids = {p.post_id for p in hate_posts}
-        edges = [e for e in self.edges if e[1] in hate_ids]
-        return InteractionGraph(self.users, hate_posts, edges)
+        hate = np.array([p.is_hate for p in self.posts], dtype=bool)
+        eu, ep = self.edge_arrays
+        keep = hate[ep]
+        hate_posts = tuple(p for p in self.posts if p.is_hate)
+        return InteractionGraph.from_indices(
+            self.users, hate_posts, eu[keep], (np.cumsum(hate) - 1)[ep[keep]]
+        )
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, InteractionGraph)
             and self.users == other.users
             and self.posts == other.posts
-            and self.edges == other.edges
+            and all(map(np.array_equal, self.edge_arrays, other.edge_arrays))
         )
 
 
@@ -334,33 +360,19 @@ def load_dataset(posts_path, users_path, interactions_path):
 def write_dataset(graph: InteractionGraph, users: UserAttributeTable, out_dir):
     """Write posts.csv / users.csv / interactions.csv under out_dir."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "posts.csv"), "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(POSTS_COLUMNS)
-        for p in graph.posts:
-            w.writerow(
-                [p.post_id, p.author_id, int(p.is_hate), p.cluster or "", p.text or ""]
-            )
-    with open(os.path.join(out_dir, "users.csv"), "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(USERS_COLUMNS)
-        for u in users:
-            w.writerow(
-                [
-                    u.user_id,
-                    int(u.verified),
-                    u.account_age_days,
-                    u.n_posts,
-                    u.n_followers,
-                    u.n_friends,
-                ]
-            )
-    with open(
-        os.path.join(out_dir, "interactions.csv"), "w", newline="", encoding="utf-8"
-    ) as fh:
-        w = csv.writer(fh)
-        w.writerow(INTERACTIONS_COLUMNS)
-        w.writerows(graph.edges)
+    posts = ([p.post_id, p.author_id, int(p.is_hate), p.cluster or "", p.text or ""]
+             for p in graph.posts)
+    user_rows = ([u.user_id, int(u.verified), u.account_age_days, u.n_posts, u.n_followers,
+                  u.n_friends] for u in users)
+    for name, header, rows in (
+        ("posts.csv", POSTS_COLUMNS, posts),
+        ("users.csv", USERS_COLUMNS, user_rows),
+        ("interactions.csv", INTERACTIONS_COLUMNS, graph.edges),
+    ):
+        with open(os.path.join(out_dir, name), "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(rows)
 
 
 def log_transform_attributes(table: UserAttributeTable) -> FeatureView:
@@ -380,36 +392,24 @@ def log_transform_attributes(table: UserAttributeTable) -> FeatureView:
     return FeatureView(user_ids=table.user_ids, columns=FEATURE_COLUMNS, matrix=matrix)
 
 
-def _test_quota(sizes: list[int], ratio: float, n_edges: int) -> list[int]:
+def _test_quota(sizes, ratio: float, n_edges: int) -> np.ndarray:
     """Largest-remainder allocation of per-user test-edge counts.
 
     Targets round(n_edges * (1 - ratio)) test edges overall while never taking
-    the last train edge from any user.
+    the last train edge from any user; each user's count moves by at most one
+    from its floor, largest remainders (then lowest index) first.
     """
-    target = int(round(n_edges * (1.0 - ratio)))
-    caps = [max(0, s - 1) for s in sizes]
-    target = min(target, sum(caps))
-    quotas = [min(c, int((1.0 - ratio) * s)) for s, c in zip(sizes, caps)]
-    remainders = [(1.0 - ratio) * s - q for s, q in zip(sizes, quotas)]
-    deficit = target - sum(quotas)
+    share = (1.0 - ratio) * np.asarray(sizes, dtype=np.float64)
+    caps = np.maximum(np.asarray(sizes, dtype=np.int64) - 1, 0)
+    quotas = np.minimum(caps, share.astype(np.int64))
+    remainders = share - quotas
+    deficit = min(int(round(n_edges * (1.0 - ratio))), int(caps.sum())) - int(quotas.sum())
     if deficit > 0:
-        order = sorted(
-            range(len(sizes)), key=lambda i: (-remainders[i], i)
-        )
-        for i in order:
-            if deficit == 0:
-                break
-            if quotas[i] < caps[i]:
-                quotas[i] += 1
-                deficit -= 1
+        order = np.argsort(-remainders, kind="stable")
+        quotas[order[quotas[order] < caps[order]][:deficit]] += 1
     elif deficit < 0:
-        order = sorted(range(len(sizes)), key=lambda i: (remainders[i], i))
-        for i in order:
-            if deficit == 0:
-                break
-            if quotas[i] > 0:
-                quotas[i] -= 1
-                deficit += 1
+        order = np.argsort(remainders, kind="stable")
+        quotas[order[quotas[order] > 0][:-deficit]] -= 1
     return quotas
 
 
@@ -426,18 +426,19 @@ def split(graph: InteractionGraph, mode: str, ratio: float, seed: int) -> SplitP
         raise DataError("cannot split a graph with zero edges")
     rng = np.random.default_rng(seed)
     if mode == "by-edge":
-        users_with_edges = sorted(graph.edges_by_user)
-        sizes = [len(graph.edges_by_user[u]) for u in users_with_edges]
-        quotas = _test_quota(sizes, ratio, graph.n_edges)
-        train_edges: list[tuple[str, str]] = []
-        test_edges: list[tuple[str, str]] = []
-        for u, q in zip(users_with_edges, quotas):
-            posts = list(graph.edges_by_user[u])
-            order = rng.permutation(len(posts))
-            for rank, j in enumerate(order):
-                (test_edges if rank < q else train_edges).append((u, posts[j]))
-        train = InteractionGraph(graph.users, graph.posts, train_edges)
-        test = InteractionGraph(graph.users, graph.posts, test_edges)
+        ptr = graph.indptr
+        sizes = np.diff(ptr)
+        users_with_edges = np.flatnonzero(sizes)
+        quotas = _test_quota(sizes[users_with_edges], ratio, graph.n_edges)
+        is_test = np.zeros(graph.n_edges, dtype=bool)
+        for i, q in zip(users_with_edges.tolist(), quotas.tolist()):
+            order = rng.permutation(int(sizes[i]))
+            is_test[ptr[i] + order[:q]] = True
+        eu, ep = graph.edge_arrays
+        train, test = (
+            InteractionGraph.from_indices(graph.users, graph.posts, eu[mask], ep[mask])
+            for mask in (~is_test, is_test)
+        )
         return SplitPair(train=train, test=test, mode=mode, ratio=ratio, seed=seed)
     if mode == "by-user":
         users = list(graph.users)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import FEATURE_COLUMNS, UserAttributeTable, log_transform_attributes
+from .dataset import FEATURE_COLUMNS, UserAttributeTable, index_of, log_transform_attributes
 from .errors import ConfigError, DataError
 from .outcomes import OutcomeTable
 
@@ -89,12 +89,10 @@ def assemble_features(
             )
         y = outcomes.by_cluster[:, outcomes.clusters.index(target)].copy()
     view = log_transform_attributes(attrs)
-    vidx = {u: i for i, u in enumerate(view.user_ids)}
-    rows = []
-    for u in outcomes.user_ids:
-        if u not in vidx:
-            raise DataError(f"user {u!r} has outcomes but no attributes")
-        rows.append(vidx[u])
+    rows, found = index_of(view.user_ids, outcomes.user_ids)
+    if not found.all():
+        u = outcomes.user_ids[int(np.argmin(found))]
+        raise DataError(f"user {u!r} has outcomes but no attributes")
     base = view.matrix[rows]
     columns = list(FEATURE_COLUMNS)
     blocks = [base]

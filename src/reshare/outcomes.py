@@ -45,50 +45,38 @@ def compute_outcomes(graph: InteractionGraph) -> OutcomeTable:
     are counted), so per-cluster fractions always sum to the overall fraction.
     Users with zero shares are excluded rather than given a 0/0 outcome.
     """
-    cluster_of = {}
-    n_unlabeled = 0
-    labels = set()
-    for p in graph.posts:
-        if not p.is_hate:
-            continue
-        label = p.cluster
-        if label is None:
-            label = UNLABELED
-            n_unlabeled += 1
-        cluster_of[p.post_id] = label
-        labels.add(label)
+    hate_posts = [p for p in graph.posts if p.is_hate]
+    labels = [UNLABELED if p.cluster is None else p.cluster for p in hate_posts]
+    n_unlabeled = sum(p.cluster is None for p in hate_posts)
     if n_unlabeled:
         log.warning("%d hate posts without cluster label; using %r", n_unlabeled, UNLABELED)
-    clusters = tuple(sorted(labels))
-    cluster_idx = {c: i for i, c in enumerate(clusters)}
+    clusters = tuple(sorted(set(labels)))
+    n_c = len(clusters)
+    is_hate = np.array([p.is_hate for p in graph.posts], dtype=bool)
+    cluster_of = np.zeros(graph.n_posts, dtype=np.int64)
+    cluster_of[is_hate] = np.searchsorted(clusters, labels)
 
-    sharers = sorted(graph.edges_by_user)
-    uidx = {u: i for i, u in enumerate(sharers)}
-    n = len(sharers)
-    n_hate = np.zeros(n, dtype=np.int64)
-    n_normal = np.zeros(n, dtype=np.int64)
-    per_cluster = np.zeros((n, len(clusters)), dtype=np.int64)
-    post_by_id = graph.post_by_id
-    for u, p in graph.edges:
-        i = uidx[u]
-        if post_by_id[p].is_hate:
-            n_hate[i] += 1
-            per_cluster[i, cluster_idx[cluster_of[p]]] += 1
-        else:
-            n_normal[i] += 1
-    total = n_hate + n_normal
+    eu, ep = graph.edge_arrays
+    on_hate = is_hate[ep]
+    n_shares = np.bincount(eu, minlength=graph.n_users)
+    sharers = np.flatnonzero(n_shares)
+    total = n_shares[sharers]
+    n_hate = np.bincount(eu[on_hate], minlength=graph.n_users)[sharers]
+    cells = eu[on_hate] * n_c + cluster_of[ep[on_hate]]
+    per_cluster = np.bincount(cells, minlength=graph.n_users * n_c)
+    per_cluster = per_cluster.reshape(graph.n_users, n_c)[sharers]
     overall = n_hate / total
     by_cluster = per_cluster / total[:, None]
-    n_excluded = graph.n_users - n
+    n_excluded = graph.n_users - sharers.size
     if n_excluded:
         log.info("excluded %d users with zero shares from outcomes", n_excluded)
     return OutcomeTable(
-        user_ids=tuple(sharers),
+        user_ids=tuple(graph.users[i] for i in sharers.tolist()),
         clusters=clusters,
         overall=overall,
         by_cluster=by_cluster,
         n_hate=n_hate,
-        n_normal=n_normal,
+        n_normal=total - n_hate,
         n_excluded=n_excluded,
         n_unlabeled_hate_posts=n_unlabeled,
     )

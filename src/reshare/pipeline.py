@@ -581,8 +581,7 @@ def run_pipeline(config: PipelineConfig, resume: bool = False) -> str:
 
     with _stage("report"):
         report = _render_report(config, graph, outcome_table, results)
-        with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
-            fh.write(report)
+        artifacts.write_report(report, os.path.join(out_dir, "report.txt"))
         rows = []
         for scheme in config.schemes:
             for metric in ("recall", "ndcg"):

@@ -5,63 +5,68 @@ estimators (reshare counts, follower-weighted reshare counts) raised to a
 smoothing exponent, and a content-based estimator that maps topic mixtures
 through a fitted affine-sigmoid onto the popularity target. All outputs are
 clipped into [floor, 1] to bound the variance of downstream inverse-weighting.
+A table holds the post ids of the graph it was estimated on and a theta array
+aligned with them; trainers check that alignment once and then index the
+array with the graph's post indices.
 """
 
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
-from .dataset import InteractionGraph, UserAttributeTable
+from .dataset import InteractionGraph, UserAttributeTable, index_of
 from .errors import DataError
 
 DEFAULT_FLOOR = 1e-3
 DEFAULT_MU = 0.5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PropensityTable:
-    """Per-post estimated exposure probability, clipped to [floor, 1]."""
+    """Per-post estimated exposure probability, clipped to [floor, 1].
+
+    ``theta[i]`` belongs to ``post_ids[i]``; tables built from a graph follow
+    its post order, so trainers index ``theta`` with the graph's post indices.
+    """
 
     scheme: str
     mu: float | None
     floor: float
-    values: MappingProxyType
+    post_ids: tuple[str, ...]
+    theta: np.ndarray
+
+    def __post_init__(self):
+        theta = np.array(self.theta, dtype=np.float64)
+        if theta.shape != (len(self.post_ids),):
+            raise DataError("propensity table needs one theta per post")
+        theta.flags.writeable = False
+        object.__setattr__(self, "theta", theta)
 
     def __getitem__(self, post_id: str) -> float:
-        return self.values[post_id]
+        return float(self.theta[self.post_ids.index(post_id)])
 
-    def __contains__(self, post_id) -> bool:
-        return post_id in self.values
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def for_posts(self, post_ids) -> np.ndarray:
-        try:
-            return np.array([self.values[p] for p in post_ids], dtype=np.float64)
-        except KeyError as exc:
-            raise DataError(f"propensity table has no entry for post {exc.args[0]!r}") from None
-
-    @staticmethod
-    def from_values(values: dict, scheme: str, mu: float | None, floor: float) -> "PropensityTable":
-        clipped = {p: float(min(max(v, floor), 1.0)) for p, v in values.items()}
-        return PropensityTable(
-            scheme=scheme, mu=mu, floor=floor, values=MappingProxyType(clipped)
-        )
+    def theta_for(self, graph: InteractionGraph) -> np.ndarray:
+        """``theta``, after checking that the table was built on the graph's posts."""
+        if self.post_ids != graph.post_ids:
+            raise DataError(
+                f"{self.scheme} propensity table was built on other posts than the graph"
+            )
+        return self.theta
 
 
 def _clip(theta: np.ndarray, floor: float) -> np.ndarray:
     return np.clip(theta, floor, 1.0)
 
 
+def _table(scheme, mu, floor, graph, theta) -> PropensityTable:
+    return PropensityTable(scheme, mu, floor, graph.post_ids, _clip(theta, floor))
+
+
 def biased_propensity(graph: InteractionGraph, floor: float = DEFAULT_FLOOR) -> PropensityTable:
     """Observed interaction rate: resharing users over all users, clipped."""
     if graph.n_users == 0 or graph.n_posts == 0:
         raise DataError("empty graph")
-    theta = _clip(graph.reshare_counts() / graph.n_users, floor)
-    values = {p.post_id: float(t) for p, t in zip(graph.posts, theta)}
-    return PropensityTable(scheme="biased", mu=None, floor=floor, values=MappingProxyType(values))
+    return _table("biased", None, floor, graph, graph.reshare_counts() / graph.n_users)
 
 
 def virality_propensity(
@@ -74,9 +79,7 @@ def virality_propensity(
     top = counts.max() if counts.size else 0.0
     if top <= 0:
         raise DataError("virality propensity undefined: no reshares in graph")
-    theta = _clip((counts / top) ** mu, floor)
-    values = {p.post_id: float(t) for p, t in zip(graph.posts, theta)}
-    return PropensityTable(scheme="virality", mu=mu, floor=floor, values=MappingProxyType(values))
+    return _table("virality", mu, floor, graph, (counts / top) ** mu)
 
 
 def follower_propensity(
@@ -85,22 +88,22 @@ def follower_propensity(
     mu: float = DEFAULT_MU,
     floor: float = DEFAULT_FLOOR,
 ) -> PropensityTable:
-    """Follower-weighted reshare mass, normalized by its max and smoothed by mu."""
+    """Follower-weighted reshare mass, normalized by its max and smoothed by mu.
+
+    Every user of the graph needs a row in ``users``."""
     if not (0.0 < mu <= 1.0):
         raise ValueError(f"mu must be in (0, 1], got {mu}")
+    rows, found = index_of(users.user_ids, graph.users)
+    if not found.all():
+        uid = graph.users[int(np.argmin(found))]
+        raise DataError(f"no follower count for graph user {uid!r}: not in the user table")
+    followers = np.array([r.n_followers for r in users], dtype=np.float64)
     uidx, pidx = graph.edge_arrays
-    weights = np.empty(graph.n_users, dtype=np.float64)
-    for i, uid in enumerate(graph.users):
-        if uid not in users:
-            raise DataError(f"no follower count for resharing user {uid!r}")
-        weights[i] = float(users.get(uid).n_followers)
-    mass = np.bincount(pidx, weights=weights[uidx], minlength=graph.n_posts)
+    mass = np.bincount(pidx, weights=followers[rows][uidx], minlength=graph.n_posts)
     top = mass.max() if mass.size else 0.0
     if top <= 0:
         raise DataError("follower propensity undefined: no follower-weighted reshares")
-    theta = _clip((mass / top) ** mu, floor)
-    values = {p.post_id: float(t) for p, t in zip(graph.posts, theta)}
-    return PropensityTable(scheme="follower", mu=mu, floor=floor, values=MappingProxyType(values))
+    return _table("follower", mu, floor, graph, (mass / top) ** mu)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -125,19 +128,14 @@ def neural_propensity(
     receive similar exposure estimates.
     """
     target = virality_propensity(graph, mu=mu, floor=floor)
-    post_ids = [p.post_id for p in graph.posts]
-    missing = [p for p in post_ids if p not in topic_vectors]
+    missing = [p for p in graph.post_ids if p not in topic_vectors]
     if missing:
         raise DataError(f"missing topic vector for posts {missing[:5]!r}")
-    embed = np.array([np.asarray(topic_vectors[p], dtype=np.float64) for p in post_ids])
+    embed = np.array([np.asarray(topic_vectors[p], dtype=np.float64) for p in graph.post_ids])
     if embed.ndim != 2:
         raise DataError("topic vectors must share a common dimension")
-    t = np.clip(
-        np.array([target[p] for p in post_ids]), floor, 1.0 - 1e-7
-    )
+    t = np.clip(target.theta, floor, 1.0 - 1e-7)
     z = np.log(t) - np.log1p(-t)
     design = np.hstack([embed, np.ones((embed.shape[0], 1))])
     coef, *_ = np.linalg.lstsq(design, z, rcond=None)
-    theta = _clip(_sigmoid(design @ coef), floor)
-    values = {p: float(v) for p, v in zip(post_ids, theta)}
-    return PropensityTable(scheme="neural", mu=mu, floor=floor, values=MappingProxyType(values))
+    return _table("neural", mu, floor, graph, _sigmoid(design @ coef))

@@ -24,9 +24,10 @@ from .dataset import (
     Post,
     UserAttributes,
     UserAttributeTable,
+    index_of,
     log_transform_attributes,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 SHAPES = ("zero", "linear", "step", "u", "sin")
 
@@ -313,7 +314,6 @@ def generate(config: SynthConfig, edge_seed: int | None = None):
     rng_e = np.random.default_rng(s_edges if edge_seed is None else edge_seed)
     mask = rng_e.random((n_u, n_p)) < exposure * interest
     eu, ep = np.nonzero(mask)
-    edges = [(user_ids[i], post_ids[j]) for i, j in zip(eu, ep)]
 
     rng_t = np.random.default_rng(s_text)
     author_ids = rng_p.integers(0, n_u, n_p)
@@ -336,7 +336,7 @@ def generate(config: SynthConfig, edge_seed: int | None = None):
             )
         )
 
-    graph = InteractionGraph(user_ids, posts, edges)
+    graph = InteractionGraph.from_indices(user_ids, posts, eu, ep)
     truth = SyntheticTruth(
         user_ids=user_ids,
         post_ids=post_ids,
@@ -358,25 +358,26 @@ def sample_interest_graph(
 ) -> InteractionGraph:
     """Draw an exposure-free evaluation graph from true interest.
 
-    Pairs already present in ``exclude`` are never drawn, and per-user
-    inclusion probabilities are scaled so the expected number of drawn posts
-    per user is roughly ``per_user``. This emulates asking each user about
-    posts shown uniformly at random, which is the evaluation a debiased
-    ranker should win.
+    Only the posts of ``exclude`` are drawn over, so it may be a subgraph such
+    as the hate subgraph. Pairs already present in ``exclude`` are never
+    drawn, and per-user inclusion probabilities are scaled so the expected
+    number of drawn posts per user is roughly ``per_user``. This emulates
+    asking each user about posts shown uniformly at random, which is the
+    evaluation a debiased ranker should win.
     """
+    if exclude.users != truth.user_ids:
+        raise DataError("exclude graph must have the truth's users")
+    cols, found = index_of(truth.post_ids, exclude.post_ids)
+    if not found.all():
+        raise DataError("exclude graph has posts the truth does not know")
     rng = np.random.default_rng(seed)
-    prob = truth.interest.copy()
-    uidx = {u: i for i, u in enumerate(truth.user_ids)}
-    pidx = {p: i for i, p in enumerate(truth.post_ids)}
-    for u, p in exclude.edges:
-        prob[uidx[u], pidx[p]] = 0.0
+    prob = truth.interest[:, cols]
+    prob[exclude.edge_arrays] = 0.0
     mass = prob.sum(axis=1, keepdims=True)
     mass[mass == 0.0] = 1.0
     np.clip(prob * (per_user / mass), 0.0, 1.0, out=prob)
     mask = rng.random(prob.shape) < prob
-    eu, ep = np.nonzero(mask)
-    edges = [(truth.user_ids[i], truth.post_ids[j]) for i, j in zip(eu, ep)]
-    return InteractionGraph(exclude.users, exclude.posts, edges)
+    return InteractionGraph.from_indices(exclude.users, exclude.posts, *np.nonzero(mask))
 
 
 def write_truth(truth: SyntheticTruth, out_dir, chunk: int = 256):

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from reshare.dataset import InteractionGraph, Post, UserAttributes, UserAttributeTable
+from reshare.dataset import (
+    InteractionGraph,
+    Post,
+    UserAttributes,
+    UserAttributeTable,
+    _test_quota,
+)
 from reshare.effects import FeatureMatrix
 
 
@@ -17,6 +23,61 @@ def make_graph(n_users, posts_spec, edges):
         for pid, hate, cluster in posts_spec
     ]
     return InteractionGraph(users, posts, [(f"u{i}", pid) for i, pid in edges])
+
+
+class StringGraph:
+    """Plain-Python reference for InteractionGraph: sorted string ids and pairs."""
+
+    def __init__(self, users, posts, edges):
+        self.users = tuple(sorted(users))
+        self.posts = tuple(sorted(posts, key=lambda p: p.post_id))
+        self.post_ids = tuple(p.post_id for p in self.posts)
+        self.edges = tuple(sorted(edges))
+
+    @property
+    def edges_by_user(self):
+        out = {}
+        for u, p in self.edges:
+            out.setdefault(u, []).append(p)
+        return {u: tuple(ps) for u, ps in out.items()}
+
+    @property
+    def edge_arrays(self):
+        uidx = {u: i for i, u in enumerate(self.users)}
+        pidx = {p: i for i, p in enumerate(self.post_ids)}
+        return (
+            np.array([uidx[u] for u, _ in self.edges], dtype=np.int64),
+            np.array([pidx[p] for _, p in self.edges], dtype=np.int64),
+        )
+
+    def reshare_counts(self):
+        return np.array([sum(p == q for _, q in self.edges) for p in self.post_ids])
+
+    def hate_subgraph(self):
+        hate = [p for p in self.posts if p.is_hate]
+        ids = {p.post_id for p in hate}
+        return StringGraph(self.users, hate, [e for e in self.edges if e[1] in ids])
+
+    def split_by_edge(self, ratio, seed):
+        """(train edges, test edges): one permutation per user with edges, in user order."""
+        rng = np.random.default_rng(seed)
+        by_user = self.edges_by_user
+        users = sorted(by_user)
+        quotas = _test_quota([len(by_user[u]) for u in users], ratio, len(self.edges))
+        train, test = [], []
+        for u, q in zip(users, quotas):
+            order = rng.permutation(len(by_user[u]))
+            for rank, j in enumerate(order):
+                (test if rank < q else train).append((u, by_user[u][j]))
+        return tuple(sorted(train)), tuple(sorted(test))
+
+    def split_by_user(self, ratio, seed):
+        order = np.random.default_rng(seed).permutation(len(self.users))
+        n_train = min(max(int(round(ratio * len(self.users))), 1), len(self.users) - 1)
+        return (
+            frozenset(self.users[i] for i in order[:n_train]),
+            frozenset(self.users[i] for i in order[n_train:]),
+        )
 
 
 def make_users(specs):

@@ -395,12 +395,12 @@ class TestCriterion8InvariantSuites:
             vir = rs.virality_propensity(graph, mu=0.5)
             fol = rs.follower_propensity(graph, users, mu=0.5)
             for table in (rs.biased_propensity(graph), vir, fol):
-                vals = np.array(list(table.values.values()))
+                vals = table.theta
                 assert np.all(vals >= table.floor - 1e-15) and np.all(vals <= 1.0)
-            assert max(vir.values.values()) == pytest.approx(1.0)
-            assert max(fol.values.values()) == pytest.approx(1.0)
+            assert max(vir.theta) == pytest.approx(1.0)
+            assert max(fol.theta) == pytest.approx(1.0)
             counts = graph.reshare_counts()
-            theta = vir.for_posts([p.post_id for p in graph.posts])
+            theta = vir.theta
             order = np.argsort(counts)
             assert np.all(np.diff(theta[order]) >= -1e-12)  # monotone in reshares
             ratio = counts / counts.max()

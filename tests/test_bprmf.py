@@ -18,7 +18,7 @@ from reshare.bprmf import (
     train_stack,
     user_embedding,
 )
-from reshare.errors import ConfigError
+from reshare.errors import ConfigError, DataError
 from reshare.propensity import PropensityTable, biased_propensity, virality_propensity
 
 from conftest import brute_force_ranking, make_graph
@@ -103,8 +103,8 @@ class TestSampling:
     def test_propensity_attachment(self):
         posts = [(f"p{i}", False, None) for i in range(3)]
         graph = make_graph(1, posts, [(0, "p0")])
-        table = PropensityTable.from_values(
-            {"p0": 0.5, "p1": 0.25, "p2": 1.0}, scheme="test", mu=None, floor=1e-3
+        table = PropensityTable(
+            scheme="test", mu=None, floor=1e-3, post_ids=graph.post_ids, theta=[0.5, 0.25, 1.0]
         )
         batch = sample_triplets(graph, 10, seed=4, propensity=table)
         assert np.all(batch.pos_theta == 0.5)
@@ -254,8 +254,8 @@ class TestTrain:
             for hi in inside:
                 for go in outside:
                     total += 1
-                    s_in = float(np.dot(uf, model.post_factors[model.post_index[hi]]))
-                    s_out = float(np.dot(uf, model.post_factors[model.post_index[go]]))
+                    s_in = float(np.dot(uf, model.post_factors[model.post_ids.index(hi)]))
+                    s_out = float(np.dot(uf, model.post_factors[model.post_ids.index(go)]))
                     good += s_in > s_out
         assert good / total >= 0.95
 
@@ -279,8 +279,9 @@ class TestTrain:
     def test_one_full_batch_epoch_is_one_gradient_step(self):
         tol = 1e-12
         graph = self.two_block_graph()
-        table = PropensityTable.from_values(
-            {f"p{i}": 0.1 + 0.04 * i for i in range(20)}, scheme="test", mu=None, floor=1e-3
+        table = PropensityTable(
+            scheme="test", mu=None, floor=1e-3, post_ids=graph.post_ids,
+            theta=[0.1 + 0.04 * int(p[1:]) for p in graph.post_ids],
         )
         eu, ep = graph.edge_arrays
         edges = set(zip(eu.tolist(), ep.tolist()))
@@ -303,7 +304,7 @@ class TestTrain:
             users, pos = eu[order], ep[order]
             neg = rng.integers(0, graph.n_posts - 1, n)
             neg = neg + (neg >= pos)
-            theta = table.for_posts(trained.post_ids)
+            theta = table.theta
             batch = TripletBatch(
                 users=users,
                 pos=pos,
@@ -323,6 +324,17 @@ class TestTrain:
         graph = self.two_block_graph()
         with pytest.raises(ValueError, match="propensity"):
             train(graph, None, BprHyper(loss_mode="nonneg"))
+
+    def test_table_built_on_other_posts_rejected(self):
+        graph = self.two_block_graph()
+        fewer = make_graph(1, [(f"p{i}", False, None) for i in range(19)], [(0, "p0")])
+        renamed = make_graph(1, [("p0", False, None), ("q1", False, None)], [(0, "q1")])
+        for other in (fewer, renamed):
+            table = virality_propensity(other)
+            with pytest.raises(DataError, match="other posts"):
+                train(graph, table, BprHyper(embedding_dim=4, epochs=1))
+            with pytest.raises(DataError, match="other posts"):
+                sample_triplets(graph, 4, seed=0, propensity=table)
 
     def test_stack_members_equal_solo_training(self):
         rng = np.random.default_rng(3)
@@ -448,6 +460,15 @@ class TestRankingMetrics:
             assert rep.n_evaluated == n_eval
             for key, val in expected.items():
                 assert rep[key] == pytest.approx(val, abs=1e-12)
+
+    def test_graphs_over_other_posts_or_users_rejected(self, rng):
+        model = random_model(rng, n_users=2, n_posts=4, dim=2)
+        posts = [(f"p{i}", False, None) for i in range(4)]
+        test = make_graph(2, posts, [(0, "p1")])
+        with pytest.raises(ValueError, match="model's posts"):
+            ranking_metrics(model, make_graph(2, posts[:3], [(0, "p1")]), [2])
+        with pytest.raises(ValueError, match="share their users"):
+            ranking_metrics(model, test, [2], train=make_graph(3, posts, [(2, "p0")]))
 
     def test_skipped_users_counted(self, rng):
         model = random_model(rng, n_users=3, n_posts=4, dim=2)

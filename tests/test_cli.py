@@ -237,6 +237,17 @@ class TestPipelineCommand:
             ) as fb:
                 assert fa.read() == fb.read(), name
 
+    def test_failed_report_write_keeps_previous_report(self, tmp_path, monkeypatch):
+        out = tmp_path / "report_crash"
+        cfg = write_config(tmp_path, small_config(str(out)))
+        assert main(["pipeline", "--config", cfg]) == 0
+        before = (out / "report.txt").read_bytes()
+        # a lone surrogate cannot be encoded, so the write fails part way
+        monkeypatch.setattr(pipeline, "_render_report", lambda *args: "torn\n\ud800\n")
+        assert main(["pipeline", "--config", cfg, "--resume"]) == 2
+        assert (out / "report.txt").read_bytes() == before
+        assert not (out / "report.txt.tmp").exists()
+
     def test_one_stacked_training_per_run_and_resume_trains_only_missing(
         self, tmp_path, monkeypatch
     ):

@@ -17,7 +17,7 @@ from reshare.dataset import (
 from reshare.errors import DataError
 from reshare.synthgen import SynthConfig, generate
 
-from conftest import make_graph, make_users
+from conftest import StringGraph, make_graph, make_users
 
 
 def write_files(tmp_path, posts_rows, users_rows, inter_rows):
@@ -203,3 +203,58 @@ class TestGraphInvariants:
         assert [p.post_id for p in hate.posts] == ["p0"]
         assert hate.edges == (("u0", "p0"),)
         assert hate.users == graph.users
+
+
+class TestArrayGraphMatchesStringReference:
+    """Random small graphs, given as unsorted string pairs, against plain sorted strings."""
+
+    def random_case(self, rng):
+        n_users, n_posts = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+        # unpadded ids of mixed length, so sorted-id order is not numeric order
+        user_ids = [f"u{i}" for i in rng.choice(200, n_users, replace=False)]
+        posts = [
+            Post(post_id=f"p{i}", author_id="a", is_hate=bool(h), cluster="c0" if h else None)
+            for i, h in zip(rng.choice(200, n_posts, replace=False), rng.random(n_posts) < 0.5)
+        ]
+        pairs = [(u, p.post_id) for u in user_ids for p in posts]
+        picked = rng.random(len(pairs)) < 0.4
+        edges = [pairs[i] for i in rng.permutation(len(pairs)) if picked[i]]
+        rng.shuffle(user_ids)
+        rng.shuffle(posts)
+        return user_ids, posts, edges
+
+    def test_views_counts_subgraph_and_splits(self, rng):
+        n_split_cases = 0
+        for _ in range(60):
+            user_ids, posts, edges = self.random_case(rng)
+            graph = InteractionGraph(user_ids, posts, edges)
+            ref = StringGraph(user_ids, posts, edges)
+            assert graph.users == ref.users and graph.posts == ref.posts
+            assert graph.edges == ref.edges
+            assert graph.edges_by_user == ref.edges_by_user
+            for got, want in zip(graph.edge_arrays, ref.edge_arrays):
+                assert got.dtype == np.int64 and np.array_equal(got, want)
+            assert np.array_equal(graph.reshare_counts(), ref.reshare_counts())
+            hate, ref_hate = graph.hate_subgraph(), ref.hate_subgraph()
+            assert hate.posts == ref_hate.posts and hate.edges == ref_hate.edges
+            assert hate.edges_by_user == ref_hate.edges_by_user
+            if not edges:
+                continue
+            n_split_cases += 1
+            for ratio, seed in ((0.5, 3), (0.8, 11)):
+                pair = split(graph, "by-edge", ratio, seed)
+                assert (pair.train.edges, pair.test.edges) == ref.split_by_edge(ratio, seed)
+                assert pair.train.posts == graph.posts and pair.test.users == graph.users
+                if len(user_ids) > 1:
+                    by_user = split(graph, "by-user", ratio, seed)
+                    assert (by_user.train, by_user.test) == ref.split_by_user(ratio, seed)
+        assert n_split_cases > 40
+
+    def test_errors_report_users_then_posts_then_duplicates(self):
+        posts = [Post(post_id=p, author_id="a", is_hate=False) for p in ("p1", "p0")]
+        with pytest.raises(DataError, match=r"edge \('u0', 'p8'\) references unknown post 'p8'"):
+            InteractionGraph(["u1", "u0"], posts, [("u1", "p9"), ("u1", "p0"), ("u0", "p8")])
+        with pytest.raises(DataError, match=r"edge \('a', 'p1'\) references unknown user 'a'"):
+            InteractionGraph(["u0"], posts, [("u0", "p9"), ("zz", "p0"), ("a", "p1")])
+        with pytest.raises(DataError, match=r"duplicate edge \('u0', 'p1'\)"):
+            InteractionGraph(["u0"], posts, [("u0", "p1"), ("u0", "p0"), ("u0", "p1")])

@@ -77,7 +77,7 @@ class TestVirality:
             )
             graph, _, truth = generate(cfg)
             table = virality_propensity(graph, mu=0.5, floor=1e-6)
-            est = table.for_posts([p.post_id for p in graph.posts])
+            est = table.theta
             maes.append(float(np.abs(est - truth.exposure[0]).mean()))
         assert maes[-1] < maes[0]
         assert maes[-1] < 0.02
@@ -186,11 +186,11 @@ class TestTableInvariants:
                 virality_propensity(graph, mu=0.5),
                 follower_propensity(graph, users, mu=0.5),
             ):
-                vals = np.array(list(table.values.values()))
+                vals = table.theta
                 assert np.all(vals >= table.floor - 1e-15)
                 assert np.all(vals <= 1.0)
             for scheme_table in (
                 virality_propensity(graph, mu=0.5),
                 follower_propensity(graph, users, mu=0.5),
             ):
-                assert max(scheme_table.values.values()) == pytest.approx(1.0)
+                assert max(scheme_table.theta) == pytest.approx(1.0)

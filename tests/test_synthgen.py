@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from reshare.errors import ConfigError
+from reshare.dataset import InteractionGraph, Post
+from reshare.errors import ConfigError, DataError
 from reshare.synthgen import (
     EffectShape,
     SynthConfig,
@@ -174,3 +175,34 @@ class TestInterestGraph:
         assert not (set(test.edges) & set(graph.edges))
         per_user = test.n_edges / test.n_users
         assert 2.0 < per_user < 9.0
+
+    @staticmethod
+    def reference_draw(truth, exclude, per_user, seed):
+        """The draw with string-keyed lookups, over the columns of exclude's posts."""
+        rng = np.random.default_rng(seed)
+        cols = [truth.post_ids.index(p.post_id) for p in exclude.posts]
+        prob = truth.interest[:, cols].copy()
+        uidx = {u: i for i, u in enumerate(truth.user_ids)}
+        pidx = {p.post_id: j for j, p in enumerate(exclude.posts)}
+        for u, p in exclude.edges:
+            prob[uidx[u], pidx[p]] = 0.0
+        mass = prob.sum(axis=1, keepdims=True)
+        mass[mass == 0.0] = 1.0
+        prob = np.clip(prob * (per_user / mass), 0.0, 1.0)
+        eu, ep = np.nonzero(rng.random(prob.shape) < prob)
+        return tuple((truth.user_ids[i], exclude.posts[j].post_id) for i, j in zip(eu, ep))
+
+    def test_full_and_hate_subgraph_match_reference(self):
+        cfg = SynthConfig(n_users=80, n_posts=60, n_hate_posts=20, seed=10, with_text=False)
+        graph, _, truth = generate(cfg)
+        hate = graph.hate_subgraph()
+        extra = Post(post_id="zz", author_id="u0000", is_hate=True, cluster="c0")
+        for exclude in (graph, hate):
+            drawn = sample_interest_graph(truth, exclude=exclude, per_user=3.0, seed=2)
+            assert drawn.users == exclude.users and drawn.posts == exclude.posts
+            assert drawn.edges == self.reference_draw(truth, exclude, 3.0, 2)
+            assert drawn.n_edges > 0 and not (set(drawn.edges) & set(exclude.edges))
+        assert {p for _, p in drawn.edges} <= {p.post_id for p in hate.posts}
+        for users, posts in ((graph.users[1:], graph.posts), (graph.users, hate.posts + (extra,))):
+            with pytest.raises(DataError):
+                sample_interest_graph(truth, exclude=InteractionGraph(users, posts, []))
