@@ -18,13 +18,12 @@ against finite differences is the update that training applies. It scatters
 the gradients of all members with one flat ``np.add.at`` per batch.
 """
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import InteractionGraph
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 from .propensity import PropensityTable
 
 LOSS_MODES = ("naive", "unbiased", "nonneg")
@@ -56,10 +55,7 @@ class BprHyper:
 
     @staticmethod
     def from_dict(d: dict) -> "BprHyper":
-        known = {f.name for f in dataclasses.fields(BprHyper)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown bpr config fields: {sorted(unknown)}")
+        check_fields(BprHyper, d, "bpr config")
         return BprHyper(**d)
 
 

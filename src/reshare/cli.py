@@ -4,7 +4,6 @@ import argparse
 import sys
 import traceback
 
-from .errors import ConfigError, DataError
 from .pipeline import (
     PipelineConfig,
     StageError,
@@ -91,10 +90,7 @@ def main(argv=None) -> int:
             print(f"clusters={n_clusters} noise={n_noise} silhouette={sil:.4f}")
             return 0
         raise AssertionError(args.command)
-    except (ConfigError, DataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError and DataError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except StageError as exc:

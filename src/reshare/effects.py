@@ -14,14 +14,13 @@ All shape functions are exported train-mean-centered: the intercept carries
 the average prediction and each curve reads as a deviation from it.
 """
 
-import dataclasses
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import FEATURE_COLUMNS, UserAttributeTable, index_of, log_transform_attributes
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_fields
 from .outcomes import OutcomeTable
 
 
@@ -55,10 +54,7 @@ class EbmHyper:
 
     @staticmethod
     def from_dict(d: dict) -> "EbmHyper":
-        known = {f.name for f in dataclasses.fields(EbmHyper)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown ebm config fields: {sorted(unknown)}")
+        check_fields(EbmHyper, d, "ebm config")
         return EbmHyper(**d)
 
 
@@ -265,6 +261,8 @@ def _boost_bags(cells, sizes, base, y, bags, hyper: EbmHyper, min_leaf: int, rms
         residual = (y - base[b])[rows]
         in_cells = [c[rows] for c in cells]
         counts = [np.bincount(c, minlength=s).astype(np.float64) for c, s in zip(in_cells, sizes)]
+        divisors = [np.maximum(n, 1) for n in counts]
+        updatable = [n >= min_leaf for n in counts]
         oob_cells = [c[oob] for c in cells]
         oob_pred, y_oob = base[b][oob], y[oob]
         values = [np.zeros(s) for s in sizes]
@@ -274,8 +272,7 @@ def _boost_bags(cells, sizes, base, y, bags, hyper: EbmHyper, min_leaf: int, rms
         for _ in range(hyper.max_rounds):
             for t, c in enumerate(in_cells):
                 sums = np.bincount(c, weights=residual, minlength=sizes[t])
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    means = np.where(counts[t] >= min_leaf, sums / np.maximum(counts[t], 1), 0.0)
+                means = np.where(updatable[t], sums / divisors[t], 0.0)
                 upd = hyper.learning_rate * means
                 values[t] += upd
                 residual -= upd[c]

@@ -12,7 +12,14 @@ keeps no marker.
 The ``plv_<scheme>`` stages of a run share one stacked BPR training: every
 scheme whose marker does not match trains in one ``train_stack`` call, then
 each writes its embeddings, curve and marker in ``config.schemes`` order. The
-mu sweep likewise trains all of its (scheme, mu) cells in one call.
+mu sweep likewise trains all of its (scheme, mu) cells in one call, on the
+same hate split as the pipeline.
+
+The effect study fits one model per variant (``base``, then each debiased
+scheme) and target (``overall``, then each configured cluster). The report
+stage writes ``report.txt`` and ``metrics.csv`` from one table of ranking
+means, and copies the canonical scheme's ``plv_embeddings``,
+``training_curve`` and ``importance`` CSVs byte for byte.
 """
 
 import contextlib
@@ -38,7 +45,7 @@ from .effects import (
     fit_linear,
     predict,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_fields
 from .outcomes import compute_outcomes
 from .plotting import line_chart_svg
 from .propensity import (
@@ -112,6 +119,10 @@ class PipelineConfig:
             raise ConfigError("schemes must not be empty")
         if not self.k_list or any(k < 1 for k in self.k_list):
             raise ConfigError("k_list must contain positive integers")
+        for name in ("schemes", "k_list", "clusters"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} must not repeat a value: {list(values)}")
         for name in ("edge_split_ratio", "user_split_ratio"):
             if not (0.0 < getattr(self, name) < 1.0):
                 raise ConfigError(f"{name} must be in (0, 1)")
@@ -122,10 +133,7 @@ class PipelineConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "PipelineConfig":
-        known = {f.name for f in dataclasses.fields(PipelineConfig)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        check_fields(PipelineConfig, d, "config")
         kwargs = dict(d)
         if kwargs.get("synth") is not None:
             kwargs["synth"] = SynthConfig.from_dict(kwargs["synth"])
@@ -176,15 +184,7 @@ def _file_digest(path) -> str | None:
 
 def config_hash(config: PipelineConfig) -> str:
     """Hash of the effective config and of the input CSVs' contents, if it names files."""
-
-    def encode(obj):
-        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-            return {f.name: encode(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-        if isinstance(obj, (list, tuple)):
-            return [encode(v) for v in obj]
-        return obj
-
-    payload = encode(config)
+    payload = dataclasses.asdict(config)
     if config.synth is None:
         inputs = (config.posts_csv, config.users_csv, config.interactions_csv)
         payload["input_sha256"] = [_file_digest(p) for p in inputs]
@@ -225,31 +225,31 @@ class _Stages:
             fh.write("\n")
 
 
+@contextlib.contextmanager
 def _stage(name: str):
-    """Decorator-free stage wrapper: re-raise any error tagged with the stage.
+    """Re-raise any error of the block tagged with the stage.
 
     Only ``Exception`` is wrapped; ``KeyboardInterrupt`` and ``SystemExit`` pass
     through unchanged."""
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(name, exc) from exc
 
-    class _Ctx:
-        def __enter__(self):
-            return None
 
-        def __exit__(self, exc_type, exc, tb):
-            if isinstance(exc, Exception) and not isinstance(exc, StageError):
-                raise StageError(name, exc) from exc
-            return False
-
-    return _Ctx()
+def _seeded(obj, offset: int):
+    """A copy of the config dataclass ``obj`` with its ``seed`` moved by ``offset``."""
+    return dataclasses.replace(obj, seed=obj.seed + offset)
 
 
 def _load_inputs(config: PipelineConfig, out_dir: str, stages: _Stages):
     """Dataset stage: synthesize or load the three CSV inputs."""
     with _stage("dataset"):
         if config.synth is not None:
-            synth_cfg = dataclasses.replace(config.synth, seed=config.synth.seed + config.seed)
             data_dir = os.path.join(out_dir, "data")
-            graph, users, _ = generate(synth_cfg)
+            graph, users, _ = generate(_seeded(config.synth, config.seed))
             if not stages.done("dataset"):
                 write_dataset(graph, users, data_dir)
                 stages.mark("dataset", source="synth")
@@ -260,6 +260,16 @@ def _load_inputs(config: PipelineConfig, out_dir: str, stages: _Stages):
         if not stages.done("dataset"):
             stages.mark("dataset", source="files")
         return graph, users
+
+
+def _hate_split(config: PipelineConfig, graph, run_seed: int):
+    """Split stage: the by-edge (train, test) halves of the hate subgraph."""
+    with _stage("split"):
+        hate = graph.hate_subgraph()
+        if hate.n_edges == 0 or hate.n_posts < 2:
+            raise DataError("pipeline needs at least two hate posts and one hate reshare")
+        pair = split(hate, "by-edge", config.edge_split_ratio, config.edge_split_seed + run_seed)
+        return pair.train, pair.test
 
 
 def _topic_vectors(config, graph, out_dir, stages):
@@ -314,7 +324,7 @@ def _train_rankers(config, tables, train_h, test_h, run_seed, rdir, stages):
     models = {}
     if pending:
         with _stage("plv"):
-            hyper = dataclasses.replace(config.bpr, seed=config.bpr.seed + run_seed)
+            hyper = _seeded(config.bpr, run_seed)
             models = dict(zip(pending, train_stack(train_h, [tables[s] for s in pending], hyper)))
     ranking, skipped, embeddings = {}, {}, {}
     for scheme in config.schemes:
@@ -355,60 +365,56 @@ def _subset_rows(fm: FeatureMatrix, user_set) -> FeatureMatrix:
     )
 
 
-def _effects_variant(
-    config,
-    variant,
-    users,
-    embeddings,
-    outcome_table,
-    train_users,
-    test_users,
-    run_seed,
-    rdir,
-    stages,
-    write_canonical,
-):
-    stage = f"effects_{variant}"
-    if stages.done(stage):
-        payload = stages.payload(stage)
-        return payload["rmse"], payload.get("linear_rmse"), payload.get("importance")
-    with _stage(stage):
-        hyper = dataclasses.replace(config.ebm, seed=config.ebm.seed + run_seed)
-        targets = ["overall"] + [c for c in config.clusters]
-        rmses = {}
-        linear_rmse = None
-        importance_rows = None
-        for target in targets:
-            fm = assemble_features(
-                users,
-                embeddings,
-                outcome_table,
-                target=target,
-                include_embeddings=variant != "base",
-            )
-            fm_train = _subset_rows(fm, train_users)
-            fm_test = _subset_rows(fm, test_users)
-            model = fit_ebm(fm_train, hyper)
-            rmses[target] = rmse(predict(model, fm_test), fm_test.y)
-            if target == "overall":
-                if variant == "base":
-                    linear = fit_linear(fm_train)
-                    linear_rmse = rmse(predict(linear, fm_test), fm_test.y)
-                importance_rows = feature_importance(model, fm_train)
-                if write_canonical:
-                    artifacts.write_importance(
-                        importance_rows, os.path.join(rdir, f"importance_{variant}.csv")
+def _variants(config: PipelineConfig) -> list:
+    """Effect-model variants: ``base`` (attributes only), then each debiased scheme."""
+    return ["base"] + [s for s in config.schemes if s != "biased"]
+
+
+def _effect_study(config, users, embeddings, outcome_table, user_pair, run_idx, rdir, stages):
+    """The ``effects_<variant>`` stages: one EBM per variant and target, scored on
+    the by-user holdout. The first run writes ``importance_<variant>.csv`` and
+    the canonical variant's curves."""
+    hyper = _seeded(config.ebm, config.seed + run_idx)
+    rmses, importance = {}, {}
+    linear_rmse = None
+    for variant in _variants(config):
+        stage = f"effects_{variant}"
+        if stages.done(stage):
+            payload = stages.payload(stage)
+        else:
+            with _stage(stage):
+                payload = {"rmse": {}, "linear_rmse": None}
+                for target in ("overall", *config.clusters):
+                    fm = assemble_features(
+                        users,
+                        embeddings.get(variant),
+                        outcome_table,
+                        target=target,
+                        include_embeddings=variant != "base",
                     )
-                    if variant == _canonical_scheme(config):
+                    fm_train = _subset_rows(fm, user_pair.train)
+                    fm_test = _subset_rows(fm, user_pair.test)
+                    model = fit_ebm(fm_train, hyper)
+                    payload["rmse"][target] = rmse(predict(model, fm_test), fm_test.y)
+                    if target != "overall":
+                        continue
+                    if variant == "base":
+                        linear = fit_linear(fm_train)
+                        payload["linear_rmse"] = rmse(predict(linear, fm_test), fm_test.y)
+                    importance_rows = feature_importance(model, fm_train)
+                    payload["importance"] = [[name, value] for name, value in importance_rows.rows]
+                    if run_idx == 0:
                         artifacts.write_importance(
-                            importance_rows, os.path.join(rdir, "importance.csv")
+                            importance_rows, os.path.join(rdir, f"importance_{variant}.csv")
                         )
-                        _export_curves(config, model, rdir)
-        importance_payload = (
-            [[name, value] for name, value in importance_rows.rows] if importance_rows else None
-        )
-        stages.mark(stage, rmse=rmses, linear_rmse=linear_rmse, importance=importance_payload)
-        return rmses, linear_rmse, importance_payload
+                        if variant == _canonical_scheme(config):
+                            _export_curves(config, model, rdir)
+                stages.mark(stage, **payload)
+        rmses[variant] = payload["rmse"]
+        importance[variant] = payload["importance"]
+        if payload["linear_rmse"] is not None:
+            linear_rmse = payload["linear_rmse"]
+    return rmses, linear_rmse, importance
 
 
 def _canonical_scheme(config: PipelineConfig) -> str:
@@ -441,12 +447,8 @@ def _run_once(config, graph, users, outcome_table, topic_vectors, out_dir, run_i
     stages = _Stages(rdir, chash, resume)
     run_seed = config.seed + run_idx
 
+    train_h, test_h = _hate_split(config, graph, run_seed)
     with _stage("split"):
-        hate = graph.hate_subgraph()
-        if hate.n_edges == 0 or hate.n_posts < 2:
-            raise DataError("pipeline needs at least two hate posts and one hate reshare")
-        pair = split(hate, "by-edge", config.edge_split_ratio, config.edge_split_seed + run_seed)
-        train_h, test_h = pair.train, pair.test
         user_pair = split(graph, "by-user", config.user_split_ratio, config.user_split_seed + run_seed)
 
     tables = _propensity_tables(config, train_h, users, topic_vectors, rdir, stages)
@@ -455,29 +457,9 @@ def _run_once(config, graph, users, outcome_table, topic_vectors, out_dir, run_i
         config, tables, train_h, test_h, run_seed, rdir, stages
     )
 
-    variants = ["base"] + [s for s in config.schemes if s != "biased"]
-    rmses = {}
-    linear_rmse = None
-    importance = {}
-    for variant in variants:
-        emb = embeddings.get(variant)
-        variant_rmse, lin, imp = _effects_variant(
-            config,
-            variant,
-            users,
-            emb,
-            outcome_table,
-            user_pair.train,
-            user_pair.test,
-            run_seed,
-            rdir,
-            stages,
-            write_canonical=run_idx == 0,
-        )
-        rmses[variant] = variant_rmse
-        importance[variant] = imp
-        if lin is not None:
-            linear_rmse = lin
+    rmses, linear_rmse, importance = _effect_study(
+        config, users, embeddings, outcome_table, user_pair, run_idx, rdir, stages
+    )
     return {
         "ranking": ranking,
         "skipped": skipped,
@@ -487,7 +469,18 @@ def _run_once(config, graph, users, outcome_table, topic_vectors, out_dir, run_i
     }
 
 
-def _render_report(config, graph, outcome_table, results) -> str:
+def _ranking_rows(config: PipelineConfig, results) -> list:
+    """``(model, metric, k, mean over runs)`` for every scheme, metric and cutoff."""
+    rows = []
+    for scheme in config.schemes:
+        for metric in ("recall", "ndcg"):
+            for k in config.k_list:
+                vals = [r["ranking"][scheme][(metric, k)] for r in results]
+                rows.append((MODEL_NAMES[scheme], metric, k, float(np.mean(vals))))
+    return rows
+
+
+def _render_report(config, graph, outcome_table, results, ranking_rows) -> str:
     runs = len(results)
     lines = []
     add = lines.append
@@ -507,20 +500,14 @@ def _render_report(config, graph, outcome_table, results) -> str:
     add("")
     add(f"Ranking metrics on held-out reshares (mean over {runs} run(s))")
     add(f"{'model':<10} {'metric':<8} {'k':>4} {'value':>10}")
-    for scheme in config.schemes:
-        for metric in ("recall", "ndcg"):
-            for k in config.k_list:
-                vals = [r["ranking"][scheme][(metric, k)] for r in results]
-                add(
-                    f"{MODEL_NAMES[scheme]:<10} {metric:<8} {k:>4} {np.mean(vals):>10.4f}"
-                )
+    for model, metric, k, value in ranking_rows:
+        add(f"{model:<10} {metric:<8} {k:>4} {value:>10.4f}")
     add("")
     add(f"Effect-model test RMSE, by-user holdout (mean over {runs} run(s))")
     add(f"{'variant':<10} {'target':<16} {'rmse':>10}")
-    variants = ["base"] + [s for s in config.schemes if s != "biased"]
-    targets = ["overall"] + list(config.clusters)
+    variants = _variants(config)
     for variant in variants:
-        for target in targets:
+        for target in ("overall", *config.clusters):
             vals = [r["rmse"][variant][target] for r in results]
             add(f"{MODEL_NAMES[variant]:<10} {target:<16} {np.mean(vals):>10.4f}")
     lin_vals = [r["linear_rmse"] for r in results if r["linear_rmse"] is not None]
@@ -566,6 +553,9 @@ def run_pipeline(config: PipelineConfig, resume: bool = False) -> str:
     with _stage("outcomes"):
         outcome_table = compute_outcomes(graph)
         artifacts.write_outcomes(outcome_table, os.path.join(out_dir, "outcomes.csv"))
+    unknown = sorted(set(config.clusters) - set(outcome_table.clusters))
+    if unknown:
+        raise ConfigError(f"unknown clusters {unknown}; have {list(outcome_table.clusters)}")
 
     topic_vectors = None
     if "neural" in config.schemes:
@@ -580,17 +570,12 @@ def run_pipeline(config: PipelineConfig, resume: bool = False) -> str:
         )
 
     with _stage("report"):
-        report = _render_report(config, graph, outcome_table, results)
+        rows = _ranking_rows(config, results)
+        report = _render_report(config, graph, outcome_table, results, rows)
         artifacts.write_report(report, os.path.join(out_dir, "report.txt"))
-        rows = []
-        for scheme in config.schemes:
-            for metric in ("recall", "ndcg"):
-                for k in config.k_list:
-                    vals = [r["ranking"][scheme][(metric, k)] for r in results]
-                    rows.append((MODEL_NAMES[scheme], metric, k, float(np.mean(vals))))
         artifacts.write_metrics(rows, os.path.join(out_dir, "metrics.csv"))
         canonical = _canonical_scheme(config)
-        for name in ("plv_embeddings", "training_curve"):
+        for name in ("plv_embeddings", "training_curve", "importance"):
             src = os.path.join(out_dir, f"{name}_{canonical}.csv")
             if os.path.exists(src):
                 shutil.copyfile(src, os.path.join(out_dir, f"{name}.csv"))
@@ -603,9 +588,8 @@ def run_synth(config: PipelineConfig, write_truth_files: bool = True) -> str:
         raise ConfigError("synth command needs a 'synth' block in the config")
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    synth_cfg = dataclasses.replace(config.synth, seed=config.synth.seed + config.seed)
     with _stage("synth"):
-        graph, users, truth = generate(synth_cfg)
+        graph, users, truth = generate(_seeded(config.synth, config.seed))
         write_dataset(graph, users, out_dir)
         if write_truth_files:
             write_truth(truth, out_dir)
@@ -625,10 +609,7 @@ def run_mu_sweep(config: PipelineConfig, mu_list) -> list:
     chash = config_hash(config)
     stages = _Stages(out_dir, chash, resume=False)
     graph, users = _load_inputs(config, out_dir, stages)
-    with _stage("split"):
-        hate = graph.hate_subgraph()
-        pair = split(hate, "by-edge", config.edge_split_ratio, config.edge_split_seed + config.seed)
-        train_h, test_h = pair.train, pair.test
+    train_h, test_h = _hate_split(config, graph, config.seed)
     rows = []
     with _stage("mu-sweep"):
         cells = [(scheme, mu) for scheme in ("virality", "follower") for mu in mu_list]
@@ -638,7 +619,7 @@ def run_mu_sweep(config: PipelineConfig, mu_list) -> list:
             else follower_propensity(train_h, users, mu=mu, floor=config.floor)
             for scheme, mu in cells
         ]
-        hyper = dataclasses.replace(config.bpr, seed=config.bpr.seed + config.seed)
+        hyper = _seeded(config.bpr, config.seed)
         for (scheme, mu), model in zip(cells, train_stack(train_h, tables, hyper)):
             report = ranking_metrics(model, test_h, config.k_list, train=train_h)
             label = f"{MODEL_NAMES[scheme]} mu={mu:g}"

@@ -27,7 +27,7 @@ from .dataset import (
     index_of,
     log_transform_attributes,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_fields
 
 SHAPES = ("zero", "linear", "step", "u", "sin")
 
@@ -162,10 +162,7 @@ class SynthConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "SynthConfig":
-        known = {f.name for f in dataclasses.fields(SynthConfig)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown synth config fields: {sorted(unknown)}")
+        check_fields(SynthConfig, d, "synth config")
         kwargs = dict(d)
         if "effect_spec" in kwargs:
             kwargs["effect_spec"] = tuple(
@@ -181,7 +178,7 @@ class SyntheticTruth:
 
     user_ids: tuple[str, ...]
     post_ids: tuple[str, ...]
-    exposure: np.ndarray  # (n_users, n_posts), in (0, 1]
+    exposure: np.ndarray  # (n_users, n_posts), in (0, 1]; read-only if user-independent
     interest: np.ndarray  # (n_users, n_posts), in [0, 1]
     effect_curves: dict[str, EffectCurve]
     hate_rate_target: np.ndarray  # per-user expected hate fraction of shares
@@ -272,7 +269,7 @@ def generate(config: SynthConfig, edge_seed: int | None = None):
         reach = ((1.0 + followers) / (1.0 + followers.max())) ** config.follower_exposure_exponent
         exposure = theta_post[None, :] * reach[:, None]
     else:
-        exposure = np.broadcast_to(theta_post[None, :], (n_u, n_p)).copy()
+        exposure = np.broadcast_to(theta_post[None, :], (n_u, n_p))
 
     # interest: per-post base pull proportional to popularity^(1-e); per-user
     # mass split between hate and normal sides so E[hate share] = hate_rate

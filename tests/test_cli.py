@@ -104,6 +104,26 @@ class TestSynthCommand:
         with pytest.raises(KeyboardInterrupt):
             run_pipeline(config)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("schemes", ["virality", "virality"]), ("k_list", [5, 5]), ("clusters", ["c1", "c1"])],
+    )
+    def test_repeated_config_value_exits_one(self, tmp_path, capsys, name, value):
+        cfg = small_config(str(tmp_path / "x"))
+        cfg[name] = value
+        assert main(["pipeline", "--config", write_config(tmp_path, cfg)]) == 1
+        assert f"{name} must not repeat a value" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_unknown_cluster_exits_one_before_training(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        cfg = small_config(str(out))
+        cfg["clusters"] = ["c9"]
+        assert main(["pipeline", "--config", write_config(tmp_path, cfg)]) == 1
+        assert "unknown clusters ['c9']" in capsys.readouterr().err
+        assert not (out / "topics.csv").exists()
+        assert not list(out.glob("plv_*.done"))
+
     def test_stage_failure_exits_two(self, tmp_path, capsys):
         cfg = small_config(str(tmp_path / "x"))
         cfg["synth"]["n_hate_posts"] = 0  # no hate posts: topic stage fails first
@@ -160,9 +180,18 @@ class TestPipelineCommand:
     def test_canonical_copies_equal_their_sources(self, tmp_path):
         out = tmp_path / "copies"
         assert main(["pipeline", "--config", write_config(tmp_path, small_config(str(out)))]) == 0
-        for name in ("plv_embeddings", "training_curve"):
+        for name in ("plv_embeddings", "training_curve", "importance"):
             copy, source = out / f"{name}.csv", out / f"{name}_virality.csv"
             assert copy.read_bytes() == source.read_bytes(), name
+
+    def test_resume_restores_deleted_importance_copy(self, tmp_path):
+        out = tmp_path / "importance"
+        cfg = write_config(tmp_path, small_config(str(out)))
+        assert main(["pipeline", "--config", cfg]) == 0
+        cold = (out / "importance.csv").read_bytes()
+        (out / "importance.csv").unlink()
+        assert main(["pipeline", "--config", cfg, "--resume"]) == 0
+        assert (out / "importance.csv").read_bytes() == cold
 
     def test_deterministic_report_bytes(self, tmp_path):
         out_a, out_b = str(tmp_path / "da"), str(tmp_path / "db")
@@ -305,6 +334,14 @@ class TestMuSweepCommand:
         cfg = write_config(tmp_path, small_config(out))
         assert main(["mu-sweep", "--config", cfg, "--mus", "0.0,0.5"]) == 1
         assert "mu" in capsys.readouterr().err
+
+
+    def test_one_hate_post_fails_in_split(self, tmp_path, capsys):
+        cfg = small_config(str(tmp_path / "mu3"))
+        cfg["synth"].update(n_hate_posts=1, n_clusters=1)
+        assert main(["mu-sweep", "--config", write_config(tmp_path, cfg), "--mus", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert "stage 'split' failed: pipeline needs at least two hate posts" in err
 
 
 class TestEmbedAnalyzeCommand:

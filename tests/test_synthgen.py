@@ -69,6 +69,14 @@ class TestGenerate:
         assert np.all(truth.exposure == 1.0)
         assert graph.n_edges == 12 * 10
 
+    def test_user_independent_exposure_is_a_read_only_row_view(self):
+        cfg = SynthConfig(n_users=30, n_posts=20, n_hate_posts=5, seed=2)
+        assert not cfg.follower_weighted_exposure
+        _, _, truth = generate(cfg)
+        assert truth.exposure.shape == (30, 20)
+        assert not truth.exposure.flags.writeable
+        assert np.all(truth.exposure == truth.exposure[0])
+
     def test_truth_ranges(self):
         _, _, truth = generate(SynthConfig(n_users=40, n_posts=30, n_hate_posts=10, seed=5))
         assert np.all(truth.exposure > 0.0) and np.all(truth.exposure <= 1.0)
