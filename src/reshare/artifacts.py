@@ -76,32 +76,35 @@ def read_propensities(path, floor: float) -> dict:
     }
 
 
-def write_topic_vectors(vectors: dict, path):
-    if not vectors:
-        raise DataError("no topic vectors to write")
-    k = len(next(iter(vectors.values())))
-    _write_csv(path, ["post_id"] + [f"t_{i}" for i in range(k)], (
-        [post_id] + [_fmt(v) for v in vectors[post_id]] for post_id in sorted(vectors)
+def _write_vectors(path, id_column, prefix, ids, vectors):
+    _write_csv(path, [id_column] + [f"{prefix}_{i}" for i in range(vectors.shape[1])], (
+        [row_id] + [_fmt(v) for v in row] for row_id, row in zip(ids, vectors)
     ))
+
+
+def write_topic_vectors(post_ids, vectors, path):
+    """One row per post id, in the given order, of the (posts, K) ``vectors``."""
+    if not len(post_ids):
+        raise DataError("no topic vectors to write")
+    _write_vectors(path, "post_id", "t", post_ids, vectors)
 
 
 def write_embeddings(model: BprModel, path):
-    dim = model.user_factors.shape[1]
-    _write_csv(path, ["user_id"] + [f"x_{i}" for i in range(dim)], (
-        [user_id] + [_fmt(v) for v in row]
-        for user_id, row in zip(model.user_ids, model.user_factors)
-    ))
+    _write_vectors(path, "user_id", "x", model.user_ids, model.user_factors)
 
 
-def read_vectors(path) -> dict:
-    """Reload an id-keyed vector table (topic vectors or embeddings)."""
+def read_vectors(path) -> tuple:
+    """Reload a vector table (topic vectors or embeddings) as ``(ids, matrix)``
+    in file order; a repeated id raises ``DataError``."""
     out = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        next(reader)
+        dim = len(next(reader)) - 1
         for row in reader:
+            if row[0] in out:
+                raise DataError(f"{path}: repeated id {row[0]!r}")
             out[row[0]] = np.array([float(v) for v in row[1:]], dtype=np.float64)
-    return out
+    return tuple(out), np.array(list(out.values()), dtype=np.float64).reshape(len(out), dim)
 
 
 def write_training_curve(curve, path):

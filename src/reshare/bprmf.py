@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import InteractionGraph
+from .dataset import InteractionGraph, index_of
 from .errors import ConfigError, check_fields
 from .propensity import PropensityTable
 
@@ -88,18 +88,12 @@ class BprModel:
     hyper: BprHyper
     training_curve: list = field(default_factory=list)
 
-    @property
-    def user_index(self) -> dict:
-        if not hasattr(self, "_uidx"):
-            self._uidx = {u: i for i, u in enumerate(self.user_ids)}
-        return self._uidx
-
 
 def user_embedding(model: BprModel, user_id: str) -> np.ndarray:
     """The user's factor row (a copy, so the model stays immutable)."""
     try:
-        i = model.user_index[user_id]
-    except KeyError:
+        i = model.user_ids.index(user_id)
+    except ValueError:
         raise KeyError(f"unknown user {user_id!r}") from None
     return model.user_factors[i].copy()
 
@@ -381,12 +375,13 @@ def ranking_metrics(
     # each user's test and train posts are CSR slices of the edge arrays
     (_, test_posts), test_ptr = test.edge_arrays, test.indptr
     (_, train_posts), train_ptr = train.edge_arrays, train.indptr
-    for i, user in enumerate(test.users):
+    rows, known = index_of(model.user_ids, test.users)
+    for i in range(test.n_users):
         rel = test_posts[test_ptr[i] : test_ptr[i + 1]]
-        if not rel.size or user not in model.user_index:
+        if not rel.size or not known[i]:
             n_skipped += 1
             continue
-        scores = model.post_factors @ model.user_factors[model.user_index[user]]
+        scores = model.post_factors @ model.user_factors[rows[i]]
         scores[train_posts[train_ptr[i] : train_ptr[i + 1]]] = -np.inf
         order = np.argsort(-scores, kind="stable")
         rel_mask = np.zeros(n_posts, dtype=bool)

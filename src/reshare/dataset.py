@@ -105,14 +105,13 @@ class FeatureView:
     def column(self, name: str) -> np.ndarray:
         return self.matrix[:, self.columns.index(name)]
 
-    def row(self, user_id: str) -> np.ndarray:
-        return self.matrix[self.user_ids.index(user_id)]
-
 
 def index_of(ids, query) -> tuple[np.ndarray, np.ndarray]:
-    """Position of each ``query`` id in the sorted ``ids``, and whether it is there."""
-    ids, query = np.array(ids, dtype=str), np.asarray(query, dtype=str)
-    return np.searchsorted(ids, query), np.isin(query, ids)
+    """Row of each ``query`` id in ``ids``, given in any order (a repeated id gives its
+    first row), and whether it is there; the row of a missing id means nothing."""
+    query = np.asarray(query, dtype=str)
+    keys, first = np.unique(np.asarray(ids, dtype=str), return_index=True)
+    return np.append(first, 0)[np.searchsorted(keys, query)], np.isin(query, keys)
 
 
 def _pair_keys(users, post_ids, edges) -> np.ndarray:
@@ -239,9 +238,6 @@ class SplitPair:
 
     train: object
     test: object
-    mode: str
-    ratio: float
-    seed: int
 
 
 def _parse_bool(raw: str, where: str) -> bool:
@@ -439,7 +435,7 @@ def split(graph: InteractionGraph, mode: str, ratio: float, seed: int) -> SplitP
             InteractionGraph.from_indices(graph.users, graph.posts, eu[mask], ep[mask])
             for mask in (~is_test, is_test)
         )
-        return SplitPair(train=train, test=test, mode=mode, ratio=ratio, seed=seed)
+        return SplitPair(train=train, test=test)
     if mode == "by-user":
         users = list(graph.users)
         order = rng.permutation(len(users))
@@ -447,5 +443,5 @@ def split(graph: InteractionGraph, mode: str, ratio: float, seed: int) -> SplitP
         n_train = min(max(n_train, 1), len(users) - 1)
         train_ids = frozenset(users[i] for i in order[:n_train])
         test_ids = frozenset(users[i] for i in order[n_train:])
-        return SplitPair(train=train_ids, test=test_ids, mode=mode, ratio=ratio, seed=seed)
+        return SplitPair(train=train_ids, test=test_ids)
     raise ValueError(f"unknown split mode {mode!r}")

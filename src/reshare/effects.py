@@ -67,15 +67,26 @@ class FeatureMatrix:
     target: str
 
 
+def _rows_of(ids, users, missing: str) -> np.ndarray:
+    """Row of each of ``users`` in ``ids``; else "user <first absent> has <missing>"."""
+    rows, found = index_of(ids, users)
+    if not found.all():
+        raise DataError(f"user {users[int(np.argmin(found))]!r} has {missing}")
+    return rows
+
+
 def assemble_features(
     attrs: UserAttributeTable,
-    embeddings: dict | None,
+    embeddings: tuple | None,
     outcomes: OutcomeTable,
     target: str = "overall",
     include_embeddings: bool = True,
 ) -> FeatureMatrix:
     """Stack the five base attributes (counts log-transformed) and, unless
-    ablated, the per-user embedding components; attach the chosen outcome."""
+    ablated, the per-user embedding components; attach the chosen outcome.
+
+    ``embeddings`` is a ``(user_ids, matrix)`` pair with one row per id, in
+    any order; rows follow ``outcomes.user_ids``."""
     if target == "overall":
         y = outcomes.overall.copy()
     else:
@@ -85,29 +96,16 @@ def assemble_features(
             )
         y = outcomes.by_cluster[:, outcomes.clusters.index(target)].copy()
     view = log_transform_attributes(attrs)
-    rows, found = index_of(view.user_ids, outcomes.user_ids)
-    if not found.all():
-        u = outcomes.user_ids[int(np.argmin(found))]
-        raise DataError(f"user {u!r} has outcomes but no attributes")
-    base = view.matrix[rows]
     columns = list(FEATURE_COLUMNS)
-    blocks = [base]
+    rows = _rows_of(view.user_ids, outcomes.user_ids, "outcomes but no attributes")
+    blocks = [view.matrix[rows]]
     if include_embeddings:
         if embeddings is None:
             raise DataError("embeddings required unless include_embeddings=False")
-        vecs = []
-        dim = None
-        for u in outcomes.user_ids:
-            if u not in embeddings:
-                raise DataError(f"user {u!r} has no embedding")
-            v = np.asarray(embeddings[u], dtype=np.float64)
-            if dim is None:
-                dim = v.size
-            elif v.size != dim:
-                raise DataError("embedding dimensions differ across users")
-            vecs.append(v)
-        blocks.append(np.vstack(vecs))
-        columns.extend(f"x_{i}" for i in range(dim))
+        user_ids, vectors = embeddings
+        vectors = np.asarray(vectors, dtype=np.float64)
+        blocks.append(vectors[_rows_of(user_ids, outcomes.user_ids, "no embedding")])
+        columns.extend(f"x_{i}" for i in range(vectors.shape[1]))
     X = np.hstack(blocks)
     return FeatureMatrix(
         user_ids=tuple(outcomes.user_ids),

@@ -4,10 +4,10 @@ effect models, and a deterministic report, with resumable stage outputs.
 Only the resumable stages (dataset, topics, propensity, ``plv_<scheme>`` and
 ``effects_<variant>``) keep a ``<stage>.done`` marker: such a stage removes
 its marker, writes its artifacts, then writes a marker holding a hash of the
-effective configuration and input CSVs. With ``resume=True`` a stage whose
-marker matches is skipped and its outputs are reloaded, which reproduces the
-final report byte-for-byte. The cheap outcomes stage always recomputes and
-keeps no marker.
+effective configuration and input files. With ``resume=True`` a stage whose
+marker matches, and whose files to reload or copy all exist, is skipped and
+its outputs are reloaded, which reproduces the final report byte-for-byte.
+The cheap outcomes stage always recomputes and keeps no marker.
 
 The ``plv_<scheme>`` stages of a run share one stacked BPR training: every
 scheme whose marker does not match trains in one ``train_stack`` call, then
@@ -37,7 +37,6 @@ from .bprmf import BprHyper, ranking_metrics, train_stack
 from .dataset import FEATURE_COLUMNS, load_dataset, split, write_dataset
 from .effects import (
     EbmHyper,
-    FeatureMatrix,
     assemble_features,
     contribution_curve,
     feature_importance,
@@ -188,6 +187,8 @@ def config_hash(config: PipelineConfig) -> str:
     if config.synth is None:
         inputs = (config.posts_csv, config.users_csv, config.interactions_csv)
         payload["input_sha256"] = [_file_digest(p) for p in inputs]
+    if config.stopwords_path is not None:
+        payload["stopwords_sha256"] = _file_digest(config.stopwords_path)
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
@@ -202,9 +203,10 @@ class _Stages:
     def _marker(self, stage: str) -> str:
         return os.path.join(self.out_dir, f"{stage}.done")
 
-    def done(self, stage: str) -> bool:
-        """True when resuming and the marker matches; else the marker goes, as the stage reruns."""
-        if self.resume:
+    def done(self, stage: str, *outputs) -> bool:
+        """True when resuming, the marker matches and every path in ``outputs``
+        exists; else the marker goes, as the stage reruns."""
+        if self.resume and all(map(os.path.exists, outputs)):
             with contextlib.suppress(OSError, json.JSONDecodeError):
                 with open(self._marker(stage), encoding="utf-8") as fh:
                     if json.load(fh).get("config_hash") == self.chash:
@@ -274,7 +276,7 @@ def _hate_split(config: PipelineConfig, graph, run_seed: int):
 
 def _topic_vectors(config, graph, out_dir, stages):
     path = os.path.join(out_dir, "topics.csv")
-    if stages.done("topics"):
+    if stages.done("topics", path):
         return artifacts.read_vectors(path)
     with _stage("topics"):
         hate_posts = [p for p in graph.posts if p.is_hate]
@@ -286,15 +288,15 @@ def _topic_vectors(config, graph, out_dir, stages):
             iterations=config.topics_iterations,
             seed=config.seed,
         )
-        vectors = infer_corpus(model, corpus)
-        artifacts.write_topic_vectors(vectors, path)
+        vectors = corpus.doc_ids, infer_corpus(model, corpus)
+        artifacts.write_topic_vectors(*vectors, path)
         stages.mark("topics")
     return vectors
 
 
 def _propensity_tables(config, train_h, users, topic_vectors, rdir, stages):
     path = os.path.join(rdir, "propensity.csv")
-    if stages.done("propensity"):
+    if stages.done("propensity", path):
         return artifacts.read_propensities(path, floor=config.floor)
     with _stage("propensity"):
         tables = {}
@@ -318,9 +320,14 @@ def _propensity_tables(config, train_h, users, topic_vectors, rdir, stages):
 
 
 def _train_rankers(config, tables, train_h, test_h, run_seed, rdir, stages):
-    """The ``plv_<scheme>`` stages: train every scheme whose marker is not done in
-    one stacked loop, then write and mark each scheme in config order."""
-    pending = [s for s in config.schemes if not stages.done(f"plv_{s}")]
+    """The ``plv_<scheme>`` stages: train every scheme that is not done in one
+    stacked loop, then write and mark each in config order; embeddings by scheme."""
+
+    def outputs(scheme):
+        return [os.path.join(rdir, f"{name}_{scheme}.csv")
+                for name in ("plv_embeddings", "training_curve")]
+
+    pending = [s for s in config.schemes if not stages.done(f"plv_{s}", *outputs(s))]
     models = {}
     if pending:
         with _stage("plv"):
@@ -329,7 +336,7 @@ def _train_rankers(config, tables, train_h, test_h, run_seed, rdir, stages):
     ranking, skipped, embeddings = {}, {}, {}
     for scheme in config.schemes:
         stage = f"plv_{scheme}"
-        emb_path = os.path.join(rdir, f"plv_embeddings_{scheme}.csv")
+        emb_path, curve_path = outputs(scheme)
         if scheme not in models:
             payload = stages.payload(stage)
             embeddings[scheme] = artifacts.read_vectors(emb_path)
@@ -340,28 +347,22 @@ def _train_rankers(config, tables, train_h, test_h, run_seed, rdir, stages):
             model = models.pop(scheme)
             report = ranking_metrics(model, test_h, config.k_list, train=train_h)
             artifacts.write_embeddings(model, emb_path)
-            artifacts.write_training_curve(
-                model.training_curve, os.path.join(rdir, f"training_curve_{scheme}.csv")
-            )
+            artifacts.write_training_curve(model.training_curve, curve_path)
             stages.mark(
                 stage,
                 metrics=[[m, k, v] for (m, k), v in sorted(report.values.items())],
                 n_skipped=report.n_skipped,
             )
-        embeddings[scheme] = {u: model.user_factors[i] for i, u in enumerate(model.user_ids)}
+        embeddings[scheme] = model.user_ids, model.user_factors
         ranking[scheme] = report.values
         skipped[scheme] = report.n_skipped
     return ranking, skipped, embeddings
 
 
-def _subset_rows(fm: FeatureMatrix, user_set) -> FeatureMatrix:
+def _subset_rows(fm, user_set):
     idx = [i for i, u in enumerate(fm.user_ids) if u in user_set]
-    return FeatureMatrix(
-        user_ids=tuple(fm.user_ids[i] for i in idx),
-        columns=fm.columns,
-        X=fm.X[idx],
-        y=fm.y[idx],
-        target=fm.target,
+    return dataclasses.replace(
+        fm, user_ids=tuple(fm.user_ids[i] for i in idx), X=fm.X[idx], y=fm.y[idx]
     )
 
 
@@ -379,7 +380,9 @@ def _effect_study(config, users, embeddings, outcome_table, user_pair, run_idx, 
     linear_rmse = None
     for variant in _variants(config):
         stage = f"effects_{variant}"
-        if stages.done(stage):
+        importance_path = os.path.join(rdir, f"importance_{variant}.csv")
+        written = (importance_path,) if run_idx == 0 else ()
+        if stages.done(stage, *written):
             payload = stages.payload(stage)
         else:
             with _stage(stage):
@@ -404,9 +407,7 @@ def _effect_study(config, users, embeddings, outcome_table, user_pair, run_idx, 
                     importance_rows = feature_importance(model, fm_train)
                     payload["importance"] = [[name, value] for name, value in importance_rows.rows]
                     if run_idx == 0:
-                        artifacts.write_importance(
-                            importance_rows, os.path.join(rdir, f"importance_{variant}.csv")
-                        )
+                        artifacts.write_importance(importance_rows, importance_path)
                         if variant == _canonical_scheme(config):
                             _export_curves(config, model, rdir)
                 stages.mark(stage, **payload)
@@ -638,8 +639,8 @@ def run_embed_analysis(
 ) -> tuple:
     """DBSCAN + silhouette over an exported embedding table."""
     os.makedirs(out_dir, exist_ok=True)
-    emb = artifacts.read_vectors(embeddings_path)
-    points = np.vstack([emb[u] for u in sorted(emb)])
+    user_ids, vectors = artifacts.read_vectors(embeddings_path)
+    points = vectors[np.argsort(user_ids)]
     labels = dbscan(points, eps=eps, min_pts=min_pts)
     n_clusters = len(set(labels[labels >= 0].tolist()))
     n_noise = int(np.sum(labels < 0))

@@ -116,24 +116,26 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def neural_propensity(
-    topic_vectors: dict,
+    topic_vectors: tuple,
     graph: InteractionGraph,
     mu: float = DEFAULT_MU,
     floor: float = DEFAULT_FLOOR,
 ) -> PropensityTable:
     """Affine-sigmoid map from topic mixtures to the popularity target.
 
+    ``topic_vectors`` is a ``(post_ids, matrix)`` pair whose (posts, K) matrix
+    has one row per id, in any order; it may hold more posts than the graph.
     The weights solve an exact least-squares problem against logit-transformed
     virality propensities of the graph's posts, so posts with similar content
     receive similar exposure estimates.
     """
     target = virality_propensity(graph, mu=mu, floor=floor)
-    missing = [p for p in graph.post_ids if p not in topic_vectors]
-    if missing:
+    post_ids, vectors = topic_vectors
+    rows, found = index_of(post_ids, graph.post_ids)
+    if not found.all():
+        missing = [p for p, ok in zip(graph.post_ids, found) if not ok]
         raise DataError(f"missing topic vector for posts {missing[:5]!r}")
-    embed = np.array([np.asarray(topic_vectors[p], dtype=np.float64) for p in graph.post_ids])
-    if embed.ndim != 2:
-        raise DataError("topic vectors must share a common dimension")
+    embed = np.asarray(vectors, dtype=np.float64)[rows]
     t = np.clip(target.theta, floor, 1.0 - 1e-7)
     z = np.log(t) - np.log1p(-t)
     design = np.hstack([embed, np.ones((embed.shape[0], 1))])

@@ -217,11 +217,10 @@ def infer_topics(model: TopicModel, tokens) -> np.ndarray:
     return _mixtures(model, words, np.zeros(words.size, dtype=np.int64), 1)[0]
 
 
-def infer_corpus(model: TopicModel, corpus: TokenCorpus) -> dict:
-    """Topic mixtures for every document in a corpus, keyed by post id."""
+def infer_corpus(model: TopicModel, corpus: TokenCorpus) -> np.ndarray:
+    """(documents, K) topic mixtures; row i belongs to ``corpus.doc_ids[i]``."""
     words, docs = _flat_tokens(corpus, model.vocabulary)
-    mix = _mixtures(model, words, docs, len(corpus.documents))
-    return dict(zip(corpus.doc_ids, mix))
+    return _mixtures(model, words, docs, len(corpus.documents))
 
 
 def perplexity(model: TopicModel, corpus: TokenCorpus) -> float:

@@ -109,8 +109,9 @@ def subset_matrix(fm: FeatureMatrix, user_set) -> FeatureMatrix:
 
 
 def brute_force_ranking(user_factors, post_factors, post_ids, test_edges_by_user,
-                        train_edges_by_user, user_index, k_list):
+                        train_edges_by_user, user_ids, k_list):
     """Plain-python recall@k / NDCG@k, computed by explicit sorting."""
+    user_index = {u: i for i, u in enumerate(user_ids)}
     sums = {("recall", k): 0.0 for k in k_list}
     sums.update({("ndcg", k): 0.0 for k in k_list})
     n_eval = 0

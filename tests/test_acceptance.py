@@ -248,7 +248,7 @@ class TestCriterion5ConfounderDirection:
                 BprHyper(embedding_dim=16, learning_rate=0.01, epochs=40,
                          loss_mode="nonneg", seed=seed),
             )
-            embeddings = {u: model.user_factors[i] for i, u in enumerate(model.user_ids)}
+            embeddings = (model.user_ids, model.user_factors)
             outcomes = compute_outcomes(graph)
             pair = rs.split(graph, "by-user", 0.8, seed + 100)
             hyper = EbmHyper(seed=seed, max_bins=128)
@@ -301,7 +301,7 @@ class TestCriterion6MetricOracles:
             ours = rs.ranking_metrics(model, test, k_list, train=train)
             expected, n_eval = brute_force_ranking(
                 model.user_factors, model.post_factors, model.post_ids,
-                test.edges_by_user, train.edges_by_user, model.user_index, k_list,
+                test.edges_by_user, train.edges_by_user, model.user_ids, k_list,
             )
             assert ours.n_evaluated == n_eval
             for key, val in expected.items():

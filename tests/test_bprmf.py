@@ -250,7 +250,7 @@ class TestTrain:
             other = 1 - block
             inside = [f"p{j}" for j in range(10 * block, 10 * block + 10)]
             outside = [f"p{j}" for j in range(10 * other, 10 * other + 10)]
-            uf = model.user_factors[model.user_index[f"u{u}"]]
+            uf = model.user_factors[model.user_ids.index(f"u{u}")]
             for hi in inside:
                 for go in outside:
                     total += 1
@@ -454,7 +454,7 @@ class TestRankingMetrics:
                 model.post_ids,
                 test.edges_by_user,
                 train_graph.edges_by_user,
-                model.user_index,
+                model.user_ids,
                 k_list,
             )
             assert rep.n_evaluated == n_eval
@@ -469,6 +469,15 @@ class TestRankingMetrics:
             ranking_metrics(model, make_graph(2, posts[:3], [(0, "p1")]), [2])
         with pytest.raises(ValueError, match="share their users"):
             ranking_metrics(model, test, [2], train=make_graph(3, posts, [(2, "p0")]))
+
+    def test_user_unknown_to_model_skipped(self, rng):
+        model = random_model(rng, n_users=2, n_posts=4, dim=2)
+        posts = [(f"p{i}", False, None) for i in range(4)]
+        test = make_graph(3, posts, [(0, "p1"), (2, "p0"), (2, "p3")])
+        rep = ranking_metrics(model, test, [2])
+        assert (rep.n_evaluated, rep.n_skipped) == (1, 2)
+        alone = ranking_metrics(model, make_graph(3, posts, [(0, "p1")]), [2])
+        assert rep.values == alone.values
 
     def test_skipped_users_counted(self, rng):
         model = random_model(rng, n_users=3, n_posts=4, dim=2)

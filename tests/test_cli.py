@@ -1,13 +1,16 @@
 import csv
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from reshare import artifacts, cli, pipeline
+from reshare.bprmf import BprHyper, BprModel
 from reshare.cli import main
-from reshare.pipeline import PipelineConfig, run_pipeline
+from reshare.errors import DataError
+from reshare.pipeline import PipelineConfig, config_hash, run_pipeline
 
 
 def small_config(out_dir, runs=1):
@@ -132,6 +135,26 @@ class TestSynthCommand:
         assert "stage 'topics'" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def cold_run(tmp_path_factory):
+    """Config path and output directory of one cold pipeline run, and a copy of it."""
+    root = tmp_path_factory.mktemp("cold")
+    out = root / "out"
+    cfg = write_config(root, small_config(str(out)))
+    assert main(["pipeline", "--config", cfg]) == 0
+    shutil.copytree(out, root / "snapshot")
+    return cfg, out, root / "snapshot"
+
+
+def output_bytes(out):
+    """Bytes of every file under ``out`` but the stage markers, by relative path."""
+    return {
+        str(path.relative_to(out)): path.read_bytes()
+        for path in sorted(out.rglob("*"))
+        if path.is_file() and path.suffix != ".done"
+    }
+
+
 class TestPipelineCommand:
     def test_all_stage_outputs_exist(self, tmp_path, capsys):
         out = str(tmp_path / "pipe")
@@ -192,6 +215,40 @@ class TestPipelineCommand:
         (out / "importance.csv").unlink()
         assert main(["pipeline", "--config", cfg, "--resume"]) == 0
         assert (out / "importance.csv").read_bytes() == cold
+
+    @pytest.mark.parametrize("name", [
+        "topics.csv",
+        "propensity.csv",
+        "plv_embeddings_virality.csv",
+        "training_curve_virality.csv",
+        "importance_virality.csv",
+    ])
+    def test_resume_reruns_stage_whose_output_is_gone(self, cold_run, name):
+        cfg, out, snapshot = cold_run
+        shutil.rmtree(out)
+        shutil.copytree(snapshot, out)
+        (out / name).unlink()
+        assert main(["pipeline", "--config", cfg, "--resume"]) == 0
+        assert output_bytes(out) == output_bytes(snapshot)
+
+    def test_resume_after_stopwords_change_matches_fresh_run(self, tmp_path):
+        stopwords = tmp_path / "stopwords.txt"
+        stopwords.write_text("w0000\n")
+
+        def config(out):
+            cfg = dict(small_config(str(tmp_path / out)), schemes=["neural"])
+            return write_config(tmp_path, dict(cfg, stopwords_path=str(stopwords)), f"{out}.json")
+
+        resumed = config("resumed")
+        assert main(["pipeline", "--config", resumed]) == 0
+        before = config_hash(PipelineConfig.from_json(resumed))
+        stopwords.write_text("".join(f"w{i:04d}\n" for i in range(0, 60, 3)))
+        assert config_hash(PipelineConfig.from_json(resumed)) != before
+        assert main(["pipeline", "--config", resumed, "--resume"]) == 0
+        assert main(["pipeline", "--config", config("fresh")]) == 0
+        for name in ("topics.csv", "report.txt"):
+            fresh = (tmp_path / "fresh" / name).read_bytes()
+            assert (tmp_path / "resumed" / name).read_bytes() == fresh, name
 
     def test_deterministic_report_bytes(self, tmp_path):
         out_a, out_b = str(tmp_path / "da"), str(tmp_path / "db")
@@ -379,6 +436,28 @@ class TestArtifactWriters:
                 b"BPRMF,recall,5,0.5\r\n"
                 b"BPRMF,ndcg,5,0.10000000000000001\r\n"
             )
+
+    def test_vector_tables_round_trip_bit_exactly(self, tmp_path, rng):
+        values = rng.normal(size=(5, 3)) * np.logspace(-300, 300, 15).reshape(5, 3)
+        values[0, 0], values[0, 1] = -0.0, 0.1
+        ids = ("u3", "u10", "u0", "u2", "u1")  # file order is not sorted order
+        model = BprModel(ids, ("p0",), values, np.zeros((1, 3)), BprHyper(embedding_dim=3))
+        for write, args in (
+            (artifacts.write_embeddings, (model,)),
+            (artifacts.write_topic_vectors, (ids, values)),
+        ):
+            path = str(tmp_path / f"{write.__name__}.csv")
+            write(*args, path)
+            read_ids, read_values = artifacts.read_vectors(path)
+            assert read_ids == ids
+            assert read_values.dtype == np.float64
+            assert read_values.tobytes() == values.tobytes()
+
+    def test_vector_table_with_repeated_id_rejected(self, tmp_path):
+        path = tmp_path / "emb.csv"
+        path.write_text("user_id,x_0\nu0,1.0\nu1,2.0\nu0,3.0\n")
+        with pytest.raises(DataError, match="repeated id 'u0'"):
+            artifacts.read_vectors(str(path))
 
     def test_failed_rewrite_keeps_previous_file(self, tmp_path):
         path = str(tmp_path / "metrics.csv")

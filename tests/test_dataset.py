@@ -9,6 +9,7 @@ from reshare.dataset import (
     Post,
     UserAttributes,
     UserAttributeTable,
+    index_of,
     load_dataset,
     log_transform_attributes,
     split,
@@ -203,6 +204,24 @@ class TestGraphInvariants:
         assert [p.post_id for p in hate.posts] == ["p0"]
         assert hate.edges == (("u0", "p0"),)
         assert hate.users == graph.users
+
+
+class TestIndexOf:
+    def test_shuffled_ids_agree_with_dict_lookup(self, rng):
+        for _ in range(200):
+            # unpadded ids of mixed length, so sorted-id order is not numeric order
+            ids = [f"u{i}" for i in rng.choice(300, int(rng.integers(0, 12)), replace=False)]
+            query = [f"u{i}" for i in rng.integers(0, 300, int(rng.integers(0, 12)))]
+            if ids and rng.random() < 0.5:
+                query += list(rng.choice(ids, 3))
+            rows, found = index_of(ids, query)
+            where = {u: i for i, u in enumerate(ids)}
+            assert found.tolist() == [u in where for u in query]
+            assert rows[found].tolist() == [where[u] for u in query if u in where]
+
+    def test_repeated_id_maps_to_its_first_position(self):
+        rows, found = index_of(("b", "a", "b"), ("b", "c"))
+        assert rows[0] == 0 and found.tolist() == [True, False]
 
 
 class TestArrayGraphMatchesStringReference:

@@ -39,7 +39,7 @@ class TestAssemble:
         self.graph = make_graph(3, posts, edges)
         self.outcomes = compute_outcomes(self.graph)
         self.users = make_users([{"user_id": f"u{i}"} for i in range(3)])
-        self.embeddings = {f"u{i}": np.arange(64, dtype=float) for i in range(3)}
+        self.embeddings = tuple(f"u{i}" for i in range(3)), np.tile(np.arange(64.0), (3, 1))
 
     def test_column_count_with_64_dims(self):
         fm = assemble_features(self.users, self.embeddings, self.outcomes)
@@ -62,9 +62,23 @@ class TestAssemble:
         fm = assemble_features(self.users, None, self.outcomes, include_embeddings=False)
         assert len(fm.columns) == 5
 
+    def test_shuffled_embedding_pair_gives_equal_matrix(self):
+        rng = np.random.default_rng(4)
+        ids = ("u0", "u1", "u2", "u9")  # u9 has no outcome
+        vectors = rng.normal(size=(4, 5))
+        order = [3, 1, 2, 0]
+        fm = assemble_features(self.users, (ids, vectors), self.outcomes)
+        shuffled = assemble_features(
+            self.users, (tuple(ids[i] for i in order), vectors[order]), self.outcomes
+        )
+        assert shuffled.user_ids == fm.user_ids
+        assert np.array_equal(shuffled.X, fm.X)
+        rows = [ids.index(u) for u in fm.user_ids]
+        assert np.array_equal(fm.X[:, 5:], vectors[rows])
+
     def test_missing_embedding_rejected(self):
-        embeddings = dict(self.embeddings)
-        del embeddings["u1"]
+        ids, vectors = self.embeddings
+        embeddings = (ids[0], ids[2]), vectors[[0, 2]]
         with pytest.raises(DataError, match="no embedding"):
             assemble_features(self.users, embeddings, self.outcomes)
 

@@ -134,19 +134,31 @@ class TestFollower:
 class TestNeural:
     def test_single_post_matches_clipped_target(self):
         graph = counts_graph([3], n_users=5)
-        vectors = {"p0": np.array([0.7, 0.3])}
-        table = neural_propensity(vectors, graph)
+        table = neural_propensity((("p0",), np.array([[0.7, 0.3]])), graph)
         assert table["p0"] == pytest.approx(1.0, abs=1e-6)
 
     def test_missing_vector_rejected(self):
         graph = counts_graph([1, 2], n_users=5)
         with pytest.raises(DataError, match="missing topic vector"):
-            neural_propensity({"p0": np.array([1.0])}, graph)
+            neural_propensity((("p0",), np.array([[1.0]])), graph)
+
+    def test_shuffled_superset_pair_gives_equal_table(self):
+        graph = counts_graph([5, 3, 1, 0, 2], n_users=8)
+        rng = np.random.default_rng(3)
+        ids = tuple(f"p{i}" for i in range(7))  # p5 and p6 are not in the graph
+        vectors = rng.dirichlet(np.ones(3), 7)
+        order = rng.permutation(7)
+        table = neural_propensity((ids[:5], vectors[:5]), graph)
+        shuffled = neural_propensity((tuple(ids[i] for i in order), vectors[order]), graph)
+        assert shuffled.post_ids == table.post_ids
+        assert np.array_equal(shuffled.theta, table.theta)
 
     def test_range_clipped(self):
         graph = counts_graph([5, 3, 1, 0], n_users=8)
         rng = np.random.default_rng(0)
-        vectors = {f"p{i}": rng.dirichlet(np.ones(4)) for i in range(4)}
+        vectors = tuple(f"p{i}" for i in range(4)), np.array(
+            [rng.dirichlet(np.ones(4)) for _ in range(4)]
+        )
         table = neural_propensity(vectors, graph)
         for i in range(4):
             assert 1e-3 <= table[f"p{i}"] <= 1.0
@@ -156,10 +168,11 @@ class TestNeural:
         rng = np.random.default_rng(7)
         n_posts, n_users = 200, 300
         mass = rng.uniform(0.05, 0.95, n_posts)
-        vectors = {}
-        for i, m in enumerate(mass):
+        rows = []
+        for m in mass:
             rest = rng.dirichlet(np.ones(3)) * (1.0 - m)
-            vectors[f"p{i}"] = np.concatenate([[m], rest])
+            rows.append(np.concatenate([[m], rest]))
+        vectors = tuple(f"p{i}" for i in range(n_posts)), np.array(rows)
         counts = np.maximum(1, np.round(mass * 60)).astype(int)
         posts = [(f"p{i}", True, "c0") for i in range(n_posts)]
         edges = []

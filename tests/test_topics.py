@@ -145,10 +145,11 @@ class TestInfer:
         corpus = tokenize(posts)
         model = fit_lda(corpus, n_topics=3, iterations=40, seed=5)
         mixes = infer_corpus(model, corpus)
-        assert list(mixes) == [p.post_id for p in posts]
-        for doc_id, doc in zip(corpus.doc_ids, corpus.documents):
+        assert corpus.doc_ids == tuple(p.post_id for p in posts)
+        assert mixes.shape == (len(posts), 3)
+        for mix, doc in zip(mixes, corpus.documents):
             single = infer_topics(model, [corpus.tokens[i] for i in doc])
-            np.testing.assert_allclose(mixes[doc_id], single, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(mix, single, rtol=0, atol=1e-12)
 
 
 class TestPerplexity:
