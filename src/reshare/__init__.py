@@ -39,6 +39,7 @@ from .effects import (
     contribution_curve,
     feature_importance,
     fit_ebm,
+    fit_ebm_stack,
     fit_linear,
     predict,
 )

@@ -10,12 +10,19 @@ over the bags yields the shapes and their per-bin uncertainty. An
 ordinary-least-squares baseline shares the same model surface so downstream
 comparison code does not branch.
 
+``fit_ebm_stack`` fits one such model per target on one feature matrix: the
+bins, cells and bags are built once, and every target boosts in the same
+loop, its residuals end to end with the others' in one flat array. Each
+model equals the fit of its target alone bit for bit; ``fit_ebm`` is a
+stack of one.
+
 All shape functions are exported train-mean-centered: the intercept carries
 the average prediction and each curve reads as a deviation from it.
 """
 
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,14 +94,7 @@ def assemble_features(
 
     ``embeddings`` is a ``(user_ids, matrix)`` pair with one row per id, in
     any order; rows follow ``outcomes.user_ids``."""
-    if target == "overall":
-        y = outcomes.overall.copy()
-    else:
-        if target not in outcomes.clusters:
-            raise ValueError(
-                f"unknown target cluster {target!r}; have {outcomes.clusters}"
-            )
-        y = outcomes.by_cluster[:, outcomes.clusters.index(target)].copy()
+    y = outcomes.target(target).copy()
     view = log_transform_attributes(attrs)
     columns = list(FEATURE_COLUMNS)
     rows = _rows_of(view.user_ids, outcomes.user_ids, "outcomes but no attributes")
@@ -235,210 +235,331 @@ def predict(model: EffectModel, features: FeatureMatrix) -> np.ndarray:
     return _predict_array(model, features.X)
 
 
-def _train_mean(cells: np.ndarray, values: np.ndarray) -> float:
-    """Mean of a binned term over the train rows, whose cells are ``cells``."""
-    return float(np.bincount(cells, minlength=values.size) / cells.size @ values)
+def _cell_shares(cells: np.ndarray, size: int) -> np.ndarray:
+    """Share of the train rows, whose cells are ``cells``, in each of ``size``
+    cells: a binned term's train mean is this dotted with its values."""
+    return np.bincount(cells, minlength=size) / cells.size
 
 
-def _boost_bags(cells, sizes, base, y, bags, hyper: EbmHyper, min_leaf: int, rmse_curve=None):
-    """Cyclic boosting of binned terms on each bootstrap bag.
+class _Term(NamedTuple):
+    """One term of a stack on one bag: the members' in-bag and out-of-bag
+    cells end to end, each cell's divisor and update gate, and the slice of
+    each member's cells."""
 
-    ``cells[t]`` holds every train row's cell in term ``t`` (a 1-D bin, or a
-    flattened 2-D grid cell) out of ``sizes[t]``; each bag is a ``(rows, oob)``
-    pair and its terms add to the ``(n,)`` prediction ``base[b]``. Per round
-    every term in turn absorbs a learning-rate slice of its cells' mean in-bag
-    residual. Returns, per bag, the term values of the round with the lowest
-    out-of-bag MSE (in-bag MSE when the bag has no out-of-bag rows).
+    cells: np.ndarray
+    oob_cells: np.ndarray
+    divisors: np.ndarray
+    updatable: np.ndarray
+    spans: list
+
+
+def _term_step(term: _Term, residual: np.ndarray, learning_rate: float) -> np.ndarray:
+    """One boosting step of one term for every member of the stack: each cell
+    moves by the learning rate times its rows' mean residual, or stays where
+    it may not update. The member of cell k is the one whose span holds k."""
+    sums = np.bincount(term.cells, weights=residual, minlength=term.divisors.size)
+    return learning_rate * np.where(term.updatable, sums / term.divisors, 0.0)
+
+
+def _row_mse(diff: np.ndarray, members: int) -> np.ndarray:
+    """Mean square of each member's row of ``diff``: ``np.mean`` is this sum
+    over the row divided by its length, and a contiguous row sums with the
+    bits of the member's own 1-D array."""
+    squares = (diff**2).reshape(members, -1)
+    return np.add.reduce(squares, axis=1) / squares.shape[1]
+
+
+def _layout(cells, sizes, members, rows, oob, min_leaf: int) -> list:
+    """The ``_Term`` of every term for the stack ``members`` on one bag."""
+    terms = []
+    for cells_t, sizes_t in zip(cells, sizes):
+        widths = [sizes_t[m] for m in members]
+        starts = np.cumsum([0] + widths[:-1]).tolist()
+        flat = np.concatenate([cells_t[m][rows] + o for m, o in zip(members, starts)])
+        flat_oob = np.concatenate([cells_t[m][oob] + o for m, o in zip(members, starts)])
+        counts = np.bincount(flat, minlength=sum(widths)).astype(np.float64)
+        spans = [slice(o, o + w) for o, w in zip(starts, widths)]
+        terms.append(_Term(flat, flat_oob, np.maximum(counts, 1), counts >= min_leaf, spans))
+    return terms
+
+
+def _boost_bag(cells, sizes, base, ys, rows, oob, hyper: EbmHyper, min_leaf: int, rmse_curves):
+    """Boost every member of a stack on one bag; returns each member's term
+    values of its best round (see ``_boost_bags``)."""
+    active = list(range(len(ys)))
+    terms = _layout(cells, sizes, active, rows, oob, min_leaf)
+    residual = (ys - base)[:, rows].ravel()
+    oob_pred, y_oob = base[:, oob].ravel(), ys[:, oob].ravel()
+    values = [np.zeros(term.spans[-1].stop) for term in terms]
+    best = [[np.zeros(sizes_t[m]) for sizes_t in sizes] for m in active]
+    best_err = [np.inf] * len(ys)
+    stale = [0] * len(ys)
+    lr = hyper.learning_rate
+    for _ in range(hyper.max_rounds):
+        for t, term in enumerate(terms):
+            upd = _term_step(term, residual, lr)
+            values[t] += upd
+            residual -= upd[term.cells]
+            oob_pred += upd[term.oob_cells]
+        if rmse_curves is not None or not oob.size:
+            in_mse = _row_mse(residual, len(active))
+        err = _row_mse(y_oob - oob_pred, len(active)) if oob.size else in_mse
+        if rmse_curves is not None:
+            for m, rmse in zip(active, np.sqrt(in_mse).tolist()):
+                rmse_curves[m].append(rmse)
+        keep = []
+        for i, (m, e) in enumerate(zip(active, err.tolist())):
+            if e < best_err[m] - hyper.early_stop_tol:
+                best_err[m] = e
+                best[m] = [v[term.spans[i]].copy() for v, term in zip(values, terms)]
+                stale[m] = 0
+            else:
+                stale[m] += 1
+                if stale[m] >= hyper.early_stop_patience:
+                    continue
+            keep.append(i)
+        if not keep:
+            break
+        if len(keep) < len(active):
+            kept = np.isin(np.arange(len(active)), keep)
+            residual = residual[np.repeat(kept, rows.size)]
+            oob_pred, y_oob = (a[np.repeat(kept, oob.size)] for a in (oob_pred, y_oob))
+            values = [
+                v[np.repeat(kept, [s.stop - s.start for s in term.spans])]
+                for v, term in zip(values, terms)
+            ]
+            active = [active[i] for i in keep]
+            del terms  # before the new layout, so the two are never alive at once
+            terms = _layout(cells, sizes, active, rows, oob, min_leaf)
+    return best
+
+
+def _boost_bags(cells, sizes, base, ys, bags, hyper: EbmHyper, min_leaf: int, rmse_curves=None):
+    """Cyclic boosting of binned terms for a stack of targets, on each bootstrap bag.
+
+    Member ``s`` fits ``ys[s]``, and its term ``t`` puts every train row in
+    cell ``cells[t][s]`` (a 1-D bin, or a flattened 2-D grid cell) out of
+    ``sizes[t][s]``. Each bag is a ``(rows, oob)`` pair, and its terms add to
+    the ``(S, n)`` prediction ``base[b]``. Per round every term in turn absorbs
+    a learning-rate slice of its cells' mean in-bag residual (``_term_step``).
+    The members' residuals lie end to end in one flat array, and each member's
+    cells follow those of the members before it, so one ``bincount`` per term
+    and round sums every member's cells in the row order of a stack of one.
+    A member leaves the stack when it stops early. Returns, per member and
+    bag, the term values of the member's round with the lowest out-of-bag MSE
+    (in-bag MSE when the bag has no out-of-bag rows).
+
     ``min_leaf`` gates updates per occupied cell: 1-D bins already guarantee
     occupancy at construction, so mains pass 1; 2-D grids are not merged and
     pass the configured minimum to keep near-empty cells silent. The first
-    bag's in-bag RMSE per round is appended to ``rmse_curve`` when given.
+    bag's in-bag RMSE per round is appended to ``rmse_curves[s]`` when given.
     """
-    out = []
+    out = [[] for _ in ys]
     for b, (rows, oob) in enumerate(bags):
-        residual = (y - base[b])[rows]
-        in_cells = [c[rows] for c in cells]
-        counts = [np.bincount(c, minlength=s).astype(np.float64) for c, s in zip(in_cells, sizes)]
-        divisors = [np.maximum(n, 1) for n in counts]
-        updatable = [n >= min_leaf for n in counts]
-        oob_cells = [c[oob] for c in cells]
-        oob_pred, y_oob = base[b][oob], y[oob]
-        values = [np.zeros(s) for s in sizes]
-        best = [v.copy() for v in values]
-        best_err = np.inf
-        stale = 0
-        for _ in range(hyper.max_rounds):
-            for t, c in enumerate(in_cells):
-                sums = np.bincount(c, weights=residual, minlength=sizes[t])
-                means = np.where(updatable[t], sums / divisors[t], 0.0)
-                upd = hyper.learning_rate * means
-                values[t] += upd
-                residual -= upd[c]
-                oob_pred += upd[oob_cells[t]]
-            if rmse_curve is not None and b == 0:
-                rmse_curve.append(float(np.sqrt(np.mean(residual**2))))
-            err = (
-                float(np.mean((y_oob - oob_pred) ** 2))
-                if oob.size
-                else float(np.mean(residual**2))
-            )
-            if err < best_err - hyper.early_stop_tol:
-                best_err = err
-                best = [v.copy() for v in values]
-                stale = 0
-            else:
-                stale += 1
-                if stale >= hyper.early_stop_patience:
-                    break
-        out.append(best)
+        curves = rmse_curves if b == 0 else None
+        best = _boost_bag(cells, sizes, base[b], ys, rows, oob, hyper, min_leaf, curves)
+        for member, values in zip(out, best):
+            member.append(values)
     return out
 
 
 def fit_ebm(features: FeatureMatrix, hyper: EbmHyper) -> EffectModel:
-    """Bagged cyclic gradient-boosting GAM with identity link.
+    """Bagged cyclic gradient-boosting GAM with identity link, on ``features.y``:
+    a stack of one (``fit_ebm_stack``)."""
+    return fit_ebm_stack(features, [features.y], hyper)[0]
 
-    Every term is centered so its train-set mean is exactly zero, with the
-    intercept absorbing the means: main shapes are centered per bag and then
-    averaged, pair grids are averaged and then centered.
+
+def fit_ebm_stack(features: FeatureMatrix, ys, hyper: EbmHyper) -> list:
+    """One bagged cyclic gradient-boosting GAM (identity link) per target in
+    ``ys``, on the shared ``features.X``, in one boosting loop.
+
+    The bins, cells, bags, train ranges and levels are built once for the
+    stack, and only the targets differ, so every model equals the fit of a
+    stack of one (``fit_ebm``) on its target bit for bit. Every term is
+    centered so its train-set mean is exactly zero, with the intercept
+    absorbing the means: main shapes are centered per bag and then averaged,
+    pair grids are averaged and then centered. A constant target warns and
+    gets an intercept-only model.
     """
-    X, y = features.X, features.y
+    X = features.X
     n, p = X.shape
     if n == 0 or p == 0:
         raise DataError("empty feature matrix")
     if n < 2:
         raise DataError("need at least 2 rows to fit")
+    if len(ys) == 0:
+        raise ValueError("fit_ebm_stack needs at least one target")
+    if any(np.shape(y) != (n,) for y in ys):
+        raise ValueError(f"every target needs one value per row of X ({n})")
+    Y = np.array(ys, dtype=np.float64)
     train_ranges = [(float(X[:, m].min()), float(X[:, m].max())) for m in range(p)]
+    train_levels = _discrete_levels(X)
     bins = [_build_bins(X[:, m], hyper.max_bins, hyper.min_samples_leaf) for m in range(p)]
-    if np.all(y == y[0]):
-        warnings.warn("constant target: returning an intercept-only model")
-        shapes = [
-            FeatureShape(bins=b, values=np.zeros(b.n_bins), stderr=np.zeros(b.n_bins))
-            for b in bins
-        ]
+
+    def model(intercept, shapes, pair_terms=(), rmse_curve=()):
         return EffectModel(
             kind="ebm",
             columns=features.columns,
-            intercept=float(y[0]),
+            intercept=intercept,
             shapes=shapes,
-            train_ranges=train_ranges,
-            train_levels=_discrete_levels(X),
+            pair_terms=list(pair_terms),
+            train_ranges=list(train_ranges),
+            train_levels=list(train_levels),
+            train_rmse_curve=list(rmse_curve),
         )
+
+    models = [None] * len(Y)
+    for s, y in enumerate(Y):
+        if np.all(y == y[0]):
+            warnings.warn("constant target: returning an intercept-only model")
+            zeros = [
+                FeatureShape(bins=b, values=np.zeros(b.n_bins), stderr=np.zeros(b.n_bins))
+                for b in bins
+            ]
+            models[s] = model(float(y[0]), zeros)
+    fitted = [s for s, m in enumerate(models) if m is None]
+    if not fitted:
+        return models
+    Y = Y[fitted]
 
     cells = [bins[m].assign(X[:, m]) for m in range(p)]
     bags = []
     for seed in np.random.SeedSequence(hyper.seed).spawn(hyper.n_bags):
         rows = np.random.default_rng(seed).integers(0, n, n)
         bags.append((rows, np.setdiff1d(np.arange(n), np.unique(rows))))
-    intercepts = [float(np.mean(y[rows])) for rows, _ in bags]
-    train_rmse_curve: list[float] = []
+    intercepts = np.array([[np.mean(y[rows]) for rows, _ in bags] for y in Y])
+    curves = [[] for _ in fitted]
     bag_values = _boost_bags(
-        cells,
-        [b.n_bins for b in bins],
-        [np.full(n, c) for c in intercepts],
-        y,
+        [[c] * len(Y) for c in cells],
+        [[b.n_bins] * len(Y) for b in bins],
+        [np.repeat(intercepts[:, b : b + 1], n, axis=1) for b in range(hyper.n_bags)],
+        Y,
         bags,
         hyper,
         min_leaf=1,
-        rmse_curve=train_rmse_curve,
+        rmse_curves=curves,
     )
-    for b, values in enumerate(bag_values):
-        for m in range(p):
-            shift = _train_mean(cells[m], values[m])
-            values[m] -= shift
-            intercepts[b] += shift
-
+    shares = [_cell_shares(c, b.n_bins) for c, b in zip(cells, bins)]
     shapes = []
-    for m in range(p):
-        stack = np.vstack([values[m] for values in bag_values])
-        mean_vals = stack.mean(axis=0)
-        stderr = stack.std(axis=0, ddof=0) / np.sqrt(hyper.n_bags)
-        shapes.append(FeatureShape(bins=bins[m], values=mean_vals, stderr=stderr))
-    intercept = float(np.mean(intercepts))
+    for s, member in enumerate(bag_values):
+        for b, values in enumerate(member):
+            for m in range(p):
+                shift = float(shares[m] @ values[m])
+                values[m] -= shift
+                intercepts[s, b] += shift
+        member_shapes = []
+        for m in range(p):
+            stack = np.vstack([values[m] for values in member])
+            mean_vals = stack.mean(axis=0)
+            stderr = stack.std(axis=0, ddof=0) / np.sqrt(hyper.n_bags)
+            member_shapes.append(FeatureShape(bins=bins[m], values=mean_vals, stderr=stderr))
+        shapes.append(member_shapes)
+    intercept = [float(np.mean(row)) for row in intercepts]
 
-    pair_terms: list[PairTerm] = []
+    pair_terms = [[] for _ in fitted]
     if hyper.n_interactions > 0 and p >= 2:
         base = []
-        for b, values in enumerate(bag_values):
-            pred_b = np.full(n, intercepts[b])
+        for b in range(hyper.n_bags):
+            pred = np.repeat(intercepts[:, b : b + 1], n, axis=1)
             for m in range(p):
-                pred_b += values[m][cells[m]]
-            base.append(pred_b)
-        pair_terms, intercept = _fit_interactions(X, y, cells, shapes, intercept, bags, base, hyper)
+                pred += np.array([member[b][m] for member in bag_values])[:, cells[m]]
+            base.append(pred)
+        pair_terms, intercept = _fit_interactions(X, Y, cells, shapes, intercept, bags, base, hyper)
 
-    return EffectModel(
-        kind="ebm",
-        columns=features.columns,
-        intercept=intercept,
-        shapes=shapes,
-        pair_terms=pair_terms,
-        train_ranges=train_ranges,
-        train_levels=_discrete_levels(X),
-        train_rmse_curve=train_rmse_curve,
-    )
+    for k, s in enumerate(fitted):
+        models[s] = model(intercept[k], shapes[k], pair_terms[k], curves[k])
+    return models
 
 
-def _interaction_strength(res: np.ndarray, fi: np.ndarray, fj: np.ndarray, nb: int) -> float:
+def _interaction_strengths(res: np.ndarray, fi: np.ndarray, fj: np.ndarray, nb: int) -> np.ndarray:
+    """Each member's strength of one pair: the variance its 2-D cell means
+    explain of the member's row of ``res``. The cells are counted once, and
+    one ``bincount`` sums every member's residuals, member after member."""
     flat = fi * nb + fj
-    counts = np.bincount(flat, minlength=0).astype(np.float64)
-    sums = np.bincount(flat, weights=res)
+    counts = np.bincount(flat).astype(np.float64)
+    members, n = res.shape
+    size = counts.size
+    if members > 1:  # member s's cells follow the cells of the members before it
+        flat = (np.arange(0, members * size, size)[:, None] + flat).ravel()
+    sums = np.bincount(flat, weights=res.ravel(), minlength=members * size)
     nz = counts > 0
-    return float(np.sum(sums[nz] ** 2 / counts[nz]) / res.size)
+    # compress keeps the rows contiguous, so each row sums as a 1-D array would
+    picked = sums.reshape(members, size).compress(nz, axis=1)
+    return np.add.reduce(picked * picked / counts[nz], axis=1) / n
 
 
-def _fit_interactions(X, y, cells, shapes, intercept, bags, base, hyper: EbmHyper) -> tuple:
-    """Rank pairs on the averaged mains' residual, then boost the strongest as
-    2-D grids on each bag's own main-effect prediction ``base[b]``.
+def _fit_interactions(X, Y, cells, shapes, intercepts, bags, base, hyper: EbmHyper) -> tuple:
+    """Rank pairs on each member's averaged-mains residual, then boost every
+    member's strongest pairs as 2-D grids on its bags' own main-effect
+    prediction ``base[b]``, all members in one stacked loop.
 
-    Returns the centered pair terms and the intercept with their means added.
+    Returns, per member, the centered pair terms, and the intercepts with
+    their means added.
     """
     n, p = X.shape
-    pred_main = np.full(n, intercept)
+    pred_main = np.repeat(np.array(intercepts)[:, None], n, axis=1)
     for m in range(p):
-        pred_main += shapes[m].values[cells[m]]
-    res_full = y - pred_main
+        pred_main += np.array([member[m].values for member in shapes])[:, cells[m]]
+    res_full = Y - pred_main
 
     detect = [_build_bins(X[:, m], hyper.detect_bins, hyper.min_samples_leaf) for m in range(p)]
     didx = [detect[m].assign(X[:, m]) for m in range(p)]
-    ranked = []
-    for i in range(p):
-        if detect[i].n_bins < 2:
-            continue
-        for j in range(i + 1, p):
-            if detect[j].n_bins < 2:
-                continue
-            s = _interaction_strength(res_full, didx[i], didx[j], detect[j].n_bins)
-            ranked.append((-s, i, j))
-    ranked.sort()
-    chosen = [(i, j) for _, i, j in ranked[: hyper.n_interactions]]
-    if not chosen:
-        return [], intercept
+    pairs = [
+        (i, j)
+        for i in range(p)
+        if detect[i].n_bins >= 2
+        for j in range(i + 1, p)
+        if detect[j].n_bins >= 2
+    ]
+    if not pairs:
+        return [[] for _ in intercepts], list(intercepts)
+    strengths = np.array(
+        [_interaction_strengths(res_full, didx[i], didx[j], detect[j].n_bins) for i, j in pairs]
+    )
+    first, second = np.array(pairs).T
+    # strongest first, ties by (i, j): the order of sorting (-strength, i, j)
+    chosen = [
+        [pairs[q] for q in np.lexsort((second, first, -strengths[:, s]))[: hyper.n_interactions]]
+        for s in range(len(Y))
+    ]
 
-    pair_bins = {}
-    for i, j in chosen:
-        if i not in pair_bins:
-            pair_bins[i] = _build_bins(X[:, i], hyper.pair_bins, hyper.min_samples_leaf)
-        if j not in pair_bins:
-            pair_bins[j] = _build_bins(X[:, j], hyper.pair_bins, hyper.min_samples_leaf)
-    pair_idx = {m: pair_bins[m].assign(X[:, m]) for m in pair_bins}
-    flat = [pair_idx[i] * pair_bins[j].n_bins + pair_idx[j] for i, j in chosen]
-    sizes = [pair_bins[i].n_bins * pair_bins[j].n_bins for i, j in chosen]
-    grids = _boost_bags(flat, sizes, base, y, bags, hyper, min_leaf=hyper.min_samples_leaf)
+    used = {pair for member in chosen for pair in member}
+    pair_bins = {
+        m: _build_bins(X[:, m], hyper.pair_bins, hyper.min_samples_leaf)
+        for m in sorted({m for pair in used for m in pair})
+    }
+    pair_idx = {m: bins.assign(X[:, m]) for m, bins in pair_bins.items()}
+    flat = {(i, j): pair_idx[i] * pair_bins[j].n_bins + pair_idx[j] for i, j in used}
+    by_term = list(zip(*chosen))  # term t holds each member's t-th strongest pair
+    grids = _boost_bags(
+        [[flat[pair] for pair in term] for term in by_term],
+        [[pair_bins[i].n_bins * pair_bins[j].n_bins for i, j in term] for term in by_term],
+        base,
+        Y,
+        bags,
+        hyper,
+        min_leaf=hyper.min_samples_leaf,
+    )
 
-    terms = []
-    for t, (i, j) in enumerate(chosen):
-        mean_vals = np.vstack([grid[t] for grid in grids]).mean(axis=0)
-        shift = _train_mean(flat[t], mean_vals)
-        intercept += shift
-        terms.append(
-            PairTerm(
-                i=i,
-                j=j,
-                bins_i=pair_bins[i],
-                bins_j=pair_bins[j],
-                values=(mean_vals - shift).reshape(pair_bins[i].n_bins, pair_bins[j].n_bins),
+    all_terms, out_intercepts = [], []
+    for member, member_grids, intercept in zip(chosen, grids, intercepts):
+        terms = []
+        for t, (i, j) in enumerate(member):
+            mean_vals = np.vstack([grid[t] for grid in member_grids]).mean(axis=0)
+            shift = float(_cell_shares(flat[i, j], mean_vals.size) @ mean_vals)
+            intercept += shift
+            terms.append(
+                PairTerm(
+                    i=i,
+                    j=j,
+                    bins_i=pair_bins[i],
+                    bins_j=pair_bins[j],
+                    values=(mean_vals - shift).reshape(pair_bins[i].n_bins, pair_bins[j].n_bins),
+                )
             )
-        )
-    return terms, intercept
+        all_terms.append(terms)
+        out_intercepts.append(intercept)
+    return all_terms, out_intercepts
 
 
 def fit_linear(features: FeatureMatrix, allow_ridge: bool = True) -> EffectModel:

@@ -37,6 +37,14 @@ class OutcomeTable:
     def y_cluster(self, user_id: str, cluster: str) -> float:
         return float(self.by_cluster[self.user_index[user_id], self.clusters.index(cluster)])
 
+    def target(self, name: str) -> np.ndarray:
+        """The outcome ``name`` ("overall" or a cluster) of every user, in row order."""
+        if name == "overall":
+            return self.overall
+        if name not in self.clusters:
+            raise ValueError(f"unknown target cluster {name!r}; have {self.clusters}")
+        return self.by_cluster[:, self.clusters.index(name)]
+
 
 def compute_outcomes(graph: InteractionGraph) -> OutcomeTable:
     """Count each user's hate vs normal shares and per-cluster hate shares.

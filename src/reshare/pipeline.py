@@ -5,8 +5,9 @@ Only the resumable stages (dataset, topics, propensity, ``plv_<scheme>`` and
 ``effects_<variant>``) keep a ``<stage>.done`` marker: such a stage removes
 its marker, writes its artifacts, then writes a marker holding a hash of the
 effective configuration and input files. With ``resume=True`` a stage whose
-marker matches, and whose files to reload or copy all exist, is skipped and
-its outputs are reloaded, which reproduces the final report byte-for-byte.
+marker matches, and whose files to reload, copy or present (the synthetic
+``data/*.csv``, the canonical curves) all exist, is skipped and its outputs
+are reloaded, which reproduces the final report byte-for-byte.
 The cheap outcomes stage always recomputes and keeps no marker.
 
 The ``plv_<scheme>`` stages of a run share one stacked BPR training: every
@@ -16,8 +17,9 @@ mu sweep likewise trains all of its (scheme, mu) cells in one call, on the
 same hate split as the pipeline.
 
 The effect study fits one model per variant (``base``, then each debiased
-scheme) and target (``overall``, then each configured cluster). The report
-stage writes ``report.txt`` and ``metrics.csv`` from one table of ranking
+scheme) and target (``overall``, then each configured cluster); the targets
+of a variant share one feature matrix and one ``fit_ebm_stack`` call. The
+report stage writes ``report.txt`` and ``metrics.csv`` from one table of ranking
 means, and copies the canonical scheme's ``plv_embeddings``,
 ``training_curve`` and ``importance`` CSVs byte for byte.
 """
@@ -40,7 +42,7 @@ from .effects import (
     assemble_features,
     contribution_curve,
     feature_importance,
-    fit_ebm,
+    fit_ebm_stack,
     fit_linear,
     predict,
 )
@@ -252,7 +254,10 @@ def _load_inputs(config: PipelineConfig, out_dir: str, stages: _Stages):
         if config.synth is not None:
             data_dir = os.path.join(out_dir, "data")
             graph, users, _ = generate(_seeded(config.synth, config.seed))
-            if not stages.done("dataset"):
+            written = [
+                os.path.join(data_dir, f"{name}.csv") for name in ("posts", "users", "interactions")
+            ]
+            if not stages.done("dataset", *written):
                 write_dataset(graph, users, data_dir)
                 stages.mark("dataset", source="synth")
             return graph, users
@@ -360,10 +365,12 @@ def _train_rankers(config, tables, train_h, test_h, run_seed, rdir, stages):
 
 
 def _subset_rows(fm, user_set):
+    """The rows of ``fm`` whose user is in ``user_set``, and their indices."""
     idx = [i for i, u in enumerate(fm.user_ids) if u in user_set]
-    return dataclasses.replace(
+    subset = dataclasses.replace(
         fm, user_ids=tuple(fm.user_ids[i] for i in idx), X=fm.X[idx], y=fm.y[idx]
     )
+    return subset, idx
 
 
 def _variants(config: PipelineConfig) -> list:
@@ -372,44 +379,53 @@ def _variants(config: PipelineConfig) -> list:
 
 
 def _effect_study(config, users, embeddings, outcome_table, user_pair, run_idx, rdir, stages):
-    """The ``effects_<variant>`` stages: one EBM per variant and target, scored on
-    the by-user holdout. The first run writes ``importance_<variant>.csv`` and
-    the canonical variant's curves."""
+    """The ``effects_<variant>`` stages, scored on the by-user holdout. A variant
+    builds its feature matrix and train/test rows once and fits every target
+    (``overall``, then each configured cluster) in one ``fit_ebm_stack`` call.
+    The first run writes ``importance_<variant>.csv`` and the canonical
+    variant's curves; a resumed stage whose files are gone reruns."""
     hyper = _seeded(config.ebm, config.seed + run_idx)
+    targets = ("overall", *config.clusters)
     rmses, importance = {}, {}
     linear_rmse = None
     for variant in _variants(config):
         stage = f"effects_{variant}"
         importance_path = os.path.join(rdir, f"importance_{variant}.csv")
-        written = (importance_path,) if run_idx == 0 else ()
+        written = []
+        if run_idx == 0:
+            written.append(importance_path)
+            if variant == _canonical_scheme(config):
+                written += [path for f in FEATURE_COLUMNS for path in _curve_paths(config, rdir, f)]
         if stages.done(stage, *written):
             payload = stages.payload(stage)
         else:
             with _stage(stage):
-                payload = {"rmse": {}, "linear_rmse": None}
-                for target in ("overall", *config.clusters):
-                    fm = assemble_features(
-                        users,
-                        embeddings.get(variant),
-                        outcome_table,
-                        target=target,
-                        include_embeddings=variant != "base",
-                    )
-                    fm_train = _subset_rows(fm, user_pair.train)
-                    fm_test = _subset_rows(fm, user_pair.test)
-                    model = fit_ebm(fm_train, hyper)
-                    payload["rmse"][target] = rmse(predict(model, fm_test), fm_test.y)
-                    if target != "overall":
-                        continue
-                    if variant == "base":
-                        linear = fit_linear(fm_train)
-                        payload["linear_rmse"] = rmse(predict(linear, fm_test), fm_test.y)
-                    importance_rows = feature_importance(model, fm_train)
-                    payload["importance"] = [[name, value] for name, value in importance_rows.rows]
-                    if run_idx == 0:
-                        artifacts.write_importance(importance_rows, importance_path)
-                        if variant == _canonical_scheme(config):
-                            _export_curves(config, model, rdir)
+                fm = assemble_features(
+                    users,
+                    embeddings.get(variant),
+                    outcome_table,
+                    include_embeddings=variant != "base",
+                )
+                fm_train, train_rows = _subset_rows(fm, user_pair.train)
+                fm_test, test_rows = _subset_rows(fm, user_pair.test)
+                ys = [outcome_table.target(target) for target in targets]
+                models = fit_ebm_stack(fm_train, [y[train_rows] for y in ys], hyper)
+                payload = {
+                    "rmse": {
+                        target: rmse(predict(model, fm_test), y[test_rows])
+                        for target, model, y in zip(targets, models, ys)
+                    },
+                    "linear_rmse": None,
+                }
+                if variant == "base":
+                    linear = fit_linear(fm_train)
+                    payload["linear_rmse"] = rmse(predict(linear, fm_test), fm_test.y)
+                importance_rows = feature_importance(models[0], fm_train)
+                payload["importance"] = [[name, value] for name, value in importance_rows.rows]
+                if run_idx == 0:
+                    artifacts.write_importance(importance_rows, importance_path)
+                    if variant == _canonical_scheme(config):
+                        _export_curves(config, models[0], rdir)
                 stages.mark(stage, **payload)
         rmses[variant] = payload["rmse"]
         importance[variant] = payload["importance"]
@@ -425,11 +441,18 @@ def _canonical_scheme(config: PipelineConfig) -> str:
     return "base"
 
 
+def _curve_paths(config, rdir, feature) -> tuple:
+    """The canonical variant's ``curve_<feature>`` files: the CSV, then the SVG if plotted."""
+    kinds = ("csv", "svg") if config.emit_plots else ("csv",)
+    return tuple(os.path.join(rdir, f"curve_{feature}.{kind}") for kind in kinds)
+
+
 def _export_curves(config, model, rdir):
     for feature in FEATURE_COLUMNS:
         curve = contribution_curve(model, feature, grid=64)
-        artifacts.write_curve(curve, os.path.join(rdir, f"curve_{feature}.csv"))
-        if config.emit_plots:
+        csv_path, *svg_path = _curve_paths(config, rdir, feature)
+        artifacts.write_curve(curve, csv_path)
+        if svg_path:
             line_chart_svg(
                 curve.x,
                 [
@@ -438,7 +461,7 @@ def _export_curves(config, model, rdir):
                     ("upper", curve.upper, "#ff7f0e"),
                 ],
                 title=feature,
-                path=os.path.join(rdir, f"curve_{feature}.svg"),
+                path=svg_path[0],
             )
 
 

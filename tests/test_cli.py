@@ -231,6 +231,17 @@ class TestPipelineCommand:
         assert main(["pipeline", "--config", cfg, "--resume"]) == 0
         assert output_bytes(out) == output_bytes(snapshot)
 
+    def test_resume_restores_deleted_curve_and_dataset_file(self, cold_run):
+        cfg, out, snapshot = cold_run
+        shutil.rmtree(out)
+        shutil.copytree(snapshot, out)
+        names = ("curve_log1p_n_followers.csv", "data/users.csv")
+        for name in names:
+            (out / name).unlink()
+        assert main(["pipeline", "--config", cfg, "--resume"]) == 0
+        for name in names:
+            assert (out / name).read_bytes() == (snapshot / name).read_bytes(), name
+
     def test_resume_after_stopwords_change_matches_fresh_run(self, tmp_path):
         stopwords = tmp_path / "stopwords.txt"
         stopwords.write_text("w0000\n")
@@ -357,6 +368,31 @@ class TestPipelineCommand:
         assert calls == [["follower"]]
         for name in names:
             assert (out / name).read_bytes() == cold[name], name
+
+    def test_one_stacked_effect_fit_per_variant_and_resume_refits_only_missing(
+        self, tmp_path, monkeypatch
+    ):
+        calls = []
+        fit_ebm_stack = pipeline.fit_ebm_stack
+
+        def spy(features, ys, hyper):
+            calls.append((len(features.columns), len(ys)))
+            return fit_ebm_stack(features, ys, hyper)
+
+        monkeypatch.setattr(pipeline, "fit_ebm_stack", spy)
+        out = tmp_path / "effects"
+        cfg = dict(small_config(str(out), runs=2), schemes=["virality"], clusters=["c0", "c1"])
+        cfg = write_config(tmp_path, cfg)
+        assert main(["pipeline", "--config", cfg]) == 0
+        # per run: base (5 attributes), then virality (plus 8 embedding columns),
+        # each with the overall target and both clusters
+        assert calls == [(5, 3), (13, 3)] * 2
+        cold = (out / "report.txt").read_bytes()
+        (out / "effects_virality.done").unlink()
+        calls.clear()
+        assert main(["pipeline", "--config", cfg, "--resume"]) == 0
+        assert calls == [(13, 3)]
+        assert (out / "report.txt").read_bytes() == cold
 
     def test_multi_run_welch_table(self, tmp_path, capsys):
         out = str(tmp_path / "runs")

@@ -6,8 +6,10 @@ from reshare.effects import (
     FeatureMatrix,
     assemble_features,
     contribution_curve,
+    _interaction_strengths,
     feature_importance,
     fit_ebm,
+    fit_ebm_stack,
     fit_linear,
     predict,
 )
@@ -229,6 +231,91 @@ class TestFitEbm:
             EbmHyper(max_bins=1)
         with pytest.raises(ConfigError):
             EbmHyper(n_bags=0)
+
+
+def assert_same_model(a, b):
+    """Two EBMs are equal bit for bit: intercept, shapes, pairs and training curve."""
+    assert a.intercept == b.intercept
+    assert len(a.shapes) == len(b.shapes)
+    for sa, sb in zip(a.shapes, b.shapes):
+        assert np.array_equal(sa.bins.cuts, sb.bins.cuts)
+        assert np.array_equal(sa.values, sb.values)
+        assert np.array_equal(sa.stderr, sb.stderr)
+    assert [(t.i, t.j) for t in a.pair_terms] == [(t.i, t.j) for t in b.pair_terms]
+    for ta, tb in zip(a.pair_terms, b.pair_terms):
+        assert np.array_equal(ta.values, tb.values)
+    assert a.train_rmse_curve == b.train_rmse_curve
+
+
+class TestFitEbmStack:
+    def stack_and_solo(self, X, cols, ys, hyper):
+        stacked = fit_ebm_stack(fmatrix(X, cols, ys[0]), ys, hyper)
+        solo = [fit_ebm(fmatrix(X, cols, y), hyper) for y in ys]
+        assert len(stacked) == len(ys)
+        for a, b in zip(stacked, solo):
+            assert_same_model(a, b)
+        return stacked
+
+    def test_members_stopping_at_different_rounds(self, rng):
+        X, cols = matrix_from(rng, n=400)
+        ys = [
+            np.sin(X[:, 0]) + rng.normal(0, 0.02, 400),
+            X[:, 1] + rng.normal(0, 0.5, 400),
+            rng.normal(0, 1.0, 400),
+        ]
+        hyper = EbmHyper(n_bags=2, n_interactions=2, max_rounds=400, early_stop_patience=5, seed=15)
+        models = self.stack_and_solo(X, cols, ys, hyper)
+        rounds = [len(m.train_rmse_curve) for m in models]
+        assert len(set(rounds)) == 3 and min(rounds) < 400  # some leave the stack early
+
+    def test_constant_member_is_intercept_only(self, rng):
+        X, cols = matrix_from(rng, n=300)
+        ys = [X[:, 0] + rng.normal(0, 0.1, 300), np.full(300, 0.3), X[:, 1] ** 2]
+        hyper = EbmHyper(n_bags=2, n_interactions=1, max_rounds=200, seed=16)
+        with pytest.warns(UserWarning, match="constant target"):
+            models = self.stack_and_solo(X, cols, ys, hyper)
+        constant = models[1]
+        assert constant.intercept == 0.3
+        assert constant.pair_terms == [] and constant.train_rmse_curve == []
+        assert all(np.all(shape.values == 0.0) for shape in constant.shapes)
+
+    def test_members_choosing_different_pairs(self, rng):
+        X, cols = matrix_from(rng, n=1500)
+        noise = rng.normal(0, 0.05, 1500)
+        ys = [X[:, 0] * (2.0 * X[:, 1] - 1.0) + noise, X[:, 0] * (2.0 * X[:, 2] - 1.0) + noise]
+        hyper = EbmHyper(n_bags=2, n_interactions=1, max_rounds=300, seed=17)
+        models = self.stack_and_solo(X, cols, ys, hyper)
+        assert [(t.i, t.j) for t in models[0].pair_terms] == [(0, 1)]
+        assert [(t.i, t.j) for t in models[1].pair_terms] == [(0, 2)]
+
+    def test_bag_without_oob_rows(self):
+        X = np.arange(4.0)[:, None]
+        ys = [np.array([0.0, 1.0, 0.0, 2.0]), np.array([3.0, 1.0, 2.0, 0.0])]
+        hyper = EbmHyper(
+            n_bags=1,
+            min_samples_leaf=1,
+            n_interactions=0,
+            max_rounds=50,
+            early_stop_patience=5,
+            seed=34,  # its only bag draws every row (see TestFitEbm)
+        )
+        models = self.stack_and_solo(X, ("a",), ys, hyper)
+        assert [len(m.train_rmse_curve) for m in models] == [50, 50]
+
+    def test_target_of_wrong_length_rejected(self, rng):
+        X, cols = matrix_from(rng, n=50)
+        fm = fmatrix(X, cols, X[:, 0])
+        with pytest.raises(ValueError, match="one value per row"):
+            fit_ebm_stack(fm, [X[:, 0], X[:-1, 1]], EbmHyper(n_bags=1))
+        with pytest.raises(ValueError, match="at least one target"):
+            fit_ebm_stack(fm, [], EbmHyper(n_bags=1))
+
+    def test_stacked_pair_strengths_equal_each_row_alone(self, rng):
+        fi, fj = rng.integers(0, 8, 500), rng.integers(0, 8, 500)
+        res = rng.normal(size=(5, 500))
+        stacked = _interaction_strengths(res, fi, fj, 8)
+        alone = [_interaction_strengths(row[None], fi, fj, 8)[0] for row in res]
+        assert stacked.tolist() == alone
 
 
 class TestFitLinear:
