@@ -16,8 +16,21 @@ their triplet weights; ``train`` is a stack of one. One pairwise step function
 serves both ``batch_gradients`` and training, so the gradient the tests check
 against finite differences is the update that training applies. It scatters
 the gradients of all members with one flat ``np.add.at`` per batch.
+
+``train_stack`` spreads its members over the CPUs the process may use (its
+affinity mask): one contiguous group per CPU, the first trained in the
+calling process and each other in a forked child that pickles its models
+back through a pipe. Every member equals its solo fit bit for bit, so the
+outputs are byte-identical however the members are spread; under
+``taskset -c 0`` (or with one member, or other threads running) they all
+train in-process.
 """
 
+import os
+import pickle
+import signal
+import threading
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +65,10 @@ class BprHyper:
             raise ConfigError("batch_size and epochs must be >= 1")
         if self.loss_mode not in LOSS_MODES:
             raise ConfigError(f"loss_mode must be one of {LOSS_MODES}")
+        if self.early_stop_patience < 1:
+            raise ConfigError("early_stop_patience must be >= 1")
+        if self.early_stop_tol < 0:
+            raise ConfigError("early_stop_tol must be >= 0")
 
     @staticmethod
     def from_dict(d: dict) -> "BprHyper":
@@ -240,12 +257,13 @@ def train(
 
 
 def train_stack(graph: InteractionGraph, propensities, hyper: BprHyper) -> list:
-    """``train`` on each propensity table (``None`` for ``naive``), in one loop.
+    """``train`` on each propensity table (``None`` for ``naive``).
 
     Every member starts from the same seeded init and sees the same permuted
     edges and negatives, so each returned model equals ``train`` on its table
-    bit for bit. The members' factors form one ``(S, users + posts, d)`` block,
-    and a member leaves the block when it stops early.
+    bit for bit. The members are split into one contiguous group per usable
+    CPU; each group trains in one stacked loop, the first in this process and
+    the others in forked children. All inputs are checked before any fork.
     """
     if hyper.loss_mode != "naive" and any(t is None for t in propensities):
         raise ValueError(f"loss mode {hyper.loss_mode!r} requires a propensity table")
@@ -253,6 +271,96 @@ def train_stack(graph: InteractionGraph, propensities, hyper: BprHyper) -> list:
         raise ValueError("training needs at least one propensity table (None for naive)")
     if graph.n_edges < 1 or graph.n_posts < 2:
         raise ValueError("training needs at least one edge and two posts")
+    thetas = [None if t is None else t.theta_for(graph) for t in propensities]
+    n_groups = min(len(thetas), _usable_cpus())
+    if n_groups < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        outcomes = [_train_group(graph, thetas, hyper)]
+    else:
+        bounds = [len(thetas) * g // n_groups for g in range(n_groups + 1)]
+        groups = [thetas[a:b] for a, b in zip(bounds, bounds[1:])]
+        outcomes = _train_forked(graph, groups, hyper)
+    diverged = [epoch for _, epoch in outcomes if epoch is not None]
+    if diverged:
+        raise RuntimeError(f"training diverged (non-finite loss) at epoch {min(diverged)}")
+    return [model for models, _ in outcomes for model in models]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _train_forked(graph: InteractionGraph, groups, hyper: BprHyper) -> list:
+    """``_train_group`` of every group: the first here, each other in a forked
+    child. A child that is still running when this raises is killed and reaped."""
+    children = []
+    try:
+        for group in groups[1:]:
+            children.append(_fork(lambda group=group: _train_group(graph, group, hyper)))
+        outcomes = [_train_group(graph, groups[0], hyper)]
+        while children:
+            pid, fd = children[0]
+            chunks = []
+            while chunk := os.read(fd, 1 << 20):
+                chunks.append(chunk)
+            _, status = os.waitpid(pid, 0)
+            os.close(fd)
+            children.pop(0)
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0:
+                how = f"signal {signal.Signals(-code).name}" if code < 0 else f"exit status {code}"
+                raise RuntimeError(f"training worker {pid} ended by {how} without a result")
+            ok, value = pickle.loads(b"".join(chunks))
+            if not ok:
+                raise value
+            outcomes.append(value)
+    finally:
+        for pid, fd in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
+    return outcomes
+
+
+def _fork(fn):
+    """Start ``fn()`` in a forked child; returns the child's pid and the read
+    end of a pipe that carries the pickled ``(True, result)`` or
+    ``(False, exception)`` back. The child leaves by ``os._exit``, with status
+    0 only once the whole pickle is written."""
+    r, w = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12+ warns that fork() may deadlock a process with native
+        # threads, which numpy's BLAS pool counts as. The child runs only numpy
+        # ufuncs and pickle, and BLAS pools register atfork handlers.
+        warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks",
+                                DeprecationWarning)
+        pid = os.fork()
+    if pid:
+        os.close(w)
+        return pid, r
+    status = 1
+    try:
+        os.close(r)
+        try:
+            outcome = (True, fn())
+        except BaseException as exc:
+            outcome = (False, exc)
+        with os.fdopen(w, "wb") as pipe:
+            pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _train_group(graph: InteractionGraph, thetas, hyper: BprHyper):
+    """One stacked loop over the members whose ``theta`` (``None`` for naive)
+    are given: ``(models, None)``, or ``(None, epoch)`` once a member's epoch
+    loss is not finite. The members' factors form one
+    ``(S, users + posts, d)`` block, and a member leaves the block when it
+    stops early."""
     rng = np.random.default_rng(hyper.seed)
     d = hyper.embedding_dim
     scale = 1.0 / np.sqrt(d)
@@ -260,19 +368,18 @@ def train_stack(graph: InteractionGraph, propensities, hyper: BprHyper) -> list:
     block = np.repeat(np.concatenate((
         rng.uniform(-scale, scale, (n_users, d)),
         rng.uniform(-scale, scale, (graph.n_posts, d)),
-    ))[None], len(propensities), axis=0)
+    ))[None], len(thetas), axis=0)
     eu, ep = graph.edge_arrays
     keys = _edge_keys(graph)
-    thetas = [None if t is None else t.theta_for(graph) for t in propensities]
     lr = hyper.learning_rate
     n_batches = max(1, -(-graph.n_edges // hyper.batch_size))
     decay = max(0.0, 1.0 - 2.0 * lr * hyper.l2_reg) ** n_batches
 
-    models = [None] * len(propensities)
-    curves = [[] for _ in propensities]
-    best = [np.inf] * len(propensities)
-    stale = [0] * len(propensities)
-    active = list(range(len(propensities)))
+    models = [None] * len(thetas)
+    curves = [[] for _ in thetas]
+    best = [np.inf] * len(thetas)
+    stale = [0] * len(thetas)
+    active = list(range(len(thetas)))
 
     def finish(m, factors):
         models[m] = BprModel(
@@ -306,7 +413,7 @@ def train_stack(graph: InteractionGraph, propensities, hyper: BprHyper) -> list:
             block *= decay
         epoch_loss /= graph.n_edges
         if not np.all(np.isfinite(epoch_loss)):
-            raise RuntimeError(f"training diverged (non-finite loss) at epoch {epoch}")
+            return None, epoch
         keep = []
         for i, m in enumerate(active):
             loss = float(epoch_loss[i])
@@ -327,7 +434,7 @@ def train_stack(graph: InteractionGraph, propensities, hyper: BprHyper) -> list:
                 break
     for i, m in enumerate(active):
         finish(m, block[i])
-    return models
+    return models, None
 
 
 @dataclass

@@ -58,6 +58,10 @@ class EbmHyper:
             raise ConfigError("max_rounds must be >= 1")
         if self.n_interactions < 0:
             raise ConfigError("n_interactions must be >= 0")
+        if self.early_stop_patience < 1:
+            raise ConfigError("early_stop_patience must be >= 1")
+        if self.early_stop_tol < 0:
+            raise ConfigError("early_stop_tol must be >= 0")
 
     @staticmethod
     def from_dict(d: dict) -> "EbmHyper":

@@ -1,6 +1,7 @@
 """Shared fixtures and independent reference implementations (test oracles)."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -191,3 +192,17 @@ def canonical_labels(labels):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids ``os.fork`` returns to this process from now on (it still forks)."""
+    real_fork, pids = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids

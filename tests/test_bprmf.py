@@ -1,8 +1,13 @@
 import math
+import os
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from reshare import bprmf
 from reshare.bprmf import (
     BprHyper,
     BprModel,
@@ -220,19 +225,20 @@ class TestPairStep:
         assert np.array_equal(block, expected)
 
 
-class TestTrain:
-    def two_block_graph(self):
-        # users of block A share exactly the posts of block A
-        posts = [(f"p{i}", False, None) for i in range(20)]
-        edges = []
-        for u in range(20):
-            block = u // 10
-            for j in range(10 * block, 10 * block + 10):
-                edges.append((u, f"p{j}"))
-        return make_graph(20, posts, edges)
+def two_block_graph():
+    # users of block A share exactly the posts of block A
+    posts = [(f"p{i}", False, None) for i in range(20)]
+    edges = []
+    for u in range(20):
+        block = u // 10
+        for j in range(10 * block, 10 * block + 10):
+            edges.append((u, f"p{j}"))
+    return make_graph(20, posts, edges)
 
+
+class TestTrain:
     def test_heavy_l2_shrinks_embeddings(self):
-        graph = self.two_block_graph()
+        graph = two_block_graph()
         hyper = BprHyper(embedding_dim=8, learning_rate=0.001, epochs=3, l2_reg=1e6,
                          loss_mode="naive", seed=0)
         model = train(graph, None, hyper)
@@ -240,7 +246,7 @@ class TestTrain:
         assert np.linalg.norm(model.post_factors, axis=1).max() < 1e-2
 
     def test_block_preference_learned(self):
-        graph = self.two_block_graph()
+        graph = two_block_graph()
         hyper = BprHyper(embedding_dim=8, learning_rate=0.05, epochs=120,
                          loss_mode="naive", seed=1, early_stop_patience=1000)
         model = train(graph, None, hyper)
@@ -260,7 +266,7 @@ class TestTrain:
         assert good / total >= 0.95
 
     def test_training_curve_improves(self):
-        graph = self.two_block_graph()
+        graph = two_block_graph()
         hyper = BprHyper(embedding_dim=8, learning_rate=0.05, epochs=40,
                          loss_mode="naive", seed=2, early_stop_patience=1000)
         model = train(graph, None, hyper)
@@ -268,7 +274,7 @@ class TestTrain:
         assert np.median(curve[-10:]) <= np.median(curve[:10])
 
     def test_seed_determinism(self):
-        graph = self.two_block_graph()
+        graph = two_block_graph()
         hyper = BprHyper(embedding_dim=4, learning_rate=0.02, epochs=5, seed=3, loss_mode="naive")
         m1 = train(graph, None, hyper)
         m2 = train(graph, None, hyper)
@@ -278,7 +284,7 @@ class TestTrain:
 
     def test_one_full_batch_epoch_is_one_gradient_step(self):
         tol = 1e-12
-        graph = self.two_block_graph()
+        graph = two_block_graph()
         table = PropensityTable(
             scheme="test", mu=None, floor=1e-3, post_ids=graph.post_ids,
             theta=[0.1 + 0.04 * int(p[1:]) for p in graph.post_ids],
@@ -321,12 +327,12 @@ class TestTrain:
             assert abs(trained.training_curve[0] - loss) < tol
 
     def test_mode_requires_propensity(self):
-        graph = self.two_block_graph()
+        graph = two_block_graph()
         with pytest.raises(ValueError, match="propensity"):
             train(graph, None, BprHyper(loss_mode="nonneg"))
 
     def test_table_built_on_other_posts_rejected(self):
-        graph = self.two_block_graph()
+        graph = two_block_graph()
         fewer = make_graph(1, [(f"p{i}", False, None) for i in range(19)], [(0, "p0")])
         renamed = make_graph(1, [("p0", False, None), ("q1", False, None)], [(0, "q1")])
         for other in (fewer, renamed):
@@ -336,7 +342,7 @@ class TestTrain:
             with pytest.raises(DataError, match="other posts"):
                 sample_triplets(graph, 4, seed=0, propensity=table)
 
-    def test_stack_members_equal_solo_training(self):
+    def test_stack_members_equal_solo_training(self, monkeypatch, forks):
         rng = np.random.default_rng(3)
         posts = [(f"p{j}", False, None) for j in range(20)]
         edges = [(u, f"p{j}") for u in range(30) for j in range(20) if rng.random() < 0.6 / (1 + j)]
@@ -345,17 +351,40 @@ class TestTrain:
         tables.append(biased_propensity(graph))
         hyper = BprHyper(embedding_dim=8, learning_rate=0.01, batch_size=16, epochs=15,
                          early_stop_tol=1e-3, early_stop_patience=2, seed=0)
-        stacked = train_stack(graph, tables, hyper)
-        lengths = [len(m.training_curve) for m in stacked]
-        assert len(set(lengths)) == len(tables) and min(lengths) < hyper.epochs
-        for table, member in zip(tables, stacked):
-            solo = train(graph, table, hyper)
-            assert np.array_equal(member.user_factors, solo.user_factors)
-            assert np.array_equal(member.post_factors, solo.post_factors)
-            assert member.training_curve == solo.training_curve
+        solos = [train(graph, table, hyper) for table in tables]
+        for cpus in (1, 3):  # 3 CPUs: groups of 1, 1 and 2 members
+            monkeypatch.setattr(bprmf, "_usable_cpus", lambda: cpus)
+            forks.clear()
+            stacked = train_stack(graph, tables, hyper)
+            assert len(forks) == cpus - 1
+            lengths = [len(m.training_curve) for m in stacked]
+            assert len(set(lengths)) == len(tables) and min(lengths) < hyper.epochs
+            for solo, member in zip(solos, stacked):
+                assert np.array_equal(member.user_factors, solo.user_factors)
+                assert np.array_equal(member.post_factors, solo.post_factors)
+                assert member.training_curve == solo.training_curve
+
+    def test_one_member_stack_never_forks(self, monkeypatch, forks):
+        graph = two_block_graph()
+        monkeypatch.setattr(bprmf, "_usable_cpus", lambda: 3)
+        (member,) = train_stack(graph, [biased_propensity(graph)], BprHyper(epochs=2, seed=0))
+        assert len(member.training_curve) == 2 and forks == []
+
+    def test_stack_never_forks_while_other_threads_run(self, monkeypatch, forks):
+        graph = two_block_graph()
+        monkeypatch.setattr(bprmf, "_usable_cpus", lambda: 3)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            members = train_stack(graph, [biased_propensity(graph)] * 3, BprHyper(epochs=2, seed=0))
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert len(members) == 3 and forks == [] and not waiter.is_alive()
 
     def test_stack_requires_every_propensity(self):
-        graph = self.two_block_graph()
+        graph = two_block_graph()
         table = biased_propensity(graph)
         with pytest.raises(ValueError) as solo:
             train(graph, None, BprHyper(loss_mode="nonneg"))
@@ -368,6 +397,105 @@ class TestTrain:
             BprHyper(embedding_dim=0)
         with pytest.raises(ConfigError):
             BprHyper(loss_mode="fancy")
+        with pytest.raises(ConfigError, match="early_stop_patience"):
+            BprHyper(early_stop_patience=0)
+        with pytest.raises(ConfigError, match="early_stop_tol"):
+            BprHyper(early_stop_tol=-1e-6)
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedStack:
+    """``train_stack`` over 3 CPUs: members 0, 1 and 2 train in this process,
+    the first child and the second child."""
+
+    def tables(self, graph, thetas):
+        return [PropensityTable("test", None, 1e-3, graph.post_ids, np.full(graph.n_posts, t))
+                for t in thetas]
+
+    @pytest.fixture(autouse=True)
+    def spy_and_deadline(self, forks):
+        """Record the forks; a test still waiting on its children after 60 s fails."""
+        self.forks = forks
+
+        def expire(signum, frame):
+            raise TimeoutError("train_stack still waiting after 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    def train_on_3_cpus(self, monkeypatch, thetas, hyper=None):
+        graph = two_block_graph()
+        hyper = hyper or BprHyper(embedding_dim=4, epochs=3, loss_mode="unbiased", seed=0)
+        monkeypatch.setattr(bprmf, "_usable_cpus", lambda: 3)
+        try:
+            return train_stack(graph, self.tables(graph, thetas), hyper)
+        finally:
+            assert len(self.forks) == 2
+            assert_no_children()
+
+    def fail_in(self, monkeypatch, where, failure):
+        """Make ``_train_group`` call ``failure()`` in the parent or in every child."""
+        parent, real = os.getpid(), bprmf._train_group
+
+        def group(*args):
+            if (os.getpid() == parent) == (where == "parent"):
+                failure()
+            return real(*args)
+
+        monkeypatch.setattr(bprmf, "_train_group", group)
+
+    def test_interrupted_parent_kills_and_reaps_every_child(self, monkeypatch):
+        def interrupt():
+            raise KeyboardInterrupt
+
+        self.fail_in(monkeypatch, "parent", interrupt)
+        # about 20 s of training for each child, unless it is killed
+        hyper = BprHyper(embedding_dim=4, epochs=50_000, early_stop_patience=50_000,
+                         loss_mode="unbiased", seed=0)
+        started = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            self.train_on_3_cpus(monkeypatch, [1.0, 0.5, 0.2], hyper)
+        assert time.perf_counter() - started < 10
+
+    @pytest.mark.parametrize("death, message", [
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "signal SIGKILL"),
+        (lambda: os._exit(3), "exit status 3"),
+    ], ids=["sigkill", "exit-status"])
+    def test_child_that_dies_without_result_raises(self, monkeypatch, death, message):
+        self.fail_in(monkeypatch, "child", death)
+        with pytest.raises(RuntimeError, match=f"training worker .* ended by {message} without a result"):
+            self.train_on_3_cpus(monkeypatch, [1.0, 0.5, 0.2])
+
+    def test_child_exception_is_raised_in_parent(self, monkeypatch):
+        def fail():
+            raise ValueError("bad group")
+
+        self.fail_in(monkeypatch, "child", fail)
+        with pytest.raises(ValueError, match="bad group"):
+            self.train_on_3_cpus(monkeypatch, [1.0, 0.5, 0.2])
+
+    @pytest.mark.parametrize("thetas", [[1.0, 0.1, 0.05], [0.05, 0.1, 1.0], [0.1, 1.0, 0.05]])
+    def test_divergence_reports_earliest_epoch_of_any_group(self, monkeypatch, thetas):
+        # inverse propensities below 1 make negative weights, which push the
+        # factors apart until the loss overflows: theta 0.1 at epoch 21, 0.05 at 16
+        hyper = BprHyper(embedding_dim=4, learning_rate=1.0, epochs=40, early_stop_patience=40,
+                         loss_mode="unbiased", seed=0)
+        graph = two_block_graph()
+        monkeypatch.setattr(bprmf, "_usable_cpus", lambda: 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RuntimeError) as in_process:
+                train_stack(graph, self.tables(graph, thetas), hyper)
+            with pytest.raises(RuntimeError) as forked:
+                self.train_on_3_cpus(monkeypatch, thetas, hyper)
+        assert str(in_process.value) == "training diverged (non-finite loss) at epoch 16"
+        assert str(forked.value) == str(in_process.value)
 
 
 class TestUserEmbedding:

@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from reshare import artifacts, cli, pipeline
+from reshare import artifacts, bprmf, cli, pipeline
 from reshare.bprmf import BprHyper, BprModel
 from reshare.cli import main
 from reshare.errors import DataError
@@ -421,6 +421,17 @@ class TestMuSweepCommand:
         with open(os.path.join(out, "mu_sweep.csv")) as fh:
             rows = list(csv.DictReader(fh))
         assert len({r["model"] for r in rows}) == 2
+
+    def test_same_bytes_on_one_and_two_cpus(self, tmp_path, monkeypatch, forks):
+        sweeps = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(bprmf, "_usable_cpus", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            cfg = write_config(tmp_path, small_config(str(out)), f"cpus{cpus}.json")
+            assert main(["mu-sweep", "--config", cfg, "--mus", "0.1,0.5,1.0"]) == 0
+            sweeps.append((out / "mu_sweep.csv").read_bytes())
+            assert len(forks) == cpus - 1  # the 2-CPU run forks once for its 6 members
+        assert sweeps[0] == sweeps[1]
 
     def test_invalid_mu_exits_one(self, tmp_path, capsys):
         out = str(tmp_path / "mu2")

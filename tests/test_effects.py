@@ -231,6 +231,10 @@ class TestFitEbm:
             EbmHyper(max_bins=1)
         with pytest.raises(ConfigError):
             EbmHyper(n_bags=0)
+        with pytest.raises(ConfigError, match="early_stop_patience"):
+            EbmHyper(early_stop_patience=0)
+        with pytest.raises(ConfigError, match="early_stop_tol"):
+            EbmHyper(early_stop_tol=-1e-6)
 
 
 def assert_same_model(a, b):
