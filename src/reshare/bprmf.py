@@ -38,6 +38,7 @@ import numpy as np
 from .dataset import InteractionGraph, index_of
 from .errors import ConfigError, check_fields
 from .propensity import PropensityTable
+from .stats import sigmoid
 
 LOSS_MODES = ("naive", "unbiased", "nonneg")
 
@@ -120,16 +121,6 @@ def pair_loss(score_diff):
     x = np.asarray(score_diff, dtype=np.float64)
     out = np.logaddexp(0.0, -x)
     return float(out) if out.ndim == 0 else out
-
-
-def _sigmoid_neg(r: np.ndarray) -> np.ndarray:
-    """sigmoid(-r), evaluated without overflow at extreme scores."""
-    out = np.empty_like(r)
-    pos = r >= 0
-    er = np.exp(-r[pos])
-    out[pos] = er / (1.0 + er)
-    out[~pos] = 1.0 / (1.0 + np.exp(r[~pos]))
-    return out
 
 
 def _edge_keys(graph: InteractionGraph) -> np.ndarray:
@@ -223,7 +214,7 @@ def _pair_step(factors, users, pos, neg, w, scale, out) -> np.ndarray:
     u, h_pos, h_neg = grads[:, :b], grads[:, b : 2 * b], grads[:, 2 * b :]
     diff = h_pos - h_neg
     r = np.einsum("sij,sij->si", u, diff)
-    coef = (scale * w * _sigmoid_neg(r))[:, :, None]
+    coef = (scale * w * sigmoid(-r))[:, :, None]
     np.multiply(coef, u, out=h_pos)
     np.multiply(coef, diff, out=u)
     np.negative(h_pos, out=h_neg)

@@ -11,10 +11,12 @@ ordinary-least-squares baseline shares the same model surface so downstream
 comparison code does not branch.
 
 ``fit_ebm_stack`` fits one such model per target on one feature matrix: the
-bins, cells and bags are built once, and every target boosts in the same
-loop, its residuals end to end with the others' in one flat array. Each
-model equals the fit of its target alone bit for bit; ``fit_ebm`` is a
-stack of one.
+bins, cells and bags are built once, and every ``(target, bag)`` pair is one
+member of one boosting loop, its residuals end to end with the other
+members' in one flat array. A member leaves the loop when it stops early.
+Each member equals the boosting of its target on its bag alone, and each
+model the fit of its target alone, bit for bit; ``fit_ebm`` is a stack of
+one.
 
 All shape functions are exported train-mean-centered: the intercept carries
 the average prediction and each curve reads as a deviation from it.
@@ -46,8 +48,9 @@ class EbmHyper:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_bins < 2:
-            raise ConfigError("max_bins must be >= 2")
+        for name in ("max_bins", "pair_bins", "detect_bins"):
+            if getattr(self, name) < 2:
+                raise ConfigError(f"{name} must be >= 2")
         if self.n_bags < 1:
             raise ConfigError("n_bags must be >= 1")
         if self.learning_rate <= 0:
@@ -246,125 +249,114 @@ def _cell_shares(cells: np.ndarray, size: int) -> np.ndarray:
 
 
 class _Term(NamedTuple):
-    """One term of a stack on one bag: the members' in-bag and out-of-bag
-    cells end to end, each cell's divisor and update gate, and the slice of
-    each member's cells."""
+    """One term of a stack: the members' in-bag and out-of-bag cells end to
+    end, member ``k``'s shifted by ``k * width``, and each cell's divisor and
+    update gate."""
 
     cells: np.ndarray
     oob_cells: np.ndarray
     divisors: np.ndarray
     updatable: np.ndarray
-    spans: list
 
 
 def _term_step(term: _Term, residual: np.ndarray, learning_rate: float) -> np.ndarray:
     """One boosting step of one term for every member of the stack: each cell
     moves by the learning rate times its rows' mean residual, or stays where
-    it may not update. The member of cell k is the one whose span holds k."""
+    it may not update."""
     sums = np.bincount(term.cells, weights=residual, minlength=term.divisors.size)
     return learning_rate * np.where(term.updatable, sums / term.divisors, 0.0)
 
 
-def _row_mse(diff: np.ndarray, members: int) -> np.ndarray:
-    """Mean square of each member's row of ``diff``: ``np.mean`` is this sum
-    over the row divided by its length, and a contiguous row sums with the
-    bits of the member's own 1-D array."""
-    squares = (diff**2).reshape(members, -1)
-    return np.add.reduce(squares, axis=1) / squares.shape[1]
-
-
-def _layout(cells, sizes, members, rows, oob, min_leaf: int) -> list:
-    """The ``_Term`` of every term for the stack ``members`` on one bag."""
+def _layout(cells, widths, members, bags, min_leaf: int) -> list:
+    """The ``_Term`` of every term for the ``(target, bag)`` pairs ``members``."""
     terms = []
-    for cells_t, sizes_t in zip(cells, sizes):
-        widths = [sizes_t[m] for m in members]
-        starts = np.cumsum([0] + widths[:-1]).tolist()
-        flat = np.concatenate([cells_t[m][rows] + o for m, o in zip(members, starts)])
-        flat_oob = np.concatenate([cells_t[m][oob] + o for m, o in zip(members, starts)])
-        counts = np.bincount(flat, minlength=sum(widths)).astype(np.float64)
-        spans = [slice(o, o + w) for o, w in zip(starts, widths)]
-        terms.append(_Term(flat, flat_oob, np.maximum(counts, 1), counts >= min_leaf, spans))
+    for cells_t, width in zip(cells, widths):
+        shifted = [(cells_t[s], bags[b], k * width) for k, (s, b) in enumerate(members)]
+        flat = np.concatenate([c[rows] + o for c, (rows, _), o in shifted])
+        flat_oob = np.concatenate([c[oob] + o for c, (_, oob), o in shifted])
+        counts = np.bincount(flat, minlength=len(members) * width).astype(np.float64)
+        terms.append(_Term(flat, flat_oob, np.maximum(counts, 1), counts >= min_leaf))
     return terms
 
 
-def _boost_bag(cells, sizes, base, ys, rows, oob, hyper: EbmHyper, min_leaf: int, rmse_curves):
-    """Boost every member of a stack on one bag; returns each member's term
-    values of its best round (see ``_boost_bags``)."""
-    active = list(range(len(ys)))
-    terms = _layout(cells, sizes, active, rows, oob, min_leaf)
-    residual = (ys - base)[:, rows].ravel()
-    oob_pred, y_oob = base[:, oob].ravel(), ys[:, oob].ravel()
-    values = [np.zeros(term.spans[-1].stop) for term in terms]
-    best = [[np.zeros(sizes_t[m]) for sizes_t in sizes] for m in active]
-    best_err = [np.inf] * len(ys)
-    stale = [0] * len(ys)
-    lr = hyper.learning_rate
-    for _ in range(hyper.max_rounds):
-        for t, term in enumerate(terms):
-            upd = _term_step(term, residual, lr)
-            values[t] += upd
-            residual -= upd[term.cells]
-            oob_pred += upd[term.oob_cells]
-        if rmse_curves is not None or not oob.size:
-            in_mse = _row_mse(residual, len(active))
-        err = _row_mse(y_oob - oob_pred, len(active)) if oob.size else in_mse
-        if rmse_curves is not None:
-            for m, rmse in zip(active, np.sqrt(in_mse).tolist()):
-                rmse_curves[m].append(rmse)
-        keep = []
-        for i, (m, e) in enumerate(zip(active, err.tolist())):
-            if e < best_err[m] - hyper.early_stop_tol:
-                best_err[m] = e
-                best[m] = [v[term.spans[i]].copy() for v, term in zip(values, terms)]
-                stale[m] = 0
-            else:
-                stale[m] += 1
-                if stale[m] >= hyper.early_stop_patience:
-                    continue
-            keep.append(i)
-        if not keep:
-            break
-        if len(keep) < len(active):
-            kept = np.isin(np.arange(len(active)), keep)
-            residual = residual[np.repeat(kept, rows.size)]
-            oob_pred, y_oob = (a[np.repeat(kept, oob.size)] for a in (oob_pred, y_oob))
-            values = [
-                v[np.repeat(kept, [s.stop - s.start for s in term.spans])]
-                for v, term in zip(values, terms)
-            ]
-            active = [active[i] for i in keep]
-            del terms  # before the new layout, so the two are never alive at once
-            terms = _layout(cells, sizes, active, rows, oob, min_leaf)
-    return best
+def _boost_bags(cells, widths, base, ys, bags, hyper: EbmHyper, min_leaf: int, rmse_curves=None):
+    """Cyclic boosting of binned terms for a stack of targets on bootstrap bags.
 
-
-def _boost_bags(cells, sizes, base, ys, bags, hyper: EbmHyper, min_leaf: int, rmse_curves=None):
-    """Cyclic boosting of binned terms for a stack of targets, on each bootstrap bag.
-
-    Member ``s`` fits ``ys[s]``, and its term ``t`` puts every train row in
-    cell ``cells[t][s]`` (a 1-D bin, or a flattened 2-D grid cell) out of
-    ``sizes[t][s]``. Each bag is a ``(rows, oob)`` pair, and its terms add to
-    the ``(S, n)`` prediction ``base[b]``. Per round every term in turn absorbs
-    a learning-rate slice of its cells' mean in-bag residual (``_term_step``).
-    The members' residuals lie end to end in one flat array, and each member's
-    cells follow those of the members before it, so one ``bincount`` per term
-    and round sums every member's cells in the row order of a stack of one.
-    A member leaves the stack when it stops early. Returns, per member and
-    bag, the term values of the member's round with the lowest out-of-bag MSE
+    Every ``(target, bag)`` pair is one member of the stack. Target ``s``'s
+    term ``t`` puts every train row in cell ``cells[t][s]`` (a 1-D bin, or a
+    flattened 2-D grid cell) out of ``widths[t]``, which is at least as wide
+    as every target's own cells. Each bag is a ``(rows, oob)`` pair of ``n``
+    drawn rows and the rows never drawn, and member ``(s, b)``'s terms add to
+    the prediction ``base[s, b]``. Per round every term in turn absorbs a
+    learning-rate slice of its cells' mean in-bag residual (``_term_step``).
+    The members' residuals lie end to end in one flat array, and member
+    ``k``'s cells are ``k * width + cell``, so one ``bincount`` per term and
+    round sums every member's cells in the row order of a stack of one; cells
+    past a target's own hold no rows and never update. A member leaves the
+    stack when it stops early. Returns, per term, a ``(targets, bags, width)``
+    array of each member's values at its round with the lowest out-of-bag MSE
     (in-bag MSE when the bag has no out-of-bag rows).
 
     ``min_leaf`` gates updates per occupied cell: 1-D bins already guarantee
     occupancy at construction, so mains pass 1; 2-D grids are not merged and
-    pass the configured minimum to keep near-empty cells silent. The first
-    bag's in-bag RMSE per round is appended to ``rmse_curves[s]`` when given.
+    pass the configured minimum to keep near-empty cells silent. Bag 0's
+    in-bag RMSE per round is appended to ``rmse_curves[s]`` when given.
     """
-    out = [[] for _ in ys]
-    for b, (rows, oob) in enumerate(bags):
-        curves = rmse_curves if b == 0 else None
-        best = _boost_bag(cells, sizes, base[b], ys, rows, oob, hyper, min_leaf, curves)
-        for member, values in zip(out, best):
-            member.append(values)
-    return out
+    n = ys.shape[1]
+    members = [(s, b) for s in range(len(ys)) for b in range(len(bags))]
+    active = list(range(len(members)))  # the members still boosting
+    terms = _layout(cells, widths, members, bags, min_leaf)
+    residual = np.concatenate([(ys[s] - base[s, b])[bags[b][0]] for s, b in members])
+    oob_pred = np.concatenate([base[s, b][bags[b][1]] for s, b in members])
+    y_oob = np.concatenate([ys[s][bags[b][1]] for s, b in members])
+    oob_sizes = [bags[b][1].size for _, b in members]
+    values = [np.zeros((len(members), w)) for w in widths]
+    best = [np.zeros((len(members), w)) for w in widths]
+    best_err = [np.inf] * len(members)
+    stale = [0] * len(members)
+    lr = hyper.learning_rate
+    for _ in range(hyper.max_rounds):
+        for t, term in enumerate(terms):
+            upd = _term_step(term, residual, lr)
+            values[t] += upd.reshape(values[t].shape)
+            residual -= upd[term.cells]
+            oob_pred += upd[term.oob_cells]
+        squares, end = (y_oob - oob_pred) ** 2, 0
+        keep, improved = [], []
+        for i, g in enumerate(active):
+            (s, b), size = members[g], oob_sizes[g]
+            end += size
+            curve = rmse_curves is not None and b == 0
+            if curve or not size:
+                # each slice sums with the bits of the member's own 1-D array
+                in_mse = np.add.reduce(residual[i * n : (i + 1) * n] ** 2) / n
+                if curve:
+                    rmse_curves[s].append(float(np.sqrt(in_mse)))
+            e = np.add.reduce(squares[end - size : end]) / size if size else in_mse
+            if e < best_err[g] - hyper.early_stop_tol:
+                best_err[g] = e
+                improved.append(i)
+                stale[g] = 0
+            else:
+                stale[g] += 1
+                if stale[g] >= hyper.early_stop_patience:
+                    continue
+            keep.append(i)
+        if improved:
+            for v, kept in zip(values, best):
+                kept[[active[i] for i in improved]] = v[improved]
+        if not keep:
+            break
+        if len(keep) < len(active):
+            residual = residual.reshape(-1, n)[keep].ravel()
+            sizes = [oob_sizes[g] for g in active]
+            in_oob = np.repeat(np.isin(np.arange(len(active)), keep), sizes)
+            oob_pred, y_oob = oob_pred[in_oob], y_oob[in_oob]
+            values = [v[keep] for v in values]
+            active = [active[i] for i in keep]
+            del terms  # before the new layout, so the two are never alive at once
+            terms = _layout(cells, widths, [members[g] for g in active], bags, min_leaf)
+    return [v.reshape(len(ys), len(bags), -1) for v in best]
 
 
 def fit_ebm(features: FeatureMatrix, hyper: EbmHyper) -> EffectModel:
@@ -433,41 +425,34 @@ def fit_ebm_stack(features: FeatureMatrix, ys, hyper: EbmHyper) -> list:
         bags.append((rows, np.setdiff1d(np.arange(n), np.unique(rows))))
     intercepts = np.array([[np.mean(y[rows]) for rows, _ in bags] for y in Y])
     curves = [[] for _ in fitted]
-    bag_values = _boost_bags(
+    main = _boost_bags(
         [[c] * len(Y) for c in cells],
-        [[b.n_bins] * len(Y) for b in bins],
-        [np.repeat(intercepts[:, b : b + 1], n, axis=1) for b in range(hyper.n_bags)],
+        [b.n_bins for b in bins],
+        np.broadcast_to(intercepts[:, :, None], (*intercepts.shape, n)),
         Y,
         bags,
         hyper,
         min_leaf=1,
         rmse_curves=curves,
     )
-    shares = [_cell_shares(c, b.n_bins) for c, b in zip(cells, bins)]
-    shapes = []
-    for s, member in enumerate(bag_values):
-        for b, values in enumerate(member):
-            for m in range(p):
-                shift = float(shares[m] @ values[m])
-                values[m] -= shift
-                intercepts[s, b] += shift
-        member_shapes = []
-        for m in range(p):
-            stack = np.vstack([values[m] for values in member])
-            mean_vals = stack.mean(axis=0)
-            stderr = stack.std(axis=0, ddof=0) / np.sqrt(hyper.n_bags)
-            member_shapes.append(FeatureShape(bins=bins[m], values=mean_vals, stderr=stderr))
-        shapes.append(member_shapes)
+    for c, b, values in zip(cells, bins, main):  # center each (target, bag)'s shapes
+        share = _cell_shares(c, b.n_bins)
+        shift = np.array([[share @ v for v in target] for target in values])
+        values -= shift[:, :, None]
+        intercepts += shift
+    root = np.sqrt(hyper.n_bags)
+    shapes = [
+        [FeatureShape(b, v[s].mean(axis=0), v[s].std(axis=0) / root) for b, v in zip(bins, main)]
+        for s in range(len(Y))
+    ]
     intercept = [float(np.mean(row)) for row in intercepts]
 
     pair_terms = [[] for _ in fitted]
     if hyper.n_interactions > 0 and p >= 2:
-        base = []
-        for b in range(hyper.n_bags):
-            pred = np.repeat(intercepts[:, b : b + 1], n, axis=1)
-            for m in range(p):
-                pred += np.array([member[b][m] for member in bag_values])[:, cells[m]]
-            base.append(pred)
+        base = np.repeat(intercepts[:, :, None], n, axis=2)
+        for c, values in zip(cells, main):
+            base += values[:, :, c]
+        del main
         pair_terms, intercept = _fit_interactions(X, Y, cells, shapes, intercept, bags, base, hyper)
 
     for k, s in enumerate(fitted):
@@ -493,11 +478,12 @@ def _interaction_strengths(res: np.ndarray, fi: np.ndarray, fj: np.ndarray, nb: 
 
 
 def _fit_interactions(X, Y, cells, shapes, intercepts, bags, base, hyper: EbmHyper) -> tuple:
-    """Rank pairs on each member's averaged-mains residual, then boost every
-    member's strongest pairs as 2-D grids on its bags' own main-effect
-    prediction ``base[b]``, all members in one stacked loop.
+    """Rank pairs on each target's averaged-mains residual, then boost every
+    target's strongest pairs as 2-D grids on each bag's own main-effect
+    prediction ``base[s, b]``, every (target, bag) pair one member of one
+    stacked loop.
 
-    Returns, per member, the centered pair terms, and the intercepts with
+    Returns, per target, the centered pair terms, and the intercepts with
     their means added.
     """
     n, p = X.shape
@@ -537,7 +523,7 @@ def _fit_interactions(X, Y, cells, shapes, intercepts, bags, base, hyper: EbmHyp
     by_term = list(zip(*chosen))  # term t holds each member's t-th strongest pair
     grids = _boost_bags(
         [[flat[pair] for pair in term] for term in by_term],
-        [[pair_bins[i].n_bins * pair_bins[j].n_bins for i, j in term] for term in by_term],
+        [max(pair_bins[i].n_bins * pair_bins[j].n_bins for i, j in term) for term in by_term],
         base,
         Y,
         bags,
@@ -546,21 +532,15 @@ def _fit_interactions(X, Y, cells, shapes, intercepts, bags, base, hyper: EbmHyp
     )
 
     all_terms, out_intercepts = [], []
-    for member, member_grids, intercept in zip(chosen, grids, intercepts):
+    for s, (member, intercept) in enumerate(zip(chosen, intercepts)):
         terms = []
-        for t, (i, j) in enumerate(member):
-            mean_vals = np.vstack([grid[t] for grid in member_grids]).mean(axis=0)
+        for (i, j), grid in zip(member, grids):
+            shape = (pair_bins[i].n_bins, pair_bins[j].n_bins)
+            mean_vals = grid[s, :, : shape[0] * shape[1]].mean(axis=0)
             shift = float(_cell_shares(flat[i, j], mean_vals.size) @ mean_vals)
             intercept += shift
-            terms.append(
-                PairTerm(
-                    i=i,
-                    j=j,
-                    bins_i=pair_bins[i],
-                    bins_j=pair_bins[j],
-                    values=(mean_vals - shift).reshape(pair_bins[i].n_bins, pair_bins[j].n_bins),
-                )
-            )
+            values = (mean_vals - shift).reshape(shape)
+            terms.append(PairTerm(i, j, pair_bins[i], pair_bins[j], values))
         all_terms.append(terms)
         out_intercepts.append(intercept)
     return all_terms, out_intercepts

@@ -16,6 +16,7 @@ import numpy as np
 
 from .dataset import InteractionGraph, UserAttributeTable, index_of
 from .errors import DataError
+from .stats import sigmoid
 
 DEFAULT_FLOOR = 1e-3
 DEFAULT_MU = 0.5
@@ -106,15 +107,6 @@ def follower_propensity(
     return _table("follower", mu, floor, graph, (mass / top) ** mu)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def neural_propensity(
     topic_vectors: tuple,
     graph: InteractionGraph,
@@ -140,4 +132,4 @@ def neural_propensity(
     z = np.log(t) - np.log1p(-t)
     design = np.hstack([embed, np.ones((embed.shape[0], 1))])
     coef, *_ = np.linalg.lstsq(design, z, rcond=None)
-    return _table("neural", mu, floor, graph, _sigmoid(design @ coef))
+    return _table("neural", mu, floor, graph, sigmoid(design @ coef))

@@ -1,4 +1,5 @@
-"""Shared statistics: RMSE, Welch's t-test, DBSCAN, and silhouette score.
+"""Shared statistics: the logistic sigmoid, RMSE, Welch's t-test, DBSCAN, and
+silhouette score.
 
 Everything here is dependency-free (math + numpy). The Student-t tail needed
 by the Welch test is evaluated through a continued-fraction regularized
@@ -11,6 +12,16 @@ from dataclasses import dataclass
 import numpy as np
 
 NOISE = -1
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)), evaluated without overflow at extreme values."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
 
 
 def rmse(pred, actual) -> float:

@@ -13,7 +13,6 @@ from reshare.bprmf import (
     BprModel,
     TripletBatch,
     _pair_step,
-    _sigmoid_neg,
     batch_gradients,
     batch_loss,
     pair_loss,
@@ -25,6 +24,7 @@ from reshare.bprmf import (
 )
 from reshare.errors import ConfigError, DataError
 from reshare.propensity import PropensityTable, biased_propensity, virality_propensity
+from reshare.stats import sigmoid
 
 from conftest import brute_force_ranking, make_graph
 
@@ -216,7 +216,7 @@ class TestPairStep:
             u = user_f[users]
             diff = post_f[pos] - post_f[neg]
             r = np.einsum("ij,ij->i", u, diff)
-            coef = 0.3 * w[s] * _sigmoid_neg(r)
+            coef = 0.3 * w[s] * sigmoid(-r)
             np.add.at(user_f, users, coef[:, None] * diff)
             gp = coef[:, None] * u
             np.add.at(post_f, pos, gp)

@@ -394,6 +394,30 @@ class TestPipelineCommand:
         assert calls == [(13, 3)]
         assert (out / "report.txt").read_bytes() == cold
 
+    def test_cluster_targets_leave_the_overall_model_unchanged(self, tmp_path):
+        outputs = []
+        for name, clusters in (("overall", []), ("clusters", ["c0", "c1"])):
+            cfg = small_config(str(tmp_path / name))
+            cfg["schemes"], cfg["clusters"] = ["virality"], clusters
+            cfg["ebm"] = dict(cfg["ebm"], n_interactions=2)  # pairs join the stack too
+            assert main(["pipeline", "--config", write_config(tmp_path, cfg, f"{name}.json")]) == 0
+            outputs.append(output_bytes(tmp_path / name))
+        alone, stacked = outputs
+        names = [n for n in alone if n.startswith(("importance", "curve_")) and n.endswith(".csv")]
+        assert {"importance_base.csv", "importance_virality.csv"} <= set(names)
+        assert b" x " in alone["importance_virality.csv"]  # a pair term
+        assert len([n for n in names if n.startswith("curve_")]) == 5
+        for name in names:
+            assert stacked[name] == alone[name], name
+
+        def overall_rmse_rows(report):
+            return [line for line in report.splitlines() if line.split()[1:2] == [b"overall"]]
+
+        rows = overall_rmse_rows(alone["report.txt"])
+        assert len(rows) == 3  # Base, BPRMF-V and DF-linear
+        assert overall_rmse_rows(stacked["report.txt"]) == rows
+        assert b" c1 " in stacked["report.txt"] and b" c1 " not in alone["report.txt"]
+
     def test_multi_run_welch_table(self, tmp_path, capsys):
         out = str(tmp_path / "runs")
         cfg = write_config(tmp_path, small_config(out, runs=2))

@@ -6,6 +6,7 @@ from reshare.effects import (
     FeatureMatrix,
     assemble_features,
     contribution_curve,
+    _boost_bags,
     _interaction_strengths,
     feature_importance,
     fit_ebm,
@@ -229,6 +230,10 @@ class TestFitEbm:
     def test_invalid_hyper(self):
         with pytest.raises(ConfigError):
             EbmHyper(max_bins=1)
+        with pytest.raises(ConfigError, match="pair_bins"):
+            EbmHyper(pair_bins=1)
+        with pytest.raises(ConfigError, match="detect_bins"):
+            EbmHyper(detect_bins=1)
         with pytest.raises(ConfigError):
             EbmHyper(n_bags=0)
         with pytest.raises(ConfigError, match="early_stop_patience"):
@@ -237,17 +242,28 @@ class TestFitEbm:
             EbmHyper(early_stop_tol=-1e-6)
 
 
+def same_levels(a, b):
+    return a is None and b is None or a is not None and b is not None and np.array_equal(a, b)
+
+
 def assert_same_model(a, b):
-    """Two EBMs are equal bit for bit: intercept, shapes, pairs and training curve."""
+    """Two EBMs are equal bit for bit: intercept, shapes and their bins, pairs
+    and their bins, train ranges and levels, and training curve."""
     assert a.intercept == b.intercept
     assert len(a.shapes) == len(b.shapes)
     for sa, sb in zip(a.shapes, b.shapes):
         assert np.array_equal(sa.bins.cuts, sb.bins.cuts)
+        assert same_levels(sa.bins.levels, sb.bins.levels)
         assert np.array_equal(sa.values, sb.values)
         assert np.array_equal(sa.stderr, sb.stderr)
     assert [(t.i, t.j) for t in a.pair_terms] == [(t.i, t.j) for t in b.pair_terms]
     for ta, tb in zip(a.pair_terms, b.pair_terms):
+        assert np.array_equal(ta.bins_i.cuts, tb.bins_i.cuts)
+        assert np.array_equal(ta.bins_j.cuts, tb.bins_j.cuts)
         assert np.array_equal(ta.values, tb.values)
+    assert a.train_ranges == b.train_ranges
+    assert len(a.train_levels) == len(b.train_levels)
+    assert all(same_levels(la, lb) for la, lb in zip(a.train_levels, b.train_levels))
     assert a.train_rmse_curve == b.train_rmse_curve
 
 
@@ -305,6 +321,43 @@ class TestFitEbmStack:
         )
         models = self.stack_and_solo(X, ("a",), ys, hyper)
         assert [len(m.train_rmse_curve) for m in models] == [50, 50]
+
+    def test_each_target_bag_member_equals_its_boosting_alone(self, rng):
+        n, widths = 300, [12, 12]
+        x = rng.uniform(-2.0, 2.0, n)
+        main = np.minimum((x + 2.0) * 3.0, 11).astype(int)  # one cell array for all targets
+        # a pair-like term whose grid is narrower for targets 1 and 2 than the width
+        grid = [main, (main // 3) % 4, main % 4]
+        ys = np.array([
+            np.sin(x) + rng.normal(0, 0.05, n),
+            0.2 * x + rng.normal(0, 1.0, n),
+            rng.normal(0, 1.0, n),
+        ])
+        draws = [np.random.default_rng(seed).integers(0, n, n) for seed in (1, 2)]
+        bags = [(rows, np.setdiff1d(np.arange(n), rows)) for rows in draws]
+        bags.append((rng.permutation(n), np.array([], dtype=int)))  # no out-of-bag rows
+        base = rng.normal(0, 0.1, (3, 3, n))
+        cells = [[main] * 3, grid]
+        hyper = EbmHyper(learning_rate=0.05, max_rounds=300, early_stop_patience=4)
+        curves = [[], [], []]
+        stacked = _boost_bags(cells, widths, base, ys, bags, hyper, min_leaf=3, rmse_curves=curves)
+        assert [v.shape for v in stacked] == [(3, 3, 12), (3, 3, 12)]
+        rounds = set()
+        for s in range(3):
+            for b in range(3):
+                own = [12, int(grid[s].max()) + 1]
+                alone_curve = [[]]
+                alone = _boost_bags(
+                    [[main], [grid[s]]], own, base[s : s + 1, b : b + 1], ys[s : s + 1],
+                    bags[b : b + 1], hyper, min_leaf=3, rmse_curves=alone_curve,
+                )
+                for v, w, width in zip(stacked, alone, own):
+                    assert np.array_equal(v[s, b, :width], w[0, 0])
+                    assert not v[s, b, width:].any()  # padded cells never update
+                if b == 0:
+                    assert curves[s] == alone_curve[0]
+                rounds.add(len(alone_curve[0]))
+        assert len(rounds) >= 4 and min(rounds) < 300  # members stop at different rounds
 
     def test_target_of_wrong_length_rejected(self, rng):
         X, cols = matrix_from(rng, n=50)

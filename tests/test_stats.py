@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,12 +9,28 @@ from reshare.stats import (
     dbscan,
     regularized_incomplete_beta,
     rmse,
+    sigmoid,
     silhouette,
     student_t_sf,
     welch_t_test,
 )
 
 from conftest import brute_force_dbscan, canonical_labels
+
+
+class TestSigmoid:
+    def test_saturates_without_overflow_or_warning(self):
+        z = np.array([-800.0, -745.0, 0.0, 745.0, 800.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sigmoid(z)
+        assert np.all(np.isfinite(out))
+        assert out[0] == 0.0 and out[2] == 0.5 and out[4] == 1.0
+
+    def test_matches_logistic_function(self, rng):
+        z = rng.normal(0.0, 5.0, 1000)
+        assert np.allclose(sigmoid(z), 1.0 / (1.0 + np.exp(-z)), rtol=1e-14, atol=0.0)
+        assert np.allclose(sigmoid(-z), 1.0 - sigmoid(z), rtol=0.0, atol=1e-15)
 
 
 class TestRmse:
