@@ -9,6 +9,7 @@ it into place, so a crash mid-write never leaves a torn file at the target;
 
 import contextlib
 import csv
+import io
 import os
 
 import numpy as np
@@ -77,9 +78,18 @@ def read_propensities(path, floor: float) -> dict:
 
 
 def _write_vectors(path, id_column, prefix, ids, vectors):
-    _write_csv(path, [id_column] + [f"{prefix}_{i}" for i in range(vectors.shape[1])], (
-        [row_id] + [_fmt(v) for v in row] for row_id, row in zip(ids, vectors)
-    ))
+    """One row per id: the id as the csv writer quotes it, then the row's
+    values through one ``%`` of a ``%.17g`` row format (``_fmt``'s bytes)."""
+    values = ",".join(["%.17g"] * vectors.shape[1]) + "\r\n"
+    cell = io.StringIO()
+    quote = csv.writer(cell)
+    with _replacing(path, newline="") as fh:
+        csv.writer(fh).writerow([id_column] + [f"{prefix}_{i}" for i in range(vectors.shape[1])])
+        for row_id, row in zip(ids, vectors):
+            cell.seek(0)
+            cell.truncate()
+            quote.writerow([row_id, ""])  # the id and its comma, as in a longer row
+            fh.write(cell.getvalue()[:-2] + values % tuple(row.tolist()))
 
 
 def write_topic_vectors(post_ids, vectors, path):

@@ -15,22 +15,11 @@ permutations and negatives, so the members share them and differ only in
 their triplet weights; ``train`` is a stack of one. One pairwise step function
 serves both ``batch_gradients`` and training, so the gradient the tests check
 against finite differences is the update that training applies. It scatters
-the gradients of all members with one flat ``np.add.at`` per batch.
-
-``train_stack`` spreads its members over the CPUs the process may use (its
-affinity mask): one contiguous group per CPU, the first trained in the
-calling process and each other in a forked child that pickles its models
-back through a pipe. Every member equals its solo fit bit for bit, so the
-outputs are byte-identical however the members are spread; under
-``taskset -c 0`` (or with one member, or other threads running) they all
-train in-process.
+the gradients of all members with one flat ``np.add.at`` per batch. However
+``train_stack`` spreads its members over the CPUs (``workers.spread``), each
+member equals its solo fit bit for bit.
 """
 
-import os
-import pickle
-import signal
-import threading
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +28,7 @@ from .dataset import InteractionGraph, index_of
 from .errors import ConfigError, check_fields
 from .propensity import PropensityTable
 from .stats import sigmoid
+from .workers import spread
 
 LOSS_MODES = ("naive", "unbiased", "nonneg")
 
@@ -252,9 +242,10 @@ def train_stack(graph: InteractionGraph, propensities, hyper: BprHyper) -> list:
 
     Every member starts from the same seeded init and sees the same permuted
     edges and negatives, so each returned model equals ``train`` on its table
-    bit for bit. The members are split into one contiguous group per usable
-    CPU; each group trains in one stacked loop, the first in this process and
-    the others in forked children. All inputs are checked before any fork.
+    bit for bit. ``spread`` splits the members into one contiguous group per
+    usable CPU, and each group trains in one stacked loop, the first in this
+    process and the others in forked children. All inputs are checked before
+    any fork.
     """
     if hyper.loss_mode != "naive" and any(t is None for t in propensities):
         raise ValueError(f"loss mode {hyper.loss_mode!r} requires a propensity table")
@@ -263,87 +254,11 @@ def train_stack(graph: InteractionGraph, propensities, hyper: BprHyper) -> list:
     if graph.n_edges < 1 or graph.n_posts < 2:
         raise ValueError("training needs at least one edge and two posts")
     thetas = [None if t is None else t.theta_for(graph) for t in propensities]
-    n_groups = min(len(thetas), _usable_cpus())
-    if n_groups < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        outcomes = [_train_group(graph, thetas, hyper)]
-    else:
-        bounds = [len(thetas) * g // n_groups for g in range(n_groups + 1)]
-        groups = [thetas[a:b] for a, b in zip(bounds, bounds[1:])]
-        outcomes = _train_forked(graph, groups, hyper)
+    outcomes = spread(lambda group: _train_group(graph, group, hyper), thetas)
     diverged = [epoch for _, epoch in outcomes if epoch is not None]
     if diverged:
         raise RuntimeError(f"training diverged (non-finite loss) at epoch {min(diverged)}")
     return [model for models, _ in outcomes for model in models]
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, else the machine's count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _train_forked(graph: InteractionGraph, groups, hyper: BprHyper) -> list:
-    """``_train_group`` of every group: the first here, each other in a forked
-    child. A child that is still running when this raises is killed and reaped."""
-    children = []
-    try:
-        for group in groups[1:]:
-            children.append(_fork(lambda group=group: _train_group(graph, group, hyper)))
-        outcomes = [_train_group(graph, groups[0], hyper)]
-        while children:
-            pid, fd = children[0]
-            chunks = []
-            while chunk := os.read(fd, 1 << 20):
-                chunks.append(chunk)
-            _, status = os.waitpid(pid, 0)
-            os.close(fd)
-            children.pop(0)
-            code = os.waitstatus_to_exitcode(status)
-            if code != 0:
-                how = f"signal {signal.Signals(-code).name}" if code < 0 else f"exit status {code}"
-                raise RuntimeError(f"training worker {pid} ended by {how} without a result")
-            ok, value = pickle.loads(b"".join(chunks))
-            if not ok:
-                raise value
-            outcomes.append(value)
-    finally:
-        for pid, fd in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(fd)
-    return outcomes
-
-
-def _fork(fn):
-    """Start ``fn()`` in a forked child; returns the child's pid and the read
-    end of a pipe that carries the pickled ``(True, result)`` or
-    ``(False, exception)`` back. The child leaves by ``os._exit``, with status
-    0 only once the whole pickle is written."""
-    r, w = os.pipe()
-    with warnings.catch_warnings():
-        # Python 3.12+ warns that fork() may deadlock a process with native
-        # threads, which numpy's BLAS pool counts as. The child runs only numpy
-        # ufuncs and pickle, and BLAS pools register atfork handlers.
-        warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks",
-                                DeprecationWarning)
-        pid = os.fork()
-    if pid:
-        os.close(w)
-        return pid, r
-    status = 1
-    try:
-        os.close(r)
-        try:
-            outcome = (True, fn())
-        except BaseException as exc:
-            outcome = (False, exc)
-        with os.fdopen(w, "wb") as pipe:
-            pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
-        status = 0
-    finally:
-        os._exit(status)
 
 
 def _train_group(graph: InteractionGraph, thetas, hyper: BprHyper):

@@ -22,6 +22,11 @@ of a variant share one feature matrix and one ``fit_ebm_stack`` call. The
 report stage writes ``report.txt`` and ``metrics.csv`` from one table of ranking
 means, and copies the canonical scheme's ``plv_embeddings``,
 ``training_curve`` and ``importance`` CSVs byte for byte.
+
+The runs of ``--runs N`` share no state (each has its own seeds, ``run_<i>/``
+and markers), and ``run_pipeline`` spreads them over the CPUs with
+``workers.spread``: run 0 and the report stay here, so the outputs are
+byte-identical on any number of CPUs.
 """
 
 import contextlib
@@ -58,6 +63,7 @@ from .propensity import (
 from .stats import dbscan, rmse, silhouette, welch_t_test
 from .synthgen import SynthConfig, generate, write_effects_truth, write_truth
 from .topics import fit_lda, infer_corpus, load_stopwords, tokenize
+from .workers import spread
 
 RANKING_SCHEMES = ("biased", "virality", "follower", "neural")
 MODEL_NAMES = {
@@ -74,6 +80,9 @@ class StageError(RuntimeError):
         super().__init__(f"stage {stage!r} failed: {cause}")
         self.stage = stage
         self.cause = cause
+
+    def __reduce__(self):  # a forked run's failure is pickled back to the parent
+        return type(self), (self.stage, self.cause)
 
 
 @dataclass(frozen=True)
@@ -585,13 +594,11 @@ def run_pipeline(config: PipelineConfig, resume: bool = False) -> str:
     if "neural" in config.schemes:
         topic_vectors = _topic_vectors(config, graph, out_dir, stages)
 
-    results = []
-    for run_idx in range(config.runs):
-        results.append(
-            _run_once(
-                config, graph, users, outcome_table, topic_vectors, out_dir, run_idx, resume, chash
-            )
-        )
+    def run_group(run_indices):
+        return [_run_once(config, graph, users, outcome_table, topic_vectors, out_dir, run_idx,
+                          resume, chash) for run_idx in run_indices]
+
+    results = [result for group in spread(run_group, range(config.runs)) for result in group]
 
     with _stage("report"):
         rows = _ranking_rows(config, results)

@@ -2,6 +2,7 @@
 
 import math
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -196,13 +197,36 @@ def rng():
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The pids ``os.fork`` returns to this process from now on (it still forks)."""
-    real_fork, pids = os.fork, []
+    """The pids ``os.fork`` returns to this process from now on (it still
+    forks). A fork from any other process, such as a forked worker, raises
+    ``AssertionError``, which the worker sends back to this process."""
+    real_fork, pids, parent = os.fork, [], os.getpid()
 
     def fork():
+        if os.getpid() != parent:
+            raise AssertionError("a forked worker forked again")
         pid = real_fork()
         pids.append(pid)
         return pid
 
     monkeypatch.setattr(os, "fork", fork)
     return pids
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that is still running, such as waiting on its workers, after 60 s."""
+
+    def expire(signum, frame):
+        raise TimeoutError("still waiting after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -1,13 +1,10 @@
 import math
-import os
-import signal
 import threading
-import time
 
 import numpy as np
 import pytest
 
-from reshare import bprmf
+from reshare import workers
 from reshare.bprmf import (
     BprHyper,
     BprModel,
@@ -26,7 +23,7 @@ from reshare.errors import ConfigError, DataError
 from reshare.propensity import PropensityTable, biased_propensity, virality_propensity
 from reshare.stats import sigmoid
 
-from conftest import brute_force_ranking, make_graph
+from conftest import assert_no_children, brute_force_ranking, make_graph
 
 
 def random_model(rng, n_users=5, n_posts=7, dim=3):
@@ -353,7 +350,7 @@ class TestTrain:
                          early_stop_tol=1e-3, early_stop_patience=2, seed=0)
         solos = [train(graph, table, hyper) for table in tables]
         for cpus in (1, 3):  # 3 CPUs: groups of 1, 1 and 2 members
-            monkeypatch.setattr(bprmf, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
             forks.clear()
             stacked = train_stack(graph, tables, hyper)
             assert len(forks) == cpus - 1
@@ -366,13 +363,13 @@ class TestTrain:
 
     def test_one_member_stack_never_forks(self, monkeypatch, forks):
         graph = two_block_graph()
-        monkeypatch.setattr(bprmf, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: 3)
         (member,) = train_stack(graph, [biased_propensity(graph)], BprHyper(epochs=2, seed=0))
         assert len(member.training_curve) == 2 and forks == []
 
     def test_stack_never_forks_while_other_threads_run(self, monkeypatch, forks):
         graph = two_block_graph()
-        monkeypatch.setattr(bprmf, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: 3)
         release = threading.Event()
         waiter = threading.Thread(target=release.wait)
         waiter.start()
@@ -403,97 +400,32 @@ class TestTrain:
             BprHyper(early_stop_tol=-1e-6)
 
 
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestForkedStack:
     """``train_stack`` over 3 CPUs: members 0, 1 and 2 train in this process,
-    the first child and the second child."""
+    the first worker and the second worker."""
 
     def tables(self, graph, thetas):
         return [PropensityTable("test", None, 1e-3, graph.post_ids, np.full(graph.n_posts, t))
                 for t in thetas]
 
-    @pytest.fixture(autouse=True)
-    def spy_and_deadline(self, forks):
-        """Record the forks; a test still waiting on its children after 60 s fails."""
-        self.forks = forks
-
-        def expire(signum, frame):
-            raise TimeoutError("train_stack still waiting after 60 s")
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.alarm(60)
-        yield
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-    def train_on_3_cpus(self, monkeypatch, thetas, hyper=None):
-        graph = two_block_graph()
-        hyper = hyper or BprHyper(embedding_dim=4, epochs=3, loss_mode="unbiased", seed=0)
-        monkeypatch.setattr(bprmf, "_usable_cpus", lambda: 3)
-        try:
-            return train_stack(graph, self.tables(graph, thetas), hyper)
-        finally:
-            assert len(self.forks) == 2
-            assert_no_children()
-
-    def fail_in(self, monkeypatch, where, failure):
-        """Make ``_train_group`` call ``failure()`` in the parent or in every child."""
-        parent, real = os.getpid(), bprmf._train_group
-
-        def group(*args):
-            if (os.getpid() == parent) == (where == "parent"):
-                failure()
-            return real(*args)
-
-        monkeypatch.setattr(bprmf, "_train_group", group)
-
-    def test_interrupted_parent_kills_and_reaps_every_child(self, monkeypatch):
-        def interrupt():
-            raise KeyboardInterrupt
-
-        self.fail_in(monkeypatch, "parent", interrupt)
-        # about 20 s of training for each child, unless it is killed
-        hyper = BprHyper(embedding_dim=4, epochs=50_000, early_stop_patience=50_000,
-                         loss_mode="unbiased", seed=0)
-        started = time.perf_counter()
-        with pytest.raises(KeyboardInterrupt):
-            self.train_on_3_cpus(monkeypatch, [1.0, 0.5, 0.2], hyper)
-        assert time.perf_counter() - started < 10
-
-    @pytest.mark.parametrize("death, message", [
-        (lambda: os.kill(os.getpid(), signal.SIGKILL), "signal SIGKILL"),
-        (lambda: os._exit(3), "exit status 3"),
-    ], ids=["sigkill", "exit-status"])
-    def test_child_that_dies_without_result_raises(self, monkeypatch, death, message):
-        self.fail_in(monkeypatch, "child", death)
-        with pytest.raises(RuntimeError, match=f"training worker .* ended by {message} without a result"):
-            self.train_on_3_cpus(monkeypatch, [1.0, 0.5, 0.2])
-
-    def test_child_exception_is_raised_in_parent(self, monkeypatch):
-        def fail():
-            raise ValueError("bad group")
-
-        self.fail_in(monkeypatch, "child", fail)
-        with pytest.raises(ValueError, match="bad group"):
-            self.train_on_3_cpus(monkeypatch, [1.0, 0.5, 0.2])
-
     @pytest.mark.parametrize("thetas", [[1.0, 0.1, 0.05], [0.05, 0.1, 1.0], [0.1, 1.0, 0.05]])
-    def test_divergence_reports_earliest_epoch_of_any_group(self, monkeypatch, thetas):
+    def test_divergence_reports_earliest_epoch_of_any_group(self, monkeypatch, forks, deadline,
+                                                            thetas):
         # inverse propensities below 1 make negative weights, which push the
         # factors apart until the loss overflows: theta 0.1 at epoch 21, 0.05 at 16
         hyper = BprHyper(embedding_dim=4, learning_rate=1.0, epochs=40, early_stop_patience=40,
                          loss_mode="unbiased", seed=0)
         graph = two_block_graph()
-        monkeypatch.setattr(bprmf, "_usable_cpus", lambda: 1)
+        tables = self.tables(graph, thetas)
         with np.errstate(over="ignore", invalid="ignore"):
+            monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)
             with pytest.raises(RuntimeError) as in_process:
-                train_stack(graph, self.tables(graph, thetas), hyper)
+                train_stack(graph, tables, hyper)
+            monkeypatch.setattr(workers, "_usable_cpus", lambda: 3)
             with pytest.raises(RuntimeError) as forked:
-                self.train_on_3_cpus(monkeypatch, thetas, hyper)
+                train_stack(graph, tables, hyper)
+        assert len(forks) == 2
+        assert_no_children()
         assert str(in_process.value) == "training diverged (non-finite loss) at epoch 16"
         assert str(forked.value) == str(in_process.value)
 

@@ -1,16 +1,17 @@
 import csv
 import json
 import os
+import pickle
 import shutil
 
 import numpy as np
 import pytest
 
-from reshare import artifacts, bprmf, cli, pipeline
+from reshare import artifacts, cli, pipeline, workers
 from reshare.bprmf import BprHyper, BprModel
 from reshare.cli import main
 from reshare.errors import DataError
-from reshare.pipeline import PipelineConfig, config_hash, run_pipeline
+from reshare.pipeline import PipelineConfig, StageError, config_hash, run_pipeline
 
 
 def small_config(out_dir, runs=1):
@@ -133,6 +134,37 @@ class TestSynthCommand:
         path = write_config(tmp_path, cfg)
         assert main(["pipeline", "--config", path]) == 2
         assert "stage 'topics'" in capsys.readouterr().err
+
+    def test_failure_in_a_forked_run_exits_two_as_in_process(self, tmp_path, capsys, monkeypatch,
+                                                             forks):
+        parent, fit_linear = os.getpid(), pipeline.fit_linear
+
+        def fail_in(where):
+            def fit(features):
+                if where == "everywhere" or os.getpid() != parent:
+                    raise ValueError("boom")
+                return fit_linear(features)
+
+            return fit
+
+        path = write_config(tmp_path, small_config(str(tmp_path / "x"), runs=2))
+        errors = []
+        for cpus, where in ((1, "everywhere"), (2, "worker")):
+            monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(pipeline, "fit_linear", fail_in(where))
+            assert main(["pipeline", "--config", path]) == 2
+            errors.append(capsys.readouterr().err)
+            assert len(forks) == cpus - 1
+        assert errors[0] == "error: stage 'effects_base' failed: boom\n"
+        assert errors[1] == errors[0]
+
+
+class TestStageError:
+    def test_survives_pickling(self):
+        error = pickle.loads(pickle.dumps(StageError("plv", ValueError("boom"))))
+        assert type(error) is StageError and error.stage == "plv"
+        assert type(error.cause) is ValueError and error.cause.args == ("boom",)
+        assert str(error) == "stage 'plv' failed: boom"
 
 
 @pytest.fixture(scope="module")
@@ -356,6 +388,7 @@ class TestPipelineCommand:
             return train_stack(graph, tables, hyper)
 
         monkeypatch.setattr(pipeline, "train_stack", spy)
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)  # the spy sees this process only
         out = tmp_path / "stacked"
         cfg = write_config(tmp_path, small_config(str(out), runs=2))
         assert main(["pipeline", "--config", cfg]) == 0
@@ -380,6 +413,7 @@ class TestPipelineCommand:
             return fit_ebm_stack(features, ys, hyper)
 
         monkeypatch.setattr(pipeline, "fit_ebm_stack", spy)
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)  # the spy sees this process only
         out = tmp_path / "effects"
         cfg = dict(small_config(str(out), runs=2), schemes=["virality"], clusters=["c0", "c1"])
         cfg = write_config(tmp_path, cfg)
@@ -418,6 +452,32 @@ class TestPipelineCommand:
         assert overall_rmse_rows(stacked["report.txt"]) == rows
         assert b" c1 " in stacked["report.txt"] and b" c1 " not in alone["report.txt"]
 
+    def test_runs_same_bytes_on_one_two_and_three_cpus(self, tmp_path, monkeypatch, forks):
+        out = tmp_path / "runs"
+        cfg = write_config(tmp_path, dict(small_config(str(out), runs=3), clusters=["c0", "c1"]))
+        outputs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
+            forks.clear()
+            shutil.rmtree(out, ignore_errors=True)
+            assert main(["pipeline", "--config", cfg]) == 0
+            assert len(forks) == min(3, cpus) - 1  # one run per worker, no nested spread
+            outputs.append({str(path.relative_to(out)): path.read_bytes()
+                            for path in sorted(out.rglob("*")) if path.is_file()})
+        assert {"run_1/plv_virality.done", "run_2/effects_base.done"} <= set(outputs[0])
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
+        assert main(["pipeline", "--config", cfg, "--resume"]) == 0
+        assert (out / "report.txt").read_bytes() == outputs[0]["report.txt"]
+
+    @pytest.mark.parametrize("runs", [1, 2])
+    def test_one_spread_forks_on_two_cpus(self, tmp_path, monkeypatch, forks, runs):
+        # two runs spread over the CPUs and train in-process; one run spreads its training
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
+        cfg = write_config(tmp_path, small_config(str(tmp_path / "x"), runs=runs))
+        assert main(["pipeline", "--config", cfg]) == 0
+        assert len(forks) == 1
+
     def test_multi_run_welch_table(self, tmp_path, capsys):
         out = str(tmp_path / "runs")
         cfg = write_config(tmp_path, small_config(out, runs=2))
@@ -449,7 +509,7 @@ class TestMuSweepCommand:
     def test_same_bytes_on_one_and_two_cpus(self, tmp_path, monkeypatch, forks):
         sweeps = []
         for cpus in (1, 2):
-            monkeypatch.setattr(bprmf, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
             out = tmp_path / f"cpus{cpus}"
             cfg = write_config(tmp_path, small_config(str(out)), f"cpus{cpus}.json")
             assert main(["mu-sweep", "--config", cfg, "--mus", "0.1,0.5,1.0"]) == 0
@@ -523,6 +583,23 @@ class TestArtifactWriters:
             assert read_ids == ids
             assert read_values.dtype == np.float64
             assert read_values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("extremes, dtype", [
+        ([5e-324, 1e308, -1e308], np.float64),
+        ([1e-45, 3e38, -3e38], np.float32),  # float32's least subnormal and near its max
+    ], ids=["float64", "float32"])
+    def test_vector_rows_equal_the_per_value_format(self, tmp_path, extremes, dtype):
+        values = np.array([[0.0, -0.0, np.inf, -np.inf, np.nan],
+                           [*extremes, 0.1, 1 / 3]], dtype=dtype)
+        ids = ("u,1", "")  # ids the csv writer must quote, or write empty
+        path = tmp_path / "topics.csv"
+        artifacts.write_topic_vectors(ids, values, str(path))
+        expected = tmp_path / "expected.csv"
+        artifacts._write_csv(expected, ["post_id"] + [f"t_{i}" for i in range(5)], (
+            [row_id] + [artifacts._fmt(v) for v in row] for row_id, row in zip(ids, values)
+        ))
+        assert path.read_bytes() == expected.read_bytes()
+        assert b'\r\n"u,1",0,-0,inf,-inf,nan\r\n' in path.read_bytes()
 
     def test_vector_table_with_repeated_id_rejected(self, tmp_path):
         path = tmp_path / "emb.csv"
