@@ -358,6 +358,17 @@ class RankingReport:
         return self.values.items()
 
 
+# users x posts cells that ``ranking_metrics`` scores at a time; bounds its memory
+_RANK_BLOCK_CELLS = 1 << 16
+
+
+def _csr_cells(ptr, cols, rows):
+    """(position in ``rows``, column) of every entry of the given CSR rows."""
+    lens = ptr[rows + 1] - ptr[rows]
+    flat = np.arange(lens.sum()) + np.repeat(ptr[rows] - np.cumsum(lens) + lens, lens)
+    return np.repeat(np.arange(rows.size), lens), cols[flat]
+
+
 def ranking_metrics(
     model: BprModel,
     test: InteractionGraph,
@@ -370,15 +381,17 @@ def ranking_metrics(
     Candidates per user are all posts except the user's train edges. Users
     without test edges (or unknown to the model) are skipped and counted. Ties
     in scores break by post order, stably.
+
+    Users are ranked in blocks of about ``_RANK_BLOCK_CELLS`` scores. Every
+    step keeps the bits of scoring, sorting and summing one user at a time:
+    a stacked matrix-vector product gives each user's ``post_factors @ u``
+    bits (``U @ P.T`` does not), each user's DCG sums its hit discounts as
+    one row, and the means add the users' values in test-user order.
     """
     k_list = sorted(set(int(k) for k in k_list))
     if not k_list or k_list[0] < 1:
         raise ValueError("k_list must contain positive integers")
     n_posts = len(model.post_ids)
-    sums = {("recall", k): 0.0 for k in k_list}
-    sums.update({("ndcg", k): 0.0 for k in k_list})
-    n_eval = 0
-    n_skipped = 0
     discounts = 1.0 / np.log2(np.arange(2, n_posts + 2))
     idcg_cum = np.cumsum(discounts)
     if train is None:
@@ -389,27 +402,34 @@ def ranking_metrics(
     (_, test_posts), test_ptr = test.edge_arrays, test.indptr
     (_, train_posts), train_ptr = train.edge_arrays, train.indptr
     rows, known = index_of(model.user_ids, test.users)
-    for i in range(test.n_users):
-        rel = test_posts[test_ptr[i] : test_ptr[i + 1]]
-        if not rel.size or not known[i]:
-            n_skipped += 1
-            continue
-        scores = model.post_factors @ model.user_factors[rows[i]]
-        scores[train_posts[train_ptr[i] : train_ptr[i + 1]]] = -np.inf
-        order = np.argsort(-scores, kind="stable")
-        rel_mask = np.zeros(n_posts, dtype=bool)
-        rel_mask[rel] = True
-        hits = rel_mask[order]
-        n_rel = rel.size
-        for k in k_list:
-            topk_hits = hits[:k]
-            n_hit = int(np.count_nonzero(topk_hits))
-            sums[("recall", k)] += n_hit / min(n_rel, k)
-            dcg = float(np.sum(discounts[:k][topk_hits]))
-            idcg = float(idcg_cum[min(n_rel, k) - 1])
-            sums[("ndcg", k)] += dcg / idcg
-        n_eval += 1
-    if n_eval == 0:
+    n_rel = np.diff(test_ptr)
+    evaluated = np.flatnonzero(known & (n_rel > 0))
+    if evaluated.size == 0:
         raise ValueError("no evaluable users in the test graph")
-    values = {key: val / n_eval for key, val in sums.items()}
-    return RankingReport(values=values, n_evaluated=n_eval, n_skipped=n_skipped)
+    totals = np.zeros(2 * len(k_list))
+    per_block = max(1, _RANK_BLOCK_CELLS // n_posts)
+    for start in range(0, evaluated.size, per_block):
+        users = evaluated[start : start + per_block]
+        factors = model.user_factors[rows[users]][:, :, None]
+        scores = np.matmul(model.post_factors, factors)[:, :, 0]
+        scores[_csr_cells(train_ptr, train_posts, users)] = -np.inf
+        order = np.argsort(-scores, axis=1, kind="stable")[:, : k_list[-1]]
+        relevant = np.zeros(scores.shape, dtype=bool)
+        relevant[_csr_cells(test_ptr, test_posts, users)] = True
+        hits = np.take_along_axis(relevant, order, axis=1)
+        recall, ndcg = [], []
+        for k in k_list:
+            top = hits[:, :k]
+            n_hit = np.count_nonzero(top, axis=1)
+            ideal = np.minimum(n_rel[users], k)
+            recall.append(n_hit / ideal)
+            dcg = np.zeros(users.size)
+            for h in np.unique(n_hit[n_hit > 0]).tolist():
+                group = n_hit == h
+                gains = discounts[np.nonzero(top[group])[1]].reshape(-1, h)
+                dcg[group] = np.add.reduce(gains, axis=1)
+            ndcg.append(dcg / idcg_cum[ideal - 1])
+        totals = np.add.accumulate(np.vstack((totals, np.column_stack(recall + ndcg))))[-1]
+    keys = [(name, k) for name in ("recall", "ndcg") for k in k_list]
+    values = dict(zip(keys, (totals / evaluated.size).tolist()))
+    return RankingReport(values, evaluated.size, test.n_users - evaluated.size)

@@ -127,8 +127,10 @@ class PipelineConfig:
             raise ConfigError(f"unknown schemes: {sorted(unknown)}")
         if not self.schemes:
             raise ConfigError("schemes must not be empty")
-        if not self.k_list or any(k < 1 for k in self.k_list):
-            raise ConfigError("k_list must contain positive integers")
+        if not self.k_list or any(
+            isinstance(k, bool) or not isinstance(k, int) or k < 1 for k in self.k_list
+        ):
+            raise ConfigError(f"k_list must contain positive integers: {list(self.k_list)}")
         for name in ("schemes", "k_list", "clusters"):
             values = getattr(self, name)
             if len(set(values)) != len(values):

@@ -13,6 +13,7 @@ from reshare.dataset import (
     UserAttributes,
     UserAttributeTable,
     _test_quota,
+    index_of,
 )
 from reshare.effects import FeatureMatrix
 
@@ -143,6 +144,46 @@ def brute_force_ranking(user_factors, post_factors, post_ids, test_edges_by_user
             sums[("ndcg", k)] += dcg / idcg
         n_eval += 1
     return {key: v / n_eval for key, v in sums.items()}, n_eval
+
+
+def per_user_ranking(model, test, k_list, train=None):
+    """The per-user loop ``ranking_metrics`` replaced: (values, n_evaluated,
+    n_skipped), each user scored, sorted and counted alone. Its values are the
+    bits ``ranking_metrics`` must reproduce."""
+    k_list = sorted(set(int(k) for k in k_list))
+    n_posts = len(model.post_ids)
+    sums = {("recall", k): 0.0 for k in k_list}
+    sums.update({("ndcg", k): 0.0 for k in k_list})
+    n_eval = 0
+    n_skipped = 0
+    discounts = 1.0 / np.log2(np.arange(2, n_posts + 2))
+    idcg_cum = np.cumsum(discounts)
+    if train is None:
+        train = InteractionGraph.from_indices(test.users, test.posts, [], [])
+    (_, test_posts), test_ptr = test.edge_arrays, test.indptr
+    (_, train_posts), train_ptr = train.edge_arrays, train.indptr
+    rows, known = index_of(model.user_ids, test.users)
+    for i in range(test.n_users):
+        rel = test_posts[test_ptr[i] : test_ptr[i + 1]]
+        if not rel.size or not known[i]:
+            n_skipped += 1
+            continue
+        scores = model.post_factors @ model.user_factors[rows[i]]
+        scores[train_posts[train_ptr[i] : train_ptr[i + 1]]] = -np.inf
+        order = np.argsort(-scores, kind="stable")
+        rel_mask = np.zeros(n_posts, dtype=bool)
+        rel_mask[rel] = True
+        hits = rel_mask[order]
+        n_rel = rel.size
+        for k in k_list:
+            topk_hits = hits[:k]
+            n_hit = int(np.count_nonzero(topk_hits))
+            sums[("recall", k)] += n_hit / min(n_rel, k)
+            dcg = float(np.sum(discounts[:k][topk_hits]))
+            idcg = float(idcg_cum[min(n_rel, k) - 1])
+            sums[("ndcg", k)] += dcg / idcg
+        n_eval += 1
+    return {key: val / n_eval for key, val in sums.items()}, n_eval, n_skipped
 
 
 def brute_force_dbscan(points, eps, min_pts):

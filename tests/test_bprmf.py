@@ -1,10 +1,11 @@
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from reshare import workers
+from reshare import bprmf, pipeline, workers
 from reshare.bprmf import (
     BprHyper,
     BprModel,
@@ -19,11 +20,13 @@ from reshare.bprmf import (
     train_stack,
     user_embedding,
 )
+from reshare.dataset import InteractionGraph
 from reshare.errors import ConfigError, DataError
+from reshare.pipeline import RANKING_SCHEMES, PipelineConfig, run_pipeline
 from reshare.propensity import PropensityTable, biased_propensity, virality_propensity
 from reshare.stats import sigmoid
 
-from conftest import assert_no_children, brute_force_ranking, make_graph
+from conftest import assert_no_children, brute_force_ranking, make_graph, per_user_ranking
 
 
 def random_model(rng, n_users=5, n_posts=7, dim=3):
@@ -546,3 +549,125 @@ class TestRankingMetrics:
         rep = ranking_metrics(model, test, [2])
         assert rep.n_evaluated == 1
         assert rep.n_skipped == 2
+
+    def test_user_whose_train_edges_cover_every_post(self, rng):
+        model = random_model(rng, n_users=1, n_posts=4, dim=2)
+        posts = [(f"p{i}", False, None) for i in range(4)]
+        test = make_graph(1, posts, [(0, "p2")])
+        train_graph = make_graph(1, posts, [(0, f"p{i}") for i in range(4)])
+        rep = ranking_metrics(model, test, [2, 3], train=train_graph)
+        # every score is -inf, so the posts rank in their order: p2 is third
+        assert (rep[("recall", 2)], rep[("recall", 3)]) == (0.0, 1.0)
+        assert rep[("ndcg", 3)] == pytest.approx(0.5)
+
+
+def assert_same_bits(rep, model, test, k_list, train):
+    values, n_evaluated, n_skipped = per_user_ranking(model, test, k_list, train)
+    assert (rep.n_evaluated, rep.n_skipped) == (n_evaluated, n_skipped)
+    assert list(rep.values) == list(values)
+    assert [v.hex() for v in rep.values.values()] == [v.hex() for v in values.values()]
+
+
+def random_ranking_case(rng):
+    """A model, test and train graph and k list that mix the hard cases of
+    ranking: tied scores, a user whose train edges cover every post, users
+    unknown to the model or without test edges, rows with 9 or more hits, and
+    k beyond the number of posts."""
+    n_users, n_posts, dim = int(rng.integers(1, 30)), int(rng.integers(1, 40)), int(rng.integers(1, 9))
+    posts = [(f"p{i}", False, None) for i in range(n_posts)]
+    cells = [(u, p) for u in range(n_users) for p in range(n_posts)]
+    draw = rng.random(len(cells))
+    train_share, test_share = rng.uniform(0.0, 0.4), rng.uniform(0.05, 0.6)
+    train_edges = [(u, f"p{p}") for (u, p), r in zip(cells, draw) if r < train_share or u == 0]
+    test_edges = [(u, f"p{p}") for (u, p), r in zip(cells, draw) if r > 1.0 - test_share]
+    known = rng.permutation(n_users)[: int(rng.integers(1, n_users + 1))]
+    post_factors = rng.normal(0.0, 1.0, (n_posts, dim))
+    tie = rng.integers(0, 3)
+    if tie == 1:
+        post_factors[:] = 0.0
+    elif tie == 2:  # a few distinct rows, each repeated
+        post_factors = post_factors[rng.integers(0, min(3, n_posts), n_posts)]
+    model = BprModel(
+        user_ids=tuple(f"u{i}" for i in known),
+        post_ids=tuple(sorted(p for p, _, _ in posts)),
+        user_factors=rng.normal(0.0, 1.0, (known.size, dim)),
+        post_factors=post_factors,
+        hyper=BprHyper(embedding_dim=dim),
+    )
+    k_list = sorted({1, 2, 9, int(rng.integers(1, n_posts + 5)), n_posts + 3})
+    return model, make_graph(n_users, posts, test_edges), make_graph(n_users, posts, train_edges), k_list
+
+
+class TestBlockedRanking:
+    """``ranking_metrics`` reproduces the per-user loop's bits."""
+
+    @pytest.mark.parametrize("block_cells", [1, 50, 1 << 16])
+    def test_bit_identical_to_per_user_loop(self, rng, monkeypatch, block_cells):
+        monkeypatch.setattr(bprmf, "_RANK_BLOCK_CELLS", block_cells)
+        seen = {"blocks": 0, "deep rows": 0, "full train rows": 0, "cases": 0}
+        while seen["cases"] < 150:
+            model, test, train_graph, k_list = random_ranking_case(rng)
+            if not set(test.edges_by_user) & set(model.user_ids):
+                continue
+            rep = ranking_metrics(model, test, k_list, train=train_graph)
+            assert_same_bits(rep, model, test, k_list, train_graph)
+            per_block = max(1, block_cells // len(model.post_ids))
+            seen["blocks"] = max(seen["blocks"], -(-rep.n_evaluated // per_block))
+            seen["deep rows"] += max(len(ps) for ps in test.edges_by_user.values()) >= 9
+            seen["full train rows"] += "u0" in model.user_ids and "u0" in test.edges_by_user
+            seen["cases"] += 1
+        assert seen["deep rows"] > 10 and seen["full train rows"] > 10
+        if block_cells < 1 << 16:
+            assert seen["blocks"] >= 3
+
+    def test_bit_identical_on_models_of_a_pipeline_run(self, tmp_path, monkeypatch):
+        calls = []
+
+        def record(model, test, k_list, train):
+            calls.append((model, test, k_list, train))
+            return ranking_metrics(model, test, k_list, train=train)
+
+        monkeypatch.setattr(pipeline, "ranking_metrics", record)
+        cfg = PipelineConfig.from_dict({
+            "synth": {"n_users": 200, "n_posts": 120, "n_hate_posts": 60, "n_clusters": 2,
+                      "mean_shares": 25.0, "seed": 3},
+            "out_dir": str(tmp_path / "out"),
+            "k_list": [5, 20, 40, 80],
+            "bpr": {"learning_rate": 0.02, "epochs": 3, "seed": 1},
+            "ebm": {"n_bags": 1, "max_rounds": 5, "n_interactions": 0},
+            "topics_k": 2,
+            "topics_iterations": 2,
+            "emit_plots": False,
+        })
+        run_pipeline(cfg)
+        assert [call[0].user_factors.shape[1] for call in calls] == [64] * len(RANKING_SCHEMES)
+        for model, test, k_list, train_graph in calls:
+            assert_same_bits(ranking_metrics(model, test, k_list, train=train_graph),
+                             model, test, k_list, train_graph)
+
+    def test_memory_bounded_in_users(self):
+        def traced_peak(n_users, n_posts=500):
+            rng = np.random.default_rng(7)
+            users = tuple(f"u{i:04d}" for i in range(n_users))
+            posts = make_graph(1, [(f"p{i:03d}", False, None) for i in range(n_posts)], []).posts
+            picks = np.array([rng.choice(n_posts, 15, replace=False) for _ in range(n_users)])
+            test, train_graph = (
+                InteractionGraph.from_indices(users, posts, np.arange(n_users).repeat(n), cols.ravel())
+                for n, cols in ((5, picks[:, :5]), (10, picks[:, 5:]))
+            )
+            model = BprModel(users, test.post_ids, rng.normal(0.0, 1.0, (n_users, 64)),
+                             rng.normal(0.0, 1.0, (n_posts, 64)), BprHyper())
+            test.indptr, train_graph.indptr  # the graphs' own, built before tracing
+            tracemalloc.start()
+            try:
+                rep = ranking_metrics(model, test, [20, 40, 60, 80], train=train_graph)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rep.n_evaluated == n_users
+            return peak
+
+        small, large = traced_peak(1000), traced_peak(4000)
+        # a users x posts score matrix alone would take 3.8 MiB at 1,000 users
+        assert large < 3 * 2**20
+        assert large < small + 2**18

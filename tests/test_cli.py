@@ -119,6 +119,15 @@ class TestSynthCommand:
         assert f"{name} must not repeat a value" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command", [["pipeline"], ["mu-sweep", "--mus", "0.5"]])
+    @pytest.mark.parametrize("k_list", [[20.5], ["20"], [True, 2], [5, 0], []])
+    def test_k_list_of_non_positive_integers_exits_one(self, tmp_path, capsys, command, k_list):
+        cfg = small_config(str(tmp_path / "x"))
+        cfg["k_list"] = k_list
+        assert main(command + ["--config", write_config(tmp_path, cfg)]) == 1
+        assert f"k_list must contain positive integers: {k_list}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_cluster_exits_one_before_training(self, tmp_path, capsys):
         out = tmp_path / "x"
         cfg = small_config(str(out))
