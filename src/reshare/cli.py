@@ -18,8 +18,6 @@ def _add_common(parser):
     parser.add_argument("--config", required=True, help="JSON pipeline config")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, default=None, help="global seed offset")
-    parser.add_argument("--runs", type=int, default=None, help="number of seeded runs")
-    parser.add_argument("--resume", action="store_true", help="skip completed stages")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -37,12 +35,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pipe = sub.add_parser("pipeline", help="run propensities, embeddings, outcomes, effects")
     _add_common(p_pipe)
+    p_pipe.add_argument("--runs", type=int, default=None, help="number of seeded runs")
+    p_pipe.add_argument("--resume", action="store_true", help="skip completed stages")
 
     p_mu = sub.add_parser("mu-sweep", help="recall@k across smoothing exponents")
     _add_common(p_mu)
     p_mu.add_argument(
         "--mus", default="0.1,0.5,1.0", help="comma-separated smoothing exponents"
     )
+    p_mu.add_argument("--resume", action="store_true", help="ignored: mu-sweep always recomputes")
 
     p_emb = sub.add_parser("embed-analyze", help="DBSCAN + silhouette on exported embeddings")
     p_emb.add_argument("--embeddings", required=True, help="embeddings CSV path")
@@ -53,9 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> PipelineConfig:
+def _load_config(args, runs=None) -> PipelineConfig:
     config = PipelineConfig.from_json(args.config)
-    return config.with_overrides(out_dir=args.out, seed=args.seed, runs=args.runs)
+    return config.with_overrides(out_dir=args.out, seed=args.seed, runs=runs)
 
 
 def main(argv=None) -> int:
@@ -67,7 +68,7 @@ def main(argv=None) -> int:
             print(f"synthetic dataset written to {out}")
             return 0
         if args.command == "pipeline":
-            config = _load_config(args)
+            config = _load_config(args, runs=args.runs)
             report = run_pipeline(config, resume=args.resume)
             print(report, end="")
             return 0

@@ -77,8 +77,6 @@ class FeatureMatrix:
     user_ids: tuple[str, ...]
     columns: tuple[str, ...]
     X: np.ndarray
-    y: np.ndarray
-    target: str
 
 
 def _rows_of(ids, users, missing: str) -> np.ndarray:
@@ -90,36 +88,26 @@ def _rows_of(ids, users, missing: str) -> np.ndarray:
 
 
 def assemble_features(
-    attrs: UserAttributeTable,
-    embeddings: tuple | None,
-    outcomes: OutcomeTable,
-    target: str = "overall",
-    include_embeddings: bool = True,
+    attrs: UserAttributeTable, embeddings: tuple | None, outcomes: OutcomeTable
 ) -> FeatureMatrix:
-    """Stack the five base attributes (counts log-transformed) and, unless
-    ablated, the per-user embedding components; attach the chosen outcome.
+    """Stack the five base attributes (counts log-transformed) and the
+    per-user embedding components, or the attributes only when ``embeddings``
+    is None.
 
     ``embeddings`` is a ``(user_ids, matrix)`` pair with one row per id, in
-    any order; rows follow ``outcomes.user_ids``."""
-    y = outcomes.target(target).copy()
+    any order; rows follow ``outcomes.user_ids``, as do the targets of
+    ``outcomes.target``."""
     view = log_transform_attributes(attrs)
     columns = list(FEATURE_COLUMNS)
     rows = _rows_of(view.user_ids, outcomes.user_ids, "outcomes but no attributes")
     blocks = [view.matrix[rows]]
-    if include_embeddings:
-        if embeddings is None:
-            raise DataError("embeddings required unless include_embeddings=False")
+    if embeddings is not None:
         user_ids, vectors = embeddings
         vectors = np.asarray(vectors, dtype=np.float64)
         blocks.append(vectors[_rows_of(user_ids, outcomes.user_ids, "no embedding")])
         columns.extend(f"x_{i}" for i in range(vectors.shape[1]))
-    X = np.hstack(blocks)
     return FeatureMatrix(
-        user_ids=tuple(outcomes.user_ids),
-        columns=tuple(columns),
-        X=X,
-        y=y,
-        target=target,
+        user_ids=tuple(outcomes.user_ids), columns=tuple(columns), X=np.hstack(blocks)
     )
 
 
@@ -359,10 +347,10 @@ def _boost_bags(cells, widths, base, ys, bags, hyper: EbmHyper, min_leaf: int, r
     return [v.reshape(len(ys), len(bags), -1) for v in best]
 
 
-def fit_ebm(features: FeatureMatrix, hyper: EbmHyper) -> EffectModel:
-    """Bagged cyclic gradient-boosting GAM with identity link, on ``features.y``:
-    a stack of one (``fit_ebm_stack``)."""
-    return fit_ebm_stack(features, [features.y], hyper)[0]
+def fit_ebm(features: FeatureMatrix, y, hyper: EbmHyper) -> EffectModel:
+    """Bagged cyclic gradient-boosting GAM with identity link, on the target
+    ``y`` (one value per row): a stack of one (``fit_ebm_stack``)."""
+    return fit_ebm_stack(features, [y], hyper)[0]
 
 
 def fit_ebm_stack(features: FeatureMatrix, ys, hyper: EbmHyper) -> list:
@@ -546,9 +534,10 @@ def _fit_interactions(X, Y, cells, shapes, intercepts, bags, base, hyper: EbmHyp
     return all_terms, out_intercepts
 
 
-def fit_linear(features: FeatureMatrix, allow_ridge: bool = True) -> EffectModel:
-    """Ordinary least squares with the same centered-shape representation."""
-    X, y = features.X, features.y
+def fit_linear(features: FeatureMatrix, y, allow_ridge: bool = True) -> EffectModel:
+    """Ordinary least squares of the target ``y`` with the same centered-shape
+    representation."""
+    X = features.X
     n, p = X.shape
     if n == 0 or p == 0:
         raise DataError("empty feature matrix")

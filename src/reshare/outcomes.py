@@ -25,18 +25,6 @@ class OutcomeTable:
     n_excluded: int
     n_unlabeled_hate_posts: int
 
-    @property
-    def user_index(self) -> dict:
-        if not hasattr(self, "_uidx"):
-            self._uidx = {u: i for i, u in enumerate(self.user_ids)}
-        return self._uidx
-
-    def y(self, user_id: str) -> float:
-        return float(self.overall[self.user_index[user_id]])
-
-    def y_cluster(self, user_id: str, cluster: str) -> float:
-        return float(self.by_cluster[self.user_index[user_id], self.clusters.index(cluster)])
-
     def target(self, name: str) -> np.ndarray:
         """The outcome ``name`` ("overall" or a cluster) of every user, in row order."""
         if name == "overall":

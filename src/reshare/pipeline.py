@@ -21,7 +21,8 @@ scheme) and target (``overall``, then each configured cluster); the targets
 of a variant share one feature matrix and one ``fit_ebm_stack`` call. The
 report stage writes ``report.txt`` and ``metrics.csv`` from one table of ranking
 means, and copies the canonical scheme's ``plv_embeddings``,
-``training_curve`` and ``importance`` CSVs byte for byte.
+``training_curve`` and ``importance`` CSVs byte for byte; a copy whose source
+the config does not produce (the ``base`` variant has no embeddings) goes.
 
 The runs of ``--runs N`` share no state (each has its own seeds, ``run_<i>/``
 and markers), and ``run_pipeline`` spreads them over the CPUs with
@@ -102,9 +103,7 @@ class PipelineConfig:
     topics_iterations: int = 200
     stopwords_path: str | None = None
     edge_split_ratio: float = 0.8
-    edge_split_seed: int = 17
     user_split_ratio: float = 0.8
-    user_split_seed: int = 23
     clusters: tuple = ()
     runs: int = 1
     seed: int = 0
@@ -259,6 +258,11 @@ def _seeded(obj, offset: int):
     return dataclasses.replace(obj, seed=obj.seed + offset)
 
 
+# the splits' seeds before a run's seed is added; ``--seed`` moves them both
+EDGE_SPLIT_SEED = 17
+USER_SPLIT_SEED = 23
+
+
 def _load_inputs(config: PipelineConfig, out_dir: str, stages: _Stages):
     """Dataset stage: synthesize or load the three CSV inputs."""
     with _stage("dataset"):
@@ -286,7 +290,7 @@ def _hate_split(config: PipelineConfig, graph, run_seed: int):
         hate = graph.hate_subgraph()
         if hate.n_edges == 0 or hate.n_posts < 2:
             raise DataError("pipeline needs at least two hate posts and one hate reshare")
-        pair = split(hate, "by-edge", config.edge_split_ratio, config.edge_split_seed + run_seed)
+        pair = split(hate, "by-edge", config.edge_split_ratio, EDGE_SPLIT_SEED + run_seed)
         return pair.train, pair.test
 
 
@@ -375,13 +379,9 @@ def _train_rankers(config, tables, train_h, test_h, run_seed, rdir, stages):
     return ranking, skipped, embeddings
 
 
-def _subset_rows(fm, user_set):
-    """The rows of ``fm`` whose user is in ``user_set``, and their indices."""
-    idx = [i for i, u in enumerate(fm.user_ids) if u in user_set]
-    subset = dataclasses.replace(
-        fm, user_ids=tuple(fm.user_ids[i] for i in idx), X=fm.X[idx], y=fm.y[idx]
-    )
-    return subset, idx
+def _subset_rows(fm, rows):
+    """The feature matrix of the rows ``rows`` of ``fm``."""
+    return dataclasses.replace(fm, user_ids=tuple(fm.user_ids[i] for i in rows), X=fm.X[rows])
 
 
 def _variants(config: PipelineConfig) -> list:
@@ -390,13 +390,20 @@ def _variants(config: PipelineConfig) -> list:
 
 
 def _effect_study(config, users, embeddings, outcome_table, user_pair, run_idx, rdir, stages):
-    """The ``effects_<variant>`` stages, scored on the by-user holdout. A variant
-    builds its feature matrix and train/test rows once and fits every target
-    (``overall``, then each configured cluster) in one ``fit_ebm_stack`` call.
-    The first run writes ``importance_<variant>.csv`` and the canonical
-    variant's curves; a resumed stage whose files are gone reruns."""
+    """The ``effects_<variant>`` stages, scored on the by-user holdout. The
+    train/test rows and the targets (``overall``, then each configured
+    cluster) are taken once; a variant builds its feature matrix once and fits
+    every target in one ``fit_ebm_stack`` call. The first run writes
+    ``importance_<variant>.csv`` and the canonical variant's curves; a resumed
+    stage whose files are gone reruns."""
     hyper = _seeded(config.ebm, config.seed + run_idx)
     targets = ("overall", *config.clusters)
+    ys = [outcome_table.target(target) for target in targets]
+    # feature rows follow the outcome rows
+    train_rows, test_rows = (
+        [i for i, u in enumerate(outcome_table.user_ids) if u in half]
+        for half in (user_pair.train, user_pair.test)
+    )
     rmses, importance = {}, {}
     linear_rmse = None
     for variant in _variants(config):
@@ -411,15 +418,8 @@ def _effect_study(config, users, embeddings, outcome_table, user_pair, run_idx, 
             payload = stages.payload(stage)
         else:
             with _stage(stage):
-                fm = assemble_features(
-                    users,
-                    embeddings.get(variant),
-                    outcome_table,
-                    include_embeddings=variant != "base",
-                )
-                fm_train, train_rows = _subset_rows(fm, user_pair.train)
-                fm_test, test_rows = _subset_rows(fm, user_pair.test)
-                ys = [outcome_table.target(target) for target in targets]
+                fm = assemble_features(users, embeddings.get(variant), outcome_table)
+                fm_train, fm_test = _subset_rows(fm, train_rows), _subset_rows(fm, test_rows)
                 models = fit_ebm_stack(fm_train, [y[train_rows] for y in ys], hyper)
                 payload = {
                     "rmse": {
@@ -429,8 +429,8 @@ def _effect_study(config, users, embeddings, outcome_table, user_pair, run_idx, 
                     "linear_rmse": None,
                 }
                 if variant == "base":
-                    linear = fit_linear(fm_train)
-                    payload["linear_rmse"] = rmse(predict(linear, fm_test), fm_test.y)
+                    linear = fit_linear(fm_train, ys[0][train_rows])
+                    payload["linear_rmse"] = rmse(predict(linear, fm_test), ys[0][test_rows])
                 importance_rows = feature_importance(models[0], fm_train)
                 payload["importance"] = [[name, value] for name, value in importance_rows.rows]
                 if run_idx == 0:
@@ -484,7 +484,7 @@ def _run_once(config, graph, users, outcome_table, topic_vectors, out_dir, run_i
 
     train_h, test_h = _hate_split(config, graph, run_seed)
     with _stage("split"):
-        user_pair = split(graph, "by-user", config.user_split_ratio, config.user_split_seed + run_seed)
+        user_pair = split(graph, "by-user", config.user_split_ratio, USER_SPLIT_SEED + run_seed)
 
     tables = _propensity_tables(config, train_h, users, topic_vectors, rdir, stages)
 
@@ -610,8 +610,11 @@ def run_pipeline(config: PipelineConfig, resume: bool = False) -> str:
         canonical = _canonical_scheme(config)
         for name in ("plv_embeddings", "training_curve", "importance"):
             src = os.path.join(out_dir, f"{name}_{canonical}.csv")
+            dst = os.path.join(out_dir, f"{name}.csv")
             if os.path.exists(src):
-                shutil.copyfile(src, os.path.join(out_dir, f"{name}.csv"))
+                shutil.copyfile(src, dst)
+            elif os.path.exists(dst):  # base has no embeddings: an earlier config's copy
+                os.remove(dst)
     return report
 
 

@@ -31,6 +31,11 @@ from .errors import ConfigError, DataError, check_fields
 
 SHAPES = ("zero", "linear", "step", "u", "sin")
 
+VERIFIED_RATE = 0.05
+FOLLOWER_EXPOSURE_EXPONENT = 0.25  # reach ~ (followers / max followers) ** this
+VOCAB_SIZE = 300
+MEAN_TOKENS = 16.0
+
 
 @dataclass(frozen=True)
 class EffectShape:
@@ -131,13 +136,8 @@ class SynthConfig:
     # hate clusters get geometrically spaced intrinsic virality so content
     # weakly predicts popularity; 0 keeps all clusters level
     cluster_virality_lift: float = 0.5
-    n_user_blocks: int | None = None
     latent_outcome_strength: float = 0.0
     follower_weighted_exposure: bool = False
-    follower_exposure_exponent: float = 0.25
-    verified_rate: float = 0.05
-    vocab_size: int = 300
-    mean_tokens: float = 16.0
     with_text: bool = True
 
     def __post_init__(self):
@@ -147,10 +147,10 @@ class SynthConfig:
             raise ConfigError("n_hate_posts must be in [0, n_posts]")
         if self.n_clusters < 1:
             raise ConfigError("n_clusters must be positive")
-        if self.noise_sd < 0:
-            raise ConfigError("noise_sd must be >= 0")
-        if self.exposure_exponent < 0:
-            raise ConfigError("exposure_exponent must be >= 0")
+        for name in ("noise_sd", "exposure_exponent", "popularity_spread", "share_spread",
+                     "cluster_virality_lift"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
         if not (0.0 < self.base_hate_rate < 1.0):
             raise ConfigError("base_hate_rate must be in (0, 1)")
         if self.mean_shares <= 0:
@@ -191,13 +191,12 @@ def _ids(prefix: str, n: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i:0{width}d}" for i in range(n))
 
 
-def _post_text(rng, cluster_group: int, n_groups: int, vocab_size: int, mean_tokens: float):
-    group_size = vocab_size // (n_groups + 1)
+def _post_text(rng, cluster_group: int, n_groups: int):
+    group_size = VOCAB_SIZE // (n_groups + 1)
     shared_start = group_size * n_groups
-    lam = max(mean_tokens - 5.0, 0.0)
-    length = 5 + int(rng.poisson(lam))
+    length = 5 + int(rng.poisson(MEAN_TOKENS - 5.0))
     own = rng.integers(cluster_group * group_size, (cluster_group + 1) * group_size, length)
-    shared = rng.integers(shared_start, vocab_size, length)
+    shared = rng.integers(shared_start, VOCAB_SIZE, length)
     pick_shared = rng.random(length) < 0.2
     tokens = np.where(pick_shared, shared, own)
     return " ".join(f"w{t:04d}" for t in tokens)
@@ -219,7 +218,7 @@ def generate(config: SynthConfig, edge_seed: int | None = None):
     user_ids = _ids("u", n_u)
     post_ids = _ids("p", n_p)
 
-    verified = rng_u.random(n_u) < config.verified_rate
+    verified = rng_u.random(n_u) < VERIFIED_RATE
     age = np.clip(rng_u.normal(3585.0, 830.0, n_u), 30.0, None).astype(np.int64)
     posts_attr = rng_u.lognormal(math.log(24465.0), 1.3, n_u).astype(np.int64)
     followers = rng_u.lognormal(math.log(546.0), 1.5, n_u).astype(np.int64)
@@ -246,7 +245,7 @@ def generate(config: SynthConfig, edge_seed: int | None = None):
         curves[attr] = curve
         contrib += curve(feats.column(attr))
 
-    n_blocks = config.n_user_blocks or config.n_clusters
+    n_blocks = config.n_clusters  # user block b prefers hate cluster b
     blocks = rng_u.integers(0, n_blocks, n_u)
     latent = config.latent_outcome_strength * (((blocks + 0.5) / n_blocks) - 0.5) * 2.0
     noise = config.noise_sd * rng_u.standard_normal(n_u) if config.noise_sd > 0 else 0.0
@@ -266,7 +265,7 @@ def generate(config: SynthConfig, edge_seed: int | None = None):
         popularity /= np.quantile(popularity, config.exposure_norm_quantile)
     theta_post = np.minimum(1.0, popularity**config.exposure_exponent)
     if config.follower_weighted_exposure:
-        reach = ((1.0 + followers) / (1.0 + followers.max())) ** config.follower_exposure_exponent
+        reach = ((1.0 + followers) / (1.0 + followers.max())) ** FOLLOWER_EXPOSURE_EXPONENT
         exposure = theta_post[None, :] * reach[:, None]
     else:
         exposure = np.broadcast_to(theta_post[None, :], (n_u, n_p))
@@ -280,11 +279,8 @@ def generate(config: SynthConfig, edge_seed: int | None = None):
 
     # balanced block-cluster preference: constant row/column sums keep the
     # per-post expected interest mass flat across clusters
-    affinity = np.ones((n_blocks, config.n_clusters))
-    for b in range(n_blocks):
-        for c in range(config.n_clusters):
-            if c % n_blocks == b or b % config.n_clusters == c:
-                affinity[b, c] = config.cluster_affinity
+    affinity = np.ones((n_blocks, n_blocks))
+    np.fill_diagonal(affinity, config.cluster_affinity)
     hate_cols = np.flatnonzero(hate_mask)
     norm_cols = np.flatnonzero(~hate_mask)
     interest = np.zeros((n_u, n_p))
@@ -320,9 +316,7 @@ def generate(config: SynthConfig, edge_seed: int | None = None):
         text = None
         if config.with_text:
             group = int(cluster_of[j]) if hate else config.n_clusters
-            text = _post_text(
-                rng_t, group, config.n_clusters + 1, config.vocab_size, config.mean_tokens
-            )
+            text = _post_text(rng_t, group, config.n_clusters + 1)
         posts.append(
             Post(
                 post_id=post_ids[j],

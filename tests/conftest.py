@@ -100,15 +100,14 @@ def make_users(specs):
     return UserAttributeTable(rows)
 
 
-def subset_matrix(fm: FeatureMatrix, user_set) -> FeatureMatrix:
+def subset_matrix(fm: FeatureMatrix, user_set) -> tuple:
+    """The rows of ``fm`` whose user is in ``user_set``, and their indices,
+    which select the same users' targets."""
     idx = [i for i, u in enumerate(fm.user_ids) if u in user_set]
-    return FeatureMatrix(
-        user_ids=tuple(fm.user_ids[i] for i in idx),
-        columns=fm.columns,
-        X=fm.X[idx],
-        y=fm.y[idx],
-        target=fm.target,
+    subset = FeatureMatrix(
+        user_ids=tuple(fm.user_ids[i] for i in idx), columns=fm.columns, X=fm.X[idx]
     )
+    return subset, idx
 
 
 def brute_force_ranking(user_factors, post_factors, post_ids, test_edges_by_user,

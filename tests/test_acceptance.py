@@ -211,13 +211,14 @@ class TestCriterion4NonlinearityDirection:
             graph, users, _ = generate(cfg)
             outcomes = compute_outcomes(graph)
             pair = rs.split(graph, "by-user", 0.8, seed + 100)
-            fm = assemble_features(users, None, outcomes, include_embeddings=False)
-            fm_train = subset_matrix(fm, pair.train)
-            fm_test = subset_matrix(fm, pair.test)
-            ebm = fit_ebm(fm_train, EbmHyper(seed=seed, max_bins=128))
-            linear = fit_linear(fm_train)
-            r_ebm = rmse(predict(ebm, fm_test), fm_test.y)
-            r_lin = rmse(predict(linear, fm_test), fm_test.y)
+            y = outcomes.target("overall")
+            fm = assemble_features(users, None, outcomes)
+            fm_train, train = subset_matrix(fm, pair.train)
+            fm_test, test = subset_matrix(fm, pair.test)
+            ebm = fit_ebm(fm_train, y[train], EbmHyper(seed=seed, max_bins=128))
+            linear = fit_linear(fm_train, y[train])
+            r_ebm = rmse(predict(ebm, fm_test), y[test])
+            r_lin = rmse(predict(linear, fm_test), y[test])
             improvements.append(1.0 - r_ebm / r_lin)
         elapsed = time.time() - t0
         report(
@@ -253,11 +254,13 @@ class TestCriterion5ConfounderDirection:
             pair = rs.split(graph, "by-user", 0.8, seed + 100)
             hyper = EbmHyper(seed=seed, max_bins=128)
             scores = {}
-            for tag, emb, use in (("base", None, False), ("plv", embeddings, True)):
-                fm = assemble_features(users, emb, outcomes, include_embeddings=use)
-                m = fit_ebm(subset_matrix(fm, pair.train), hyper)
-                test_fm = subset_matrix(fm, pair.test)
-                scores[tag] = rmse(predict(m, test_fm), test_fm.y)
+            y = outcomes.target("overall")
+            for tag, emb in (("base", None), ("plv", embeddings)):
+                fm = assemble_features(users, emb, outcomes)
+                train_fm, train = subset_matrix(fm, pair.train)
+                test_fm, test = subset_matrix(fm, pair.test)
+                m = fit_ebm(train_fm, y[train], hyper)
+                scores[tag] = rmse(predict(m, test_fm), y[test])
             wins += scores["plv"] <= scores["base"]
         report(5, "confounder direction", wins >= 4, f"wins {wins}/5")
 
@@ -358,8 +361,8 @@ class TestCriterion7EffectRecovery:
         noise_sd = 0.1 * self.signal_sd()
         graph, users, truth = generate(self.base_config(0, noise_sd))
         outcomes = compute_outcomes(graph)
-        fm = assemble_features(users, None, outcomes, include_embeddings=False)
-        model = fit_ebm(fm, EbmHyper(seed=0, max_bins=128))
+        fm = assemble_features(users, None, outcomes)
+        model = fit_ebm(fm, outcomes.target("overall"), EbmHyper(seed=0, max_bins=128))
         worst_corr, worst_mae = 1.0, 0.0
         for shape in self.EFFECTS:
             curve = contribution_curve(model, shape.attribute, grid=64)
@@ -381,8 +384,8 @@ class TestCriterion7EffectRecovery:
         for seed in range(20):
             graph, users, _ = generate(self.base_config(seed, noise_sd))
             outcomes = compute_outcomes(graph)
-            fm = assemble_features(users, None, outcomes, include_embeddings=False)
-            model = fit_ebm(fm, EbmHyper(seed=seed, max_bins=128))
+            fm = assemble_features(users, None, outcomes)
+            model = fit_ebm(fm, outcomes.target("overall"), EbmHyper(seed=seed, max_bins=128))
             tops += feature_importance(model, fm).top() == "log1p_n_followers"
         report(7, "dominant importance", tops >= 19, f"top in {tops}/20 seeds")
 
@@ -418,10 +421,8 @@ class TestCriterion8InvariantSuites:
         y = np.sin(X[:, 0]) + 0.5 * X[:, 2] + rng.normal(0, 0.05, n)
         from reshare.effects import FeatureMatrix
 
-        fm = FeatureMatrix(
-            user_ids=tuple(map(str, range(n))), columns=("a", "b", "c"), X=X, y=y, target="t"
-        )
-        model = fit_ebm(fm, EbmHyper(n_bags=3, n_interactions=1, seed=8))
+        fm = FeatureMatrix(user_ids=tuple(map(str, range(n))), columns=("a", "b", "c"), X=X)
+        model = fit_ebm(fm, y, EbmHyper(n_bags=3, n_interactions=1, seed=8))
         for m in range(3):
             assert abs(float(np.mean(model.shapes[m](X[:, m])))) < 1e-9
         manual = np.full(n, model.intercept)

@@ -128,6 +128,42 @@ class TestSynthCommand:
         assert f"k_list must contain positive integers: {k_list}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command", ["synth", "pipeline"])
+    @pytest.mark.parametrize("name", ["popularity_spread", "share_spread", "cluster_virality_lift"])
+    def test_negative_synth_spread_or_lift_exits_one(self, tmp_path, capsys, command, name):
+        cfg = small_config(str(tmp_path / "x"))
+        cfg["synth"][name] = -1.0
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 1
+        assert f"{name} must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("block, name, value", [
+        (None, "edge_split_seed", 17),
+        (None, "user_split_seed", 23),
+        ("synth", "n_user_blocks", 2),
+        ("synth", "verified_rate", 0.05),
+        ("synth", "follower_exposure_exponent", 0.25),
+        ("synth", "vocab_size", 300),
+        ("synth", "mean_tokens", 16.0),
+    ])
+    def test_removed_config_key_exits_one(self, tmp_path, capsys, block, name, value):
+        cfg = small_config(str(tmp_path / "x"))
+        (cfg if block is None else cfg[block])[name] = value
+        assert main(["pipeline", "--config", write_config(tmp_path, cfg)]) == 1
+        assert f"fields: ['{name}']" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--runs", "2"], ["synth", "--resume"], ["mu-sweep", "--runs", "2"],
+    ])
+    def test_removed_flag_is_a_usage_error(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path, small_config(str(tmp_path / "x")))
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", cfg])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_cluster_exits_one_before_training(self, tmp_path, capsys):
         out = tmp_path / "x"
         cfg = small_config(str(out))
@@ -149,10 +185,10 @@ class TestSynthCommand:
         parent, fit_linear = os.getpid(), pipeline.fit_linear
 
         def fail_in(where):
-            def fit(features):
+            def fit(features, y):
                 if where == "everywhere" or os.getpid() != parent:
                     raise ValueError("boom")
-                return fit_linear(features)
+                return fit_linear(features, y)
 
             return fit
 
@@ -247,6 +283,16 @@ class TestPipelineCommand:
         for name in ("plv_embeddings", "training_curve", "importance"):
             copy, source = out / f"{name}.csv", out / f"{name}_virality.csv"
             assert copy.read_bytes() == source.read_bytes(), name
+
+    def test_copies_of_a_scheme_the_config_drops_are_removed(self, tmp_path):
+        out = tmp_path / "stale"
+        for schemes in (["virality"], ["biased"]):
+            cfg = dict(small_config(str(out)), schemes=schemes)
+            assert main(["pipeline", "--config", write_config(tmp_path, cfg)]) == 0
+        # the canonical variant is now base, which has no embeddings
+        assert not (out / "plv_embeddings.csv").exists()
+        assert not (out / "training_curve.csv").exists()
+        assert (out / "importance.csv").read_bytes() == (out / "importance_base.csv").read_bytes()
 
     def test_resume_restores_deleted_importance_copy(self, tmp_path):
         out = tmp_path / "importance"
@@ -525,6 +571,15 @@ class TestMuSweepCommand:
             sweeps.append((out / "mu_sweep.csv").read_bytes())
             assert len(forks) == cpus - 1  # the 2-CPU run forks once for its 6 members
         assert sweeps[0] == sweeps[1]
+
+    def test_resume_flag_recomputes(self, tmp_path):
+        out = tmp_path / "mu_resume"
+        cfg = write_config(tmp_path, small_config(str(out)))
+        assert main(["mu-sweep", "--config", cfg, "--mus", "0.5"]) == 0
+        cold = (out / "mu_sweep.csv").read_bytes()
+        (out / "mu_sweep.csv").write_text("stale\n")
+        assert main(["mu-sweep", "--config", cfg, "--mus", "0.5", "--resume"]) == 0
+        assert (out / "mu_sweep.csv").read_bytes() == cold
 
     def test_invalid_mu_exits_one(self, tmp_path, capsys):
         out = str(tmp_path / "mu2")

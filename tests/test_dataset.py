@@ -127,6 +127,18 @@ class TestLogTransform:
         for col in ("log1p_n_posts", "log1p_n_followers", "log1p_n_friends"):
             assert np.all(np.diff(view.column(col)) >= 0)
 
+    def test_counts_carry_the_bits_of_math_log1p(self):
+        rng = np.random.default_rng(5)
+        counts = rng.lognormal(math.log(546.0), 3.0, (3000, 3)).astype(np.int64)
+        table = make_users(
+            [{"user_id": f"u{i:04d}", "n_posts": int(a), "n_followers": int(b), "n_friends": int(c)}
+             for i, (a, b, c) in enumerate(counts)]
+        )
+        view = log_transform_attributes(table)
+        for m, col in enumerate(("log1p_n_posts", "log1p_n_followers", "log1p_n_friends")):
+            expected = [math.log1p(int(c)).hex() for c in counts[:, m]]
+            assert [float(v).hex() for v in view.column(col)] == expected, col
+
 
 class TestSplit:
     def graph10(self):

@@ -29,10 +29,8 @@ def matrix_from(rng, n=1500, uniform=True):
     return X, ("a", "b", "c")
 
 
-def fmatrix(X, cols, y):
-    return FeatureMatrix(
-        user_ids=tuple(f"u{i}" for i in range(len(y))), columns=cols, X=X, y=y, target="t"
-    )
+def fmatrix(X, cols):
+    return FeatureMatrix(user_ids=tuple(f"u{i}" for i in range(len(X))), columns=cols, X=X)
 
 
 class TestAssemble:
@@ -56,13 +54,8 @@ class TestAssemble:
         )
         assert fm.columns[5] == "x_0" and fm.columns[-1] == "x_63"
 
-    def test_cluster_target_selection(self):
-        fm = assemble_features(self.users, self.embeddings, self.outcomes, target="c1")
-        i = fm.user_ids.index("u1")
-        assert fm.y[i] == pytest.approx(self.outcomes.y_cluster("u1", "c1"))
-
     def test_base_ablation_drops_embeddings(self):
-        fm = assemble_features(self.users, None, self.outcomes, include_embeddings=False)
+        fm = assemble_features(self.users, None, self.outcomes)
         assert len(fm.columns) == 5
 
     def test_shuffled_embedding_pair_gives_equal_matrix(self):
@@ -85,25 +78,21 @@ class TestAssemble:
         with pytest.raises(DataError, match="no embedding"):
             assemble_features(self.users, embeddings, self.outcomes)
 
-    def test_unknown_cluster_rejected(self):
-        with pytest.raises(ValueError, match="unknown target"):
-            assemble_features(self.users, self.embeddings, self.outcomes, target="zz")
-
 
 class TestFitEbm:
     def test_constant_target_intercept_only(self, rng):
         X, cols = matrix_from(rng, n=50)
-        fm = fmatrix(X, cols, np.full(50, 0.7))
+        fm = fmatrix(X, cols)
         with pytest.warns(UserWarning, match="constant target"):
-            model = fit_ebm(fm, EbmHyper(n_bags=2, seed=0))
+            model = fit_ebm(fm, np.full(50, 0.7), EbmHyper(n_bags=2, seed=0))
         assert model.intercept == pytest.approx(0.7)
         assert np.allclose(predict(model, fm), 0.7)
 
     def test_linear_target_recovered(self, rng):
         X, cols = matrix_from(rng, n=3000)
         y = 2.0 * X[:, 0]
-        fm = fmatrix(X, cols, y)
-        model = fit_ebm(fm, EbmHyper(n_interactions=0, n_bags=4, seed=1))
+        fm = fmatrix(X, cols)
+        model = fit_ebm(fm, y, EbmHyper(n_interactions=0, n_bags=4, seed=1))
         curve = contribution_curve(model, "a", grid=64)
         truth = 2.0 * (curve.x - X[:, 0].mean())
         tol = np.maximum(0.02 * (truth.max() - truth.min()), 2.0 * (curve.upper - curve.value))
@@ -114,8 +103,8 @@ class TestFitEbm:
         X, cols = matrix_from(rng, n=4000)
         med = float(np.median(X[:, 0]))
         y = (X[:, 0] > med).astype(float)
-        fm = fmatrix(X, cols, y)
-        model = fit_ebm(fm, EbmHyper(n_interactions=0, n_bags=4, max_bins=128, seed=2))
+        fm = fmatrix(X, cols)
+        model = fit_ebm(fm, y, EbmHyper(n_interactions=0, n_bags=4, max_bins=128, seed=2))
         shape = model.shapes[0]
         cuts = shape.bins.cuts
         pos = np.searchsorted(cuts, med)
@@ -131,8 +120,8 @@ class TestFitEbm:
     def test_centering_exact(self, rng):
         X, cols = matrix_from(rng, n=800)
         y = X[:, 0] ** 2 + 0.3 * X[:, 2] + rng.normal(0, 0.1, 800)
-        fm = fmatrix(X, cols, y)
-        model = fit_ebm(fm, EbmHyper(n_bags=3, n_interactions=2, seed=3))
+        fm = fmatrix(X, cols)
+        model = fit_ebm(fm, y, EbmHyper(n_bags=3, n_interactions=2, seed=3))
         for m in range(3):
             assert abs(float(np.mean(model.shapes[m](X[:, m])))) < 1e-9
         for term in model.pair_terms:
@@ -141,8 +130,8 @@ class TestFitEbm:
     def test_additivity_of_predict(self, rng):
         X, cols = matrix_from(rng, n=600)
         y = np.sin(X[:, 0]) + X[:, 1]
-        fm = fmatrix(X, cols, y)
-        model = fit_ebm(fm, EbmHyper(n_bags=2, n_interactions=1, seed=4))
+        fm = fmatrix(X, cols)
+        model = fit_ebm(fm, y, EbmHyper(n_bags=2, n_interactions=1, seed=4))
         manual = np.full(600, model.intercept)
         for m in range(3):
             manual += model.shapes[m](X[:, m])
@@ -153,22 +142,22 @@ class TestFitEbm:
     def test_train_mean_prediction_is_intercept(self, rng):
         X, cols = matrix_from(rng, n=500)
         y = X[:, 0] + 0.1 * rng.normal(size=500)
-        fm = fmatrix(X, cols, y)
-        model = fit_ebm(fm, EbmHyper(n_bags=3, n_interactions=0, seed=5))
+        fm = fmatrix(X, cols)
+        model = fit_ebm(fm, y, EbmHyper(n_bags=3, n_interactions=0, seed=5))
         assert float(np.mean(predict(model, fm))) == pytest.approx(model.intercept, abs=1e-9)
 
     def test_boosting_monotone_training_rmse(self, rng):
         X, cols = matrix_from(rng, n=400)
         y = X[:, 0] - 0.5 * X[:, 1] + rng.normal(0, 0.05, 400)
-        fm = fmatrix(X, cols, y)
-        model = fit_ebm(fm, EbmHyper(n_bags=1, n_interactions=0, seed=6))
+        fm = fmatrix(X, cols)
+        model = fit_ebm(fm, y, EbmHyper(n_bags=1, n_interactions=0, seed=6))
         curve = np.array(model.train_rmse_curve)
         assert np.all(np.diff(curve) <= 1e-12)
 
     def test_bounds_collapse_single_bag(self, rng):
         X, cols = matrix_from(rng, n=300)
         y = X[:, 0]
-        model = fit_ebm(fmatrix(X, cols, y), EbmHyper(n_bags=1, n_interactions=0, seed=7))
+        model = fit_ebm(fmatrix(X, cols), y, EbmHyper(n_bags=1, n_interactions=0, seed=7))
         curve = contribution_curve(model, "a")
         assert np.allclose(curve.lower, curve.value)
         assert np.allclose(curve.upper, curve.value)
@@ -187,8 +176,8 @@ class TestFitEbm:
         # seed 34's only bag draws every row, so it has no out-of-bag rows
         bag_seed = np.random.SeedSequence(34).spawn(1)[0]
         assert set(np.random.default_rng(bag_seed).integers(0, 4, 4)) == {0, 1, 2, 3}
-        fm = fmatrix(X, ("a",), y)
-        model = fit_ebm(fm, hyper)
+        fm = fmatrix(X, ("a",))
+        model = fit_ebm(fm, y, hyper)
         assert len(model.train_rmse_curve) == 50
         rmse = float(np.sqrt(np.mean((predict(model, fm) - y) ** 2)))
         assert rmse < y.std()
@@ -196,7 +185,7 @@ class TestFitEbm:
     def test_binary_feature_two_rows_centered(self, rng):
         X, cols = matrix_from(rng, n=1000)
         y = 0.4 * X[:, 2] + rng.normal(0, 0.02, 1000)
-        model = fit_ebm(fmatrix(X, cols, y), EbmHyper(n_bags=2, n_interactions=0, seed=8))
+        model = fit_ebm(fmatrix(X, cols), y, EbmHyper(n_bags=2, n_interactions=0, seed=8))
         curve = contribution_curve(model, "c")
         assert curve.x.shape == (2,)
         w1 = float(np.mean(X[:, 2]))
@@ -204,14 +193,14 @@ class TestFitEbm:
         assert abs(weighted) < 1e-9
 
     def test_empty_matrix_rejected(self):
-        fm = FeatureMatrix(user_ids=(), columns=("a",), X=np.zeros((0, 1)), y=np.zeros(0), target="t")
+        fm = FeatureMatrix(user_ids=(), columns=("a",), X=np.zeros((0, 1)))
         with pytest.raises(DataError):
-            fit_ebm(fm, EbmHyper(n_bags=1))
+            fit_ebm(fm, np.zeros(0), EbmHyper(n_bags=1))
 
     def test_out_of_range_clamps(self, rng):
         X, cols = matrix_from(rng, n=500)
         y = X[:, 0]
-        model = fit_ebm(fmatrix(X, cols, y), EbmHyper(n_bags=2, n_interactions=0, seed=9))
+        model = fit_ebm(fmatrix(X, cols), y, EbmHyper(n_bags=2, n_interactions=0, seed=9))
         shape = model.shapes[0]
         assert shape(np.array([-100.0]))[0] == shape(np.array([X[:, 0].min()]))[0]
         assert shape(np.array([100.0]))[0] == shape(np.array([X[:, 0].max()]))[0]
@@ -219,9 +208,9 @@ class TestFitEbm:
     def test_interaction_pure_product_found(self, rng):
         X, cols = matrix_from(rng, n=2500)
         y = X[:, 0] * (2.0 * X[:, 1] - 1.0) + rng.normal(0, 0.05, 2500)
-        fm = fmatrix(X, cols, y)
-        with_pairs = fit_ebm(fm, EbmHyper(n_bags=2, n_interactions=2, seed=10))
-        without = fit_ebm(fm, EbmHyper(n_bags=2, n_interactions=0, seed=10))
+        fm = fmatrix(X, cols)
+        with_pairs = fit_ebm(fm, y, EbmHyper(n_bags=2, n_interactions=2, seed=10))
+        without = fit_ebm(fm, y, EbmHyper(n_bags=2, n_interactions=0, seed=10))
         assert (0, 1) in [(t.i, t.j) for t in with_pairs.pair_terms]
         rmse_with = float(np.sqrt(np.mean((predict(with_pairs, fm) - y) ** 2)))
         rmse_without = float(np.sqrt(np.mean((predict(without, fm) - y) ** 2)))
@@ -269,8 +258,8 @@ def assert_same_model(a, b):
 
 class TestFitEbmStack:
     def stack_and_solo(self, X, cols, ys, hyper):
-        stacked = fit_ebm_stack(fmatrix(X, cols, ys[0]), ys, hyper)
-        solo = [fit_ebm(fmatrix(X, cols, y), hyper) for y in ys]
+        stacked = fit_ebm_stack(fmatrix(X, cols), ys, hyper)
+        solo = [fit_ebm(fmatrix(X, cols), y, hyper) for y in ys]
         assert len(stacked) == len(ys)
         for a, b in zip(stacked, solo):
             assert_same_model(a, b)
@@ -361,7 +350,7 @@ class TestFitEbmStack:
 
     def test_target_of_wrong_length_rejected(self, rng):
         X, cols = matrix_from(rng, n=50)
-        fm = fmatrix(X, cols, X[:, 0])
+        fm = fmatrix(X, cols)
         with pytest.raises(ValueError, match="one value per row"):
             fit_ebm_stack(fm, [X[:, 0], X[:-1, 1]], EbmHyper(n_bags=1))
         with pytest.raises(ValueError, match="at least one target"):
@@ -378,7 +367,7 @@ class TestFitEbmStack:
 class TestFitLinear:
     def test_constant_fit(self, rng):
         X, cols = matrix_from(rng, n=200)
-        model = fit_linear(fmatrix(X, cols, np.full(200, 3.0)))
+        model = fit_linear(fmatrix(X, cols), np.full(200, 3.0))
         assert model.intercept == pytest.approx(3.0, abs=1e-9)
         for shape in model.shapes:
             assert shape.slope == pytest.approx(0.0, abs=1e-9)
@@ -386,21 +375,20 @@ class TestFitLinear:
     def test_exact_slope(self, rng):
         X, cols = matrix_from(rng, n=200)
         y = 2.0 * X[:, 0]
-        model = fit_linear(fmatrix(X, cols, y))
+        model = fit_linear(fmatrix(X, cols), y)
         assert model.shapes[0].slope == pytest.approx(2.0, abs=1e-9)
-        assert np.allclose(predict(model, fmatrix(X, cols, y)), y, atol=1e-9)
+        assert np.allclose(predict(model, fmatrix(X, cols)), y, atol=1e-9)
 
     def test_u_shape_beats_linear_direction(self, rng):
         X, cols = matrix_from(rng, n=3000)
         y = (X[:, 0] ** 2 - X[:, 0].var()) + rng.normal(0, 0.05, 3000)
-        fm = fmatrix(X, cols, y)
-        train = set(fm.user_ids[:2400])
-        test = set(fm.user_ids[2400:])
-        ebm = fit_ebm(subset_matrix(fm, train), EbmHyper(n_bags=4, n_interactions=0, seed=11))
-        lin = fit_linear(subset_matrix(fm, train))
-        te = subset_matrix(fm, test)
-        rmse_ebm = float(np.sqrt(np.mean((predict(ebm, te) - te.y) ** 2)))
-        rmse_lin = float(np.sqrt(np.mean((predict(lin, te) - te.y) ** 2)))
+        fm = fmatrix(X, cols)
+        tr, train = subset_matrix(fm, set(fm.user_ids[:2400]))
+        te, test = subset_matrix(fm, set(fm.user_ids[2400:]))
+        ebm = fit_ebm(tr, y[train], EbmHyper(n_bags=4, n_interactions=0, seed=11))
+        lin = fit_linear(tr, y[train])
+        rmse_ebm = float(np.sqrt(np.mean((predict(ebm, te) - y[test]) ** 2)))
+        rmse_lin = float(np.sqrt(np.mean((predict(lin, te) - y[test]) ** 2)))
         assert rmse_lin > rmse_ebm
 
     def test_rank_deficient_ridge_fallback(self, rng):
@@ -408,10 +396,10 @@ class TestFitLinear:
         X[:, 1] = 2.0 * X[:, 0]  # collinear
         y = X[:, 0]
         with pytest.warns(UserWarning, match="rank-deficient"):
-            model = fit_linear(fmatrix(X, cols, y))
+            model = fit_linear(fmatrix(X, cols), y)
         assert model.ridge_fallback
         with pytest.raises(DataError):
-            fit_linear(fmatrix(X, cols, y), allow_ridge=False)
+            fit_linear(fmatrix(X, cols), y, allow_ridge=False)
 
 
 class TestImportanceAndCurves:
@@ -419,8 +407,8 @@ class TestImportanceAndCurves:
         X, cols = matrix_from(rng, n=800)
         X[:, 2] = 1.0  # constant column: its shape is identically zero
         y = 2.0 * X[:, 0]
-        fm = fmatrix(X, cols, y)
-        model = fit_ebm(fm, EbmHyper(n_bags=2, n_interactions=0, seed=12))
+        fm = fmatrix(X, cols)
+        model = fit_ebm(fm, y, EbmHyper(n_bags=2, n_interactions=0, seed=12))
         imp = feature_importance(model, fm).as_dict()
         assert imp["c"] == 0.0
         assert imp["b"] < 0.15 * imp["a"]
@@ -429,28 +417,26 @@ class TestImportanceAndCurves:
     def test_dominant_feature_ordering(self, rng):
         X, cols = matrix_from(rng, n=2000)
         y = 2.0 * X[:, 0] + 0.1 * (2.0 * X[:, 1] - 1.0) + rng.normal(0, 0.02, 2000)
-        fm = fmatrix(X, cols, y)
-        model = fit_ebm(fm, EbmHyper(n_bags=2, n_interactions=0, seed=13))
+        fm = fmatrix(X, cols)
+        model = fit_ebm(fm, y, EbmHyper(n_bags=2, n_interactions=0, seed=13))
         imp = feature_importance(model, fm)
         assert imp.top() == "a"
         assert imp.as_dict()["a"] > imp.as_dict()["b"]
 
     def test_unknown_feature_rejected(self, rng):
         X, cols = matrix_from(rng, n=100)
-        model = fit_linear(fmatrix(X, cols, X[:, 0]))
+        model = fit_linear(fmatrix(X, cols), X[:, 0])
         with pytest.raises(KeyError):
             contribution_curve(model, "zz")
 
     def test_column_mismatch_rejected(self, rng):
         X, cols = matrix_from(rng, n=100)
         y = X[:, 0]
-        model = fit_linear(fmatrix(X, cols, y))
+        model = fit_linear(fmatrix(X, cols), y)
         bad = FeatureMatrix(
             user_ids=tuple(f"u{i}" for i in range(100)),
             columns=("x", "y", "z"),
             X=X,
-            y=y,
-            target="t",
         )
         with pytest.raises(ValueError, match="columns"):
             predict(model, bad)
@@ -458,8 +444,8 @@ class TestImportanceAndCurves:
     def test_curves_match_prediction_lookups(self, rng):
         X, cols = matrix_from(rng, n=700)
         y = np.cos(X[:, 0]) + 0.2 * X[:, 1]
-        fm = fmatrix(X, cols, y)
-        model = fit_ebm(fm, EbmHyper(n_bags=2, n_interactions=0, seed=14))
+        fm = fmatrix(X, cols)
+        model = fit_ebm(fm, y, EbmHyper(n_bags=2, n_interactions=0, seed=14))
         manual = np.full(700, model.intercept)
         for m in range(3):
             manual += model.shapes[m](X[:, m])
@@ -479,8 +465,8 @@ class TestRecoveryThroughSynthetic:
         )
         graph, users, truth = generate(cfg)
         oc = compute_outcomes(graph)
-        fm = assemble_features(users, None, oc, include_embeddings=False)
-        model = fit_ebm(fm, EbmHyper(seed=21, max_bins=128))
+        fm = assemble_features(users, None, oc)
+        model = fit_ebm(fm, oc.target("overall"), EbmHyper(seed=21, max_bins=128))
         curve = contribution_curve(model, "log1p_n_followers", grid=64)
         target = truth.effect_curves["log1p_n_followers"](curve.x)
         corr = float(np.corrcoef(curve.value, target)[0, 1])

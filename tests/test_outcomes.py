@@ -7,12 +7,17 @@ from reshare.synthgen import SynthConfig, generate
 from conftest import make_graph
 
 
+def value(oc, name, user_id):
+    """The outcome ``name`` of one user, read through ``OutcomeTable.target``."""
+    return float(oc.target(name)[oc.user_ids.index(user_id)])
+
+
 class TestCounting:
     def test_hate_fraction(self):
         posts = [("h0", True, "c0"), ("n0", False, None), ("n1", False, None), ("n2", False, None)]
         graph = make_graph(1, posts, [(0, "h0"), (0, "n0"), (0, "n1"), (0, "n2")])
         oc = compute_outcomes(graph)
-        assert oc.y("u0") == pytest.approx(0.25)
+        assert value(oc, "overall", "u0") == pytest.approx(0.25)
 
     def test_cluster_fraction(self):
         posts = [(f"h{i}", True, "c0") for i in range(2)] + [
@@ -21,21 +26,21 @@ class TestCounting:
         edges = [(0, p[0]) for p in posts]
         graph = make_graph(1, posts, edges)
         oc = compute_outcomes(graph)
-        assert oc.y_cluster("u0", "c0") == pytest.approx(0.2)
+        assert value(oc, "c0", "u0") == pytest.approx(0.2)
 
     def test_all_normal_shares(self):
         posts = [("h0", True, "c0"), ("n0", False, None)]
         graph = make_graph(1, posts, [(0, "n0")])
         oc = compute_outcomes(graph)
-        assert oc.y("u0") == 0.0
-        assert oc.y_cluster("u0", "c0") == 0.0
+        assert value(oc, "overall", "u0") == 0.0
+        assert value(oc, "c0", "u0") == 0.0
 
     def test_zero_share_users_excluded_and_counted(self):
         posts = [("n0", False, None)]
         graph = make_graph(3, posts, [(0, "n0")])
         oc = compute_outcomes(graph)
         assert oc.n_excluded == 2
-        assert "u1" not in oc.user_index
+        assert "u1" not in oc.user_ids
 
     def test_unlabeled_hate_cluster(self):
         graph = make_graph(
@@ -46,7 +51,25 @@ class TestCounting:
         oc = compute_outcomes(graph)
         assert "unlabeled" in oc.clusters
         assert oc.n_unlabeled_hate_posts == 1
-        assert oc.y_cluster("u0", "unlabeled") == pytest.approx(0.5)
+        assert value(oc, "unlabeled", "u0") == pytest.approx(0.5)
+
+
+class TestTarget:
+    def setup_method(self):
+        posts = [("h0", True, "c0"), ("h1", True, "c1"), ("n0", False, None)]
+        edges = [(0, "h0"), (0, "n0"), (1, "h1"), (1, "n0"), (2, "n0")]
+        self.outcomes = compute_outcomes(make_graph(3, posts, edges))
+
+    def test_cluster_target_selection(self):
+        oc = self.outcomes
+        assert oc.target("overall") is oc.overall
+        assert np.array_equal(oc.target("c1"), oc.by_cluster[:, oc.clusters.index("c1")])
+        assert value(oc, "c1", "u1") == pytest.approx(0.5)
+        assert value(oc, "c1", "u0") == 0.0 and value(oc, "c0", "u0") == pytest.approx(0.5)
+
+    def test_unknown_cluster_rejected(self):
+        with pytest.raises(ValueError, match="unknown target"):
+            self.outcomes.target("zz")
 
 
 class TestIdentities:
