@@ -14,8 +14,9 @@ table in a single loop: with one seed every table draws the same init,
 permutations and negatives, so the members share them and differ only in
 their triplet weights; ``train`` is a stack of one. One pairwise step function
 serves both ``batch_gradients`` and training, so the gradient the tests check
-against finite differences is the update that training applies. It scatters
-the gradients of all members with one flat ``np.add.at`` per batch. However
+against finite differences is the update that training applies. It builds one
+flat scatter index per batch from the shared rows and adds each member's
+gradients through it with one 1-D ``np.add.at``. However
 ``train_stack`` spreads its members over the CPUs (``workers.spread``), each
 member equals its solo fit bit for bit.
 """
@@ -194,13 +195,14 @@ def _pair_step(factors, users, pos, neg, w, scale, out) -> np.ndarray:
     indices shared by all members and ``w`` is the ``(S, B)`` triplet weights.
     Adds ``coef * (h_pos - h_neg)`` to the users' rows and ``+-coef * x_user``
     to the posts' rows, where ``coef = scale * w * sigmoid(-r)``, through one
-    1-D ``np.add.at`` over the user, pos and neg rows in that order; returns the
-    weighted losses ``w * -ln sigmoid(r)``. All rows are read before any is
-    written, so ``out`` may be ``factors``."""
-    n_members, n_rows, d = factors.shape
+    1-D ``np.add.at`` per member over the user, pos and neg rows in that order,
+    on a flat index built once per batch; returns the weighted losses
+    ``w * -ln sigmoid(r)``. All rows are read before any is written, so ``out``
+    may be ``factors``."""
+    d = factors.shape[2]
     b = users.size
-    rows = np.concatenate((users, pos, neg)) + n_rows * np.arange(n_members)[:, None]
-    grads = factors.reshape(-1, d)[rows]  # x_user, h_pos, h_neg; overwritten by their steps
+    rows = np.concatenate((users, pos, neg))
+    grads = factors[:, rows]  # x_user, h_pos, h_neg; overwritten by their steps
     u, h_pos, h_neg = grads[:, :b], grads[:, b : 2 * b], grads[:, 2 * b :]
     diff = h_pos - h_neg
     r = np.einsum("sij,sij->si", u, diff)
@@ -208,7 +210,9 @@ def _pair_step(factors, users, pos, neg, w, scale, out) -> np.ndarray:
     np.multiply(coef, u, out=h_pos)
     np.multiply(coef, diff, out=u)
     np.negative(h_pos, out=h_neg)
-    np.add.at(out.reshape(-1), (rows[:, :, None] * d + np.arange(d)).ravel(), grads.ravel())
+    flat = (rows[:, None] * d + np.arange(d)).ravel()
+    for member_out, member_grads in zip(out, grads):
+        np.add.at(member_out.reshape(-1), flat, member_grads.ravel())
     return w * np.logaddexp(0.0, -r)
 
 

@@ -24,10 +24,13 @@ means, and copies the canonical scheme's ``plv_embeddings``,
 ``training_curve`` and ``importance`` CSVs byte for byte; a copy whose source
 the config does not produce (the ``base`` variant has no embeddings) goes.
 
-The runs of ``--runs N`` share no state (each has its own seeds, ``run_<i>/``
-and markers), and ``run_pipeline`` spreads them over the CPUs with
-``workers.spread``: run 0 and the report stay here, so the outputs are
-byte-identical on any number of CPUs.
+Three things spread over the CPUs through ``workers.spread``: the runs of
+``--runs N``, which share no state (each has its own seeds, ``run_<i>/`` and
+markers), the members of a run's BPR stack, and the ``effects_<variant>``
+stages of a run that are not done, each of which writes its own files and
+marker. Spreads never nest, so while the runs are spread each run trains and
+fits in its own process. Run 0, the merging of the results in config order and
+the report stay here, so the outputs are byte-identical on any number of CPUs.
 """
 
 import contextlib
@@ -393,9 +396,11 @@ def _effect_study(config, users, embeddings, outcome_table, user_pair, run_idx, 
     """The ``effects_<variant>`` stages, scored on the by-user holdout. The
     train/test rows and the targets (``overall``, then each configured
     cluster) are taken once; a variant builds its feature matrix once and fits
-    every target in one ``fit_ebm_stack`` call. The first run writes
-    ``importance_<variant>.csv`` and the canonical variant's curves; a resumed
-    stage whose files are gone reruns."""
+    every target in one ``fit_ebm_stack`` call. The variants that are not done
+    are spread over the CPUs (``workers.spread``), each fitting, writing and
+    marking its stage where it runs; the others are read from their markers.
+    The first run writes ``importance_<variant>.csv`` and the canonical
+    variant's curves; a resumed stage whose files are gone reruns."""
     hyper = _seeded(config.ebm, config.seed + run_idx)
     targets = ("overall", *config.clusters)
     ys = [outcome_table.target(target) for target in targets]
@@ -404,40 +409,52 @@ def _effect_study(config, users, embeddings, outcome_table, user_pair, run_idx, 
         [i for i, u in enumerate(outcome_table.user_ids) if u in half]
         for half in (user_pair.train, user_pair.test)
     )
+
+    def importance_path(variant):
+        return os.path.join(rdir, f"importance_{variant}.csv")
+
+    def outputs(variant):
+        if run_idx != 0:
+            return []
+        written = [importance_path(variant)]
+        if variant == _canonical_scheme(config):
+            written += [path for f in FEATURE_COLUMNS for path in _curve_paths(config, rdir, f)]
+        return written
+
+    def fit(variant):
+        """Fit, score, write and mark one variant's stage; returns its payload."""
+        stage = f"effects_{variant}"
+        with _stage(stage):
+            fm = assemble_features(users, embeddings.get(variant), outcome_table)
+            fm_train, fm_test = _subset_rows(fm, train_rows), _subset_rows(fm, test_rows)
+            models = fit_ebm_stack(fm_train, [y[train_rows] for y in ys], hyper)
+            payload = {
+                "rmse": {
+                    target: rmse(predict(model, fm_test), y[test_rows])
+                    for target, model, y in zip(targets, models, ys)
+                },
+                "linear_rmse": None,
+            }
+            if variant == "base":
+                linear = fit_linear(fm_train, ys[0][train_rows])
+                payload["linear_rmse"] = rmse(predict(linear, fm_test), ys[0][test_rows])
+            importance_rows = feature_importance(models[0], fm_train)
+            payload["importance"] = [[name, value] for name, value in importance_rows.rows]
+            if run_idx == 0:
+                artifacts.write_importance(importance_rows, importance_path(variant))
+                if variant == _canonical_scheme(config):
+                    _export_curves(config, models[0], rdir)
+            stages.mark(stage, **payload)
+        return payload
+
+    variants = _variants(config)
+    pending = [v for v in variants if not stages.done(f"effects_{v}", *outputs(v))]
+    fitted = spread(lambda group: [fit(variant) for variant in group], pending)
+    payloads = dict(zip(pending, (payload for group in fitted for payload in group)))
     rmses, importance = {}, {}
     linear_rmse = None
-    for variant in _variants(config):
-        stage = f"effects_{variant}"
-        importance_path = os.path.join(rdir, f"importance_{variant}.csv")
-        written = []
-        if run_idx == 0:
-            written.append(importance_path)
-            if variant == _canonical_scheme(config):
-                written += [path for f in FEATURE_COLUMNS for path in _curve_paths(config, rdir, f)]
-        if stages.done(stage, *written):
-            payload = stages.payload(stage)
-        else:
-            with _stage(stage):
-                fm = assemble_features(users, embeddings.get(variant), outcome_table)
-                fm_train, fm_test = _subset_rows(fm, train_rows), _subset_rows(fm, test_rows)
-                models = fit_ebm_stack(fm_train, [y[train_rows] for y in ys], hyper)
-                payload = {
-                    "rmse": {
-                        target: rmse(predict(model, fm_test), y[test_rows])
-                        for target, model, y in zip(targets, models, ys)
-                    },
-                    "linear_rmse": None,
-                }
-                if variant == "base":
-                    linear = fit_linear(fm_train, ys[0][train_rows])
-                    payload["linear_rmse"] = rmse(predict(linear, fm_test), ys[0][test_rows])
-                importance_rows = feature_importance(models[0], fm_train)
-                payload["importance"] = [[name, value] for name, value in importance_rows.rows]
-                if run_idx == 0:
-                    artifacts.write_importance(importance_rows, importance_path)
-                    if variant == _canonical_scheme(config):
-                        _export_curves(config, models[0], rdir)
-                stages.mark(stage, **payload)
+    for variant in variants:
+        payload = payloads.get(variant) or stages.payload(f"effects_{variant}")
         rmses[variant] = payload["rmse"]
         importance[variant] = payload["importance"]
         if payload["linear_rmse"] is not None:

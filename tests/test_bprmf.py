@@ -208,10 +208,10 @@ class TestPairStep:
         users = np.array([0, 2, 0, 3, 2, 0])
         pos = np.array([1, 4, 3, 0, 1, 5])
         neg = np.array([3, 1, 2, 4, 0, 1])  # triplet 1's neg is triplets 0 and 4's pos
-        w = rng.uniform(0.0, 2.0, (2, users.size))
-        block = rng.normal(0.0, 0.5, (2, n_users + n_posts, d))
+        w = rng.uniform(0.0, 2.0, (3, users.size))
+        block = rng.normal(0.0, 0.5, (3, n_users + n_posts, d))
         expected = block.copy()
-        for s in range(2):  # the per-array 2-D np.add.at form, member by member
+        for s in range(3):  # the per-array 2-D np.add.at form, member by member
             user_f, post_f = expected[s, :n_users], expected[s, n_users:]
             u = user_f[users]
             diff = post_f[pos] - post_f[neg]

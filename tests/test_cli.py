@@ -13,6 +13,8 @@ from reshare.cli import main
 from reshare.errors import DataError
 from reshare.pipeline import PipelineConfig, StageError, config_hash, run_pipeline
 
+from conftest import assert_no_children
+
 
 def small_config(out_dir, runs=1):
     return {
@@ -527,11 +529,71 @@ class TestPipelineCommand:
 
     @pytest.mark.parametrize("runs", [1, 2])
     def test_one_spread_forks_on_two_cpus(self, tmp_path, monkeypatch, forks, runs):
-        # two runs spread over the CPUs and train in-process; one run spreads its training
+        # two runs spread over the CPUs and train and fit in-process; one run
+        # spreads its training, then its effect variants, one spread at a time
         monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
         cfg = write_config(tmp_path, small_config(str(tmp_path / "x"), runs=runs))
         assert main(["pipeline", "--config", cfg]) == 0
-        assert len(forks) == 1
+        assert len(forks) == {1: 2, 2: 1}[runs]
+
+    def test_variants_same_bytes_on_one_two_and_three_cpus(self, tmp_path, monkeypatch, forks):
+        out = tmp_path / "variants"
+        cfg = write_config(tmp_path, dict(small_config(str(out)), clusters=["c0", "c1"]))
+        outputs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
+            forks.clear()
+            shutil.rmtree(out, ignore_errors=True)
+            assert main(["pipeline", "--config", cfg]) == 0
+            assert len(forks) == 2 * (cpus - 1)  # the BPR stack, then the four variants
+            outputs.append({str(path.relative_to(out)): path.read_bytes()
+                            for path in sorted(out.rglob("*")) if path.is_file()})
+        assert {"effects_neural.done", "importance_base.csv", "importance_neural.csv",
+                "curve_verified.csv", "curve_verified.svg", "report.txt"} <= set(outputs[0])
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_failed_variant_exits_two_as_in_process_and_resume_refits_the_rest(
+        self, tmp_path, capsys, monkeypatch, forks
+    ):
+        marked, failing, mark = tmp_path / "marked.txt", [], pipeline._Stages.mark
+
+        def spy(stages, stage, **payload):  # logs every marker, from any process
+            if stage in failing:
+                raise ValueError("boom")
+            with open(marked, "a", encoding="utf-8") as fh:
+                fh.write(stage + "\n")
+            mark(stages, stage, **payload)
+
+        def run(cfg, *flags):
+            forks.clear()
+            marked.write_text("")
+            code = main(["pipeline", "--config", cfg, *flags])
+            assert_no_children()
+            return code, sorted(marked.read_text().split())
+
+        monkeypatch.setattr(pipeline._Stages, "mark", spy)
+        errors, reports = [], []
+        for cpus in (1, 2):
+            monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            cfg = write_config(tmp_path, small_config(str(out)), f"cpus{cpus}.json")
+            # on two CPUs base and virality fit here, follower and neural in a worker
+            failing[:] = ["effects_follower"]
+            code, _ = run(cfg)
+            assert code == 2 and len(forks) == 2 * (cpus - 1)
+            errors.append(capsys.readouterr().err)
+            assert sorted(p.name for p in out.glob("effects_*.done")) == [
+                "effects_base.done", "effects_virality.done"]
+            failing.clear()
+            code, stages = run(cfg, "--resume")
+            assert code == 0 and stages == ["effects_follower", "effects_neural"]
+            assert len(forks) == cpus - 1  # no stack to train; the two variants spread
+            code, stages = run(cfg, "--resume")
+            assert code == 0 and stages == [] and forks == []
+            reports.append(capsys.readouterr().out)
+        assert errors[0] == "error: stage 'effects_follower' failed: boom\n"
+        assert errors[1] == errors[0]
+        assert reports[1] == reports[0]
 
     def test_multi_run_welch_table(self, tmp_path, capsys):
         out = str(tmp_path / "runs")
