@@ -14,11 +14,14 @@ table in a single loop: with one seed every table draws the same init,
 permutations and negatives, so the members share them and differ only in
 their triplet weights; ``train`` is a stack of one. One pairwise step function
 serves both ``batch_gradients`` and training, so the gradient the tests check
-against finite differences is the update that training applies. It builds one
-flat scatter index per batch from the shared rows and adds each member's
-gradients through it with one 1-D ``np.add.at``. However
-``train_stack`` spreads its members over the CPUs (``workers.spread``), each
-member equals its solo fit bit for bit.
+against finite differences is the update that training applies. It gathers
+the batch's rows with one ``np.take``, builds one flat scatter index from
+them and adds each member's gradients through it with one 1-D ``np.add.at``;
+it returns the score differences. Training scales each epoch's weights by the
+learning rate once, keeps the epoch's score differences and evaluates the
+losses in one pass, summed batch by batch. However ``train_stack`` spreads
+its members over the CPUs (``workers.spread``), each member equals its solo
+fit bit for bit.
 """
 
 from dataclasses import dataclass, field
@@ -187,33 +190,34 @@ def batch_loss(model: BprModel, batch: TripletBatch, mode: str) -> float:
     return float(np.mean(_triplet_weights(batch, mode) * np.logaddexp(0.0, -r)))
 
 
-def _pair_step(factors, users, pos, neg, w, scale, out) -> np.ndarray:
+def _pair_step(factors, users, pos, neg, steps, out) -> np.ndarray:
     """One pairwise step for every member of a stack of factor blocks.
 
     ``factors`` and ``out`` are C-contiguous ``(S, rows, d)`` blocks, users'
     rows first and posts' after them; ``users``, ``pos`` and ``neg`` are row
-    indices shared by all members and ``w`` is the ``(S, B)`` triplet weights.
-    Adds ``coef * (h_pos - h_neg)`` to the users' rows and ``+-coef * x_user``
-    to the posts' rows, where ``coef = scale * w * sigmoid(-r)``, through one
-    1-D ``np.add.at`` per member over the user, pos and neg rows in that order,
-    on a flat index built once per batch; returns the weighted losses
-    ``w * -ln sigmoid(r)``. All rows are read before any is written, so ``out``
-    may be ``factors``."""
+    indices shared by all members and ``steps`` is the ``(S, B)`` triplet
+    weights already times the step size. Adds ``coef * (h_pos - h_neg)`` to
+    the users' rows and ``+-coef * x_user`` to the posts' rows, where
+    ``coef = steps * sigmoid(-r)``, through one 1-D ``np.add.at`` per member
+    over the user, pos and neg rows in that order, on a flat index built once
+    per batch; returns the ``(S, B)`` score differences ``r``, from which the
+    caller takes the losses. All rows are read (one ``np.take``) before any is
+    written, so ``out`` may be ``factors``."""
     d = factors.shape[2]
     b = users.size
     rows = np.concatenate((users, pos, neg))
-    grads = factors[:, rows]  # x_user, h_pos, h_neg; overwritten by their steps
+    grads = np.take(factors, rows, axis=1)  # x_user, h_pos, h_neg; overwritten by their steps
     u, h_pos, h_neg = grads[:, :b], grads[:, b : 2 * b], grads[:, 2 * b :]
     diff = h_pos - h_neg
     r = np.einsum("sij,sij->si", u, diff)
-    coef = (scale * w * sigmoid(-r))[:, :, None]
+    coef = (steps * sigmoid(-r))[:, :, None]
     np.multiply(coef, u, out=h_pos)
     np.multiply(coef, diff, out=u)
     np.negative(h_pos, out=h_neg)
     flat = (rows[:, None] * d + np.arange(d)).ravel()
     for member_out, member_grads in zip(out, grads):
         np.add.at(member_out.reshape(-1), flat, member_grads.ravel())
-    return w * np.logaddexp(0.0, -r)
+    return r
 
 
 def batch_gradients(model: BprModel, batch: TripletBatch, mode: str):
@@ -223,9 +227,9 @@ def batch_gradients(model: BprModel, batch: TripletBatch, mode: str):
     grad = np.zeros_like(factors)
     # d/dr of -ln sigmoid(r) is -sigmoid(-r)
     w = _triplet_weights(batch, mode)
-    losses = _pair_step(factors, batch.users, batch.pos + n_users, batch.neg + n_users,
-                        w[None], -1.0 / len(batch), grad)
-    return float(np.mean(losses[0])), grad[0, :n_users], grad[0, n_users:]
+    r = _pair_step(factors, batch.users, batch.pos + n_users, batch.neg + n_users,
+                   ((-1.0 / len(batch)) * w)[None], grad)
+    return float(np.mean(w * np.logaddexp(0.0, -r[0]))), grad[0, :n_users], grad[0, n_users:]
 
 
 def train(
@@ -282,8 +286,9 @@ def _train_group(graph: InteractionGraph, thetas, hyper: BprHyper):
     eu, ep = graph.edge_arrays
     keys = _edge_keys(graph)
     lr = hyper.learning_rate
-    n_batches = max(1, -(-graph.n_edges // hyper.batch_size))
-    decay = max(0.0, 1.0 - 2.0 * lr * hyper.l2_reg) ** n_batches
+    batches = [slice(start, start + hyper.batch_size)
+               for start in range(0, graph.n_edges, hyper.batch_size)]
+    decay = max(0.0, 1.0 - 2.0 * lr * hyper.l2_reg) ** len(batches)
 
     models = [None] * len(thetas)
     curves = [[] for _ in thetas]
@@ -312,13 +317,16 @@ def _train_group(graph: InteractionGraph, thetas, hyper: BprHyper):
             batch = TripletBatch(users, pos, neg, observed, neg_obs, *theta)
             w[i] = _triplet_weights(batch, hyper.loss_mode)
         pos_rows, neg_rows = pos + n_users, neg + n_users
+        # per-triplet step (batching only vectorizes; the learning rate is
+        # the per-example rate, as usual for BPR-style SGD)
+        steps = lr * w
+        r = np.empty_like(w)
+        for sl in batches:
+            r[:, sl] = _pair_step(block, users[sl], pos_rows[sl], neg_rows[sl], steps[:, sl], block)
+        losses = w * np.logaddexp(0.0, -r)
         epoch_loss = np.zeros(len(active))
-        for start in range(0, graph.n_edges, hyper.batch_size):
-            sl = slice(start, start + hyper.batch_size)
-            # per-triplet step (batching only vectorizes; the learning rate is
-            # the per-example rate, as usual for BPR-style SGD)
-            losses = _pair_step(block, users[sl], pos_rows[sl], neg_rows[sl], w[:, sl], lr, block)
-            epoch_loss += losses.sum(axis=1)
+        for sl in batches:  # batch by batch: this order sets the training curve's bits
+            epoch_loss += losses[:, sl].sum(axis=1)
         if hyper.l2_reg > 0.0:
             block *= decay
         epoch_loss /= graph.n_edges

@@ -657,6 +657,8 @@ def run_mu_sweep(config: PipelineConfig, mu_list) -> list:
     for mu in mu_list:
         if not (0.0 < mu <= 1.0):
             raise ConfigError(f"mu must be in (0, 1], got {mu}")
+    if len(set(mu_list)) != len(mu_list):
+        raise ConfigError(f"mus must not repeat a value: {list(mu_list)}")
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
     chash = config_hash(config)

@@ -15,13 +15,14 @@ NOISE = -1
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-z)), evaluated without overflow at extreme values."""
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)), evaluated without overflow at extreme values.
+
+    ``exp`` only ever sees ``-|z|``, taken as ``minimum(z, -z)`` so that a NaN
+    keeps its sign bit; each branch is ``1 / (1 + exp(-z))`` or
+    ``exp(z) / (1 + exp(z))`` on its own side of zero."""
+    e = np.exp(np.minimum(z, -z))
+    denom = 1.0 + e
+    return np.where(z >= 0, 1.0 / denom, e / denom)
 
 
 def rmse(pred, actual) -> float:

@@ -15,6 +15,7 @@ from reshare.dataset import (
     _test_quota,
     index_of,
 )
+from reshare.bprmf import BprModel, TripletBatch, _draw_negatives, _edge_keys, _triplet_weights
 from reshare.effects import FeatureMatrix
 
 
@@ -183,6 +184,118 @@ def per_user_ranking(model, test, k_list, train=None):
             sums[("ndcg", k)] += dcg / idcg
         n_eval += 1
     return {key: val / n_eval for key, val in sums.items()}, n_eval, n_skipped
+
+
+def masked_sigmoid(z):
+    """The boolean-mask sigmoid ``stats.sigmoid`` replaced; its bits are the
+    ones ``stats.sigmoid`` must reproduce."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def reference_pair_step(factors, users, pos, neg, w, scale, out):
+    """The stacked pairwise step as first shipped: a fancy-index gather, the
+    masked sigmoid, the step size applied per batch and the weighted losses
+    returned."""
+    d = factors.shape[2]
+    b = users.size
+    rows = np.concatenate((users, pos, neg))
+    grads = factors[:, rows]
+    u, h_pos, h_neg = grads[:, :b], grads[:, b : 2 * b], grads[:, 2 * b :]
+    diff = h_pos - h_neg
+    r = np.einsum("sij,sij->si", u, diff)
+    coef = (scale * w * masked_sigmoid(-r))[:, :, None]
+    np.multiply(coef, u, out=h_pos)
+    np.multiply(coef, diff, out=u)
+    np.negative(h_pos, out=h_neg)
+    flat = (rows[:, None] * d + np.arange(d)).ravel()
+    for member_out, member_grads in zip(out, grads):
+        np.add.at(member_out.reshape(-1), flat, member_grads.ravel())
+    return w * np.logaddexp(0.0, -r)
+
+
+def reference_train_group(graph, thetas, hyper):
+    """The stacked BPR loop ``bprmf._train_group`` replaced, each batch's
+    loss summed as the batch runs: ``(models, None)``, or ``(None, epoch)``
+    on a non-finite epoch loss. Its factors and curves are the bits
+    ``_train_group`` must reproduce."""
+    rng = np.random.default_rng(hyper.seed)
+    d = hyper.embedding_dim
+    scale = 1.0 / np.sqrt(d)
+    n_users = graph.n_users
+    block = np.repeat(np.concatenate((
+        rng.uniform(-scale, scale, (n_users, d)),
+        rng.uniform(-scale, scale, (graph.n_posts, d)),
+    ))[None], len(thetas), axis=0)
+    eu, ep = graph.edge_arrays
+    keys = _edge_keys(graph)
+    lr = hyper.learning_rate
+    n_batches = max(1, -(-graph.n_edges // hyper.batch_size))
+    decay = max(0.0, 1.0 - 2.0 * lr * hyper.l2_reg) ** n_batches
+
+    models = [None] * len(thetas)
+    curves = [[] for _ in thetas]
+    best = [np.inf] * len(thetas)
+    stale = [0] * len(thetas)
+    active = list(range(len(thetas)))
+
+    def finish(m, factors):
+        models[m] = BprModel(
+            user_ids=graph.users,
+            post_ids=graph.post_ids,
+            user_factors=factors[:n_users],
+            post_factors=factors[n_users:],
+            hyper=hyper,
+            training_curve=curves[m],
+        )
+
+    for epoch in range(hyper.epochs):
+        order = rng.permutation(graph.n_edges)
+        users, pos = eu[order], ep[order]
+        neg, neg_obs = _draw_negatives(rng, keys, graph.n_posts, users, pos)
+        observed = np.ones(graph.n_edges)
+        w = np.empty((len(active), graph.n_edges))
+        for i, m in enumerate(active):
+            theta = () if thetas[m] is None else (thetas[m][pos], thetas[m][neg])
+            batch = TripletBatch(users, pos, neg, observed, neg_obs, *theta)
+            w[i] = _triplet_weights(batch, hyper.loss_mode)
+        pos_rows, neg_rows = pos + n_users, neg + n_users
+        epoch_loss = np.zeros(len(active))
+        for start in range(0, graph.n_edges, hyper.batch_size):
+            sl = slice(start, start + hyper.batch_size)
+            losses = reference_pair_step(block, users[sl], pos_rows[sl], neg_rows[sl],
+                                         w[:, sl], lr, block)
+            epoch_loss += losses.sum(axis=1)
+        if hyper.l2_reg > 0.0:
+            block *= decay
+        epoch_loss /= graph.n_edges
+        if not np.all(np.isfinite(epoch_loss)):
+            return None, epoch
+        keep = []
+        for i, m in enumerate(active):
+            loss = float(epoch_loss[i])
+            curves[m].append(loss)
+            if best[m] - loss < hyper.early_stop_tol:
+                stale[m] += 1
+                if stale[m] >= hyper.early_stop_patience:
+                    finish(m, block[i].copy())
+                    continue
+            else:
+                stale[m] = 0
+            best[m] = min(best[m], loss)
+            keep.append(i)
+        if len(keep) < len(active):
+            block = block[keep]
+            active = [active[i] for i in keep]
+            if not active:
+                break
+    for i, m in enumerate(active):
+        finish(m, block[i])
+    return models, None
 
 
 def brute_force_dbscan(points, eps, min_pts):

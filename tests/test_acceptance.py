@@ -482,29 +482,11 @@ class TestCriterion8InvariantSuites:
 
 class TestCriterion9DeskScale:
     def test_pipeline_under_ten_minutes(self, tmp_path):
-        config = {
-            "synth": {
-                "n_users": 5000, "n_posts": 2000, "n_hate_posts": 500, "n_clusters": 4,
-                "exposure_exponent": 0.8, "exposure_norm_quantile": 0.9,
-                "mean_shares": 60.0, "seed": 17,
-                "effect_spec": [
-                    {"attribute": "log1p_n_followers", "shape": "u", "amplitude": 0.1},
-                    {"attribute": "log1p_n_posts", "shape": "linear", "amplitude": 0.05},
-                ],
-                "latent_outcome_strength": 0.05,
-            },
-            "out_dir": str(tmp_path / "desk"),
-            "topics_k": 20,
-            "topics_iterations": 200,
-            "bpr": {"seed": 5},
-            "ebm": {"seed": 6},
-        }
-        path = tmp_path / "desk.json"
-        path.write_text(json.dumps(config))
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "criterion9_desk.json")
         from reshare.cli import main
 
         t0 = time.time()
-        rc = main(["pipeline", "--config", str(path)])
+        rc = main(["pipeline", "--config", path, "--out", str(tmp_path / "desk")])
         elapsed = time.time() - t0
         out = tmp_path / "desk"
         files = [

@@ -26,7 +26,13 @@ from reshare.pipeline import RANKING_SCHEMES, PipelineConfig, run_pipeline
 from reshare.propensity import PropensityTable, biased_propensity, virality_propensity
 from reshare.stats import sigmoid
 
-from conftest import assert_no_children, brute_force_ranking, make_graph, per_user_ranking
+from conftest import (
+    assert_no_children,
+    brute_force_ranking,
+    make_graph,
+    per_user_ranking,
+    reference_train_group,
+)
 
 
 def random_model(rng, n_users=5, n_posts=7, dim=3):
@@ -221,8 +227,71 @@ class TestPairStep:
             gp = coef[:, None] * u
             np.add.at(post_f, pos, gp)
             np.add.at(post_f, neg, -gp)
-        _pair_step(block, users, pos + n_users, neg + n_users, w, 0.3, block)
+        _pair_step(block, users, pos + n_users, neg + n_users, 0.3 * w, block)
         assert np.array_equal(block, expected)
+
+
+def random_graph(n_users=30, n_posts=12, n_edges=150, seed=0):
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(n_users * n_posts, n_edges, replace=False)
+    posts = [(f"p{j:02d}", False, None) for j in range(n_posts)]
+    return make_graph(n_users, posts, [(u, f"p{j:02d}") for u, j in zip(*np.divmod(cells, n_posts))])
+
+
+def assert_same_outcome(outcome, expected):
+    """``_train_group`` outcomes equal bit for bit: every factor byte and
+    every training curve, or the same divergence epoch."""
+    (models, epoch), (ref_models, ref_epoch) = outcome, expected
+    assert epoch == ref_epoch
+    if ref_models is None:
+        assert models is None
+        return
+    assert len(models) == len(ref_models)
+    for model, ref in zip(models, ref_models):
+        assert model.user_factors.tobytes() == ref.user_factors.tobytes()
+        assert model.post_factors.tobytes() == ref.post_factors.tobytes()
+        assert model.training_curve == ref.training_curve
+
+
+class TestTrainGroupOracle:
+    """``_train_group`` against the frozen loop of ``conftest``, which sums
+    each batch's loss as the batch runs and steps with the learning rate
+    applied per batch."""
+
+    @pytest.mark.parametrize("mode", bprmf.LOSS_MODES)
+    @pytest.mark.parametrize("batch_size", [1, 16, 64, 200])  # 150 edges: 150 % 16 = 6
+    @pytest.mark.parametrize("l2_reg", [0.0, 1e-3])
+    def test_bit_identical(self, mode, batch_size, l2_reg):
+        graph = random_graph()
+        thetas = np.random.default_rng(1).uniform(0.05, 1.0, (3, graph.n_posts))
+        members = [None, None] if mode == "naive" else list(thetas)
+        hyper = BprHyper(embedding_dim=5, learning_rate=0.05, batch_size=batch_size,
+                         l2_reg=l2_reg, epochs=4, loss_mode=mode, seed=3)
+        expected = reference_train_group(graph, members, hyper)
+        if mode == "unbiased":
+            assert min(m.training_curve[0] for m in expected[0]) < 0  # negative weights
+        assert_same_outcome(bprmf._train_group(graph, members, hyper), expected)
+
+    def test_one_member_stops_while_the_others_go_on(self):
+        graph = random_graph()
+        thetas = [np.full(graph.n_posts, t) for t in (1.0, 0.3, 0.2)]
+        hyper = BprHyper(embedding_dim=5, learning_rate=0.05, batch_size=16, epochs=30,
+                         loss_mode="nonneg", early_stop_tol=1e-3, early_stop_patience=3, seed=4)
+        expected = reference_train_group(graph, thetas, hyper)
+        # member 0 stops at epoch 8 and member 2 at 14; member 1 runs all 30
+        assert [len(m.training_curve) for m in expected[0]] == [8, 30, 14]
+        assert_same_outcome(bprmf._train_group(graph, thetas, hyper), expected)
+
+    def test_divergence_epoch(self):
+        graph = two_block_graph()
+        thetas = [np.full(graph.n_posts, t) for t in (1.0, 0.1, 0.05)]
+        hyper = BprHyper(embedding_dim=4, learning_rate=1.0, epochs=40, early_stop_patience=40,
+                         loss_mode="unbiased", seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = reference_train_group(graph, thetas, hyper)
+            outcome = bprmf._train_group(graph, thetas, hyper)
+        assert expected == (None, 16)
+        assert_same_outcome(outcome, expected)
 
 
 def two_block_graph():

@@ -649,6 +649,12 @@ class TestMuSweepCommand:
         assert main(["mu-sweep", "--config", cfg, "--mus", "0.0,0.5"]) == 1
         assert "mu" in capsys.readouterr().err
 
+    def test_repeated_mu_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "mu_repeat"
+        cfg = write_config(tmp_path, small_config(str(out)))
+        assert main(["mu-sweep", "--config", cfg, "--mus", "0.5,0.50"]) == 1
+        assert "mus must not repeat a value: [0.5, 0.5]" in capsys.readouterr().err
+        assert not (out / "mu_sweep.csv").exists()
 
     def test_one_hate_post_fails_in_split(self, tmp_path, capsys):
         cfg = small_config(str(tmp_path / "mu3"))

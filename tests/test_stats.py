@@ -15,7 +15,7 @@ from reshare.stats import (
     welch_t_test,
 )
 
-from conftest import brute_force_dbscan, canonical_labels
+from conftest import brute_force_dbscan, canonical_labels, masked_sigmoid
 
 
 class TestSigmoid:
@@ -31,6 +31,21 @@ class TestSigmoid:
         z = rng.normal(0.0, 5.0, 1000)
         assert np.allclose(sigmoid(z), 1.0 / (1.0 + np.exp(-z)), rtol=1e-14, atol=0.0)
         assert np.allclose(sigmoid(-z), 1.0 - sigmoid(z), rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("dtype, extremes", [
+        (np.float64, [np.inf, 0.0, 5e-324, 709.0, 710.0, 1e308]),
+        (np.float32, [np.inf, 0.0, 1e-45, 88.0, 104.0, 3e38]),
+    ])
+    def test_bits_of_the_masked_form(self, rng, dtype, extremes):
+        special = np.array(extremes + [-x for x in extremes] + [np.nan], dtype=dtype)
+        z = np.concatenate((special, rng.normal(0.0, 1.0, 10**5).astype(dtype)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for batch in (special, z, z[: 6 * 1000].reshape(6, 1000)):
+                out = sigmoid(batch)
+                expected = masked_sigmoid(batch)
+                assert out.dtype == dtype and out.shape == batch.shape
+                assert out.tobytes() == expected.tobytes()
 
 
 class TestRmse:
