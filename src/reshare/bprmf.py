@@ -19,9 +19,9 @@ the batch's rows with one ``np.take``, builds one flat scatter index from
 them and adds each member's gradients through it with one 1-D ``np.add.at``;
 it returns the score differences. Training scales each epoch's weights by the
 learning rate once, keeps the epoch's score differences and evaluates the
-losses in one pass, summed batch by batch. However ``train_stack`` spreads
-its members over the CPUs (``workers.spread``), each member equals its solo
-fit bit for bit.
+losses in one pass, summed batch by batch. ``train_stack`` never forks: it
+trains in the calling process, and a stack with a diverged member (a
+non-finite epoch loss) raises with the epoch of its first such member.
 """
 
 from dataclasses import dataclass, field
@@ -32,7 +32,6 @@ from .dataset import InteractionGraph, index_of
 from .errors import ConfigError, check_fields
 from .propensity import PropensityTable
 from .stats import sigmoid
-from .workers import spread
 
 LOSS_MODES = ("naive", "unbiased", "nonneg")
 
@@ -246,14 +245,14 @@ def train(
 
 
 def train_stack(graph: InteractionGraph, propensities, hyper: BprHyper) -> list:
-    """``train`` on each propensity table (``None`` for ``naive``).
+    """``train`` on each propensity table (``None`` for ``naive``) in one loop.
 
     Every member starts from the same seeded init and sees the same permuted
     edges and negatives, so each returned model equals ``train`` on its table
-    bit for bit. ``spread`` splits the members into one contiguous group per
-    usable CPU, and each group trains in one stacked loop, the first in this
-    process and the others in forked children. All inputs are checked before
-    any fork.
+    bit for bit. The members' factors form one ``(S, users + posts, d)``
+    block, and a member leaves it when it stops early or its epoch loss is
+    not finite. The error after the loop names the first diverged member in
+    stack order, so it is the same however the tables are split into stacks.
     """
     if hyper.loss_mode != "naive" and any(t is None for t in propensities):
         raise ValueError(f"loss mode {hyper.loss_mode!r} requires a propensity table")
@@ -262,19 +261,6 @@ def train_stack(graph: InteractionGraph, propensities, hyper: BprHyper) -> list:
     if graph.n_edges < 1 or graph.n_posts < 2:
         raise ValueError("training needs at least one edge and two posts")
     thetas = [None if t is None else t.theta_for(graph) for t in propensities]
-    outcomes = spread(lambda group: _train_group(graph, group, hyper), thetas)
-    diverged = [epoch for _, epoch in outcomes if epoch is not None]
-    if diverged:
-        raise RuntimeError(f"training diverged (non-finite loss) at epoch {min(diverged)}")
-    return [model for models, _ in outcomes for model in models]
-
-
-def _train_group(graph: InteractionGraph, thetas, hyper: BprHyper):
-    """One stacked loop over the members whose ``theta`` (``None`` for naive)
-    are given: ``(models, None)``, or ``(None, epoch)`` once a member's epoch
-    loss is not finite. The members' factors form one
-    ``(S, users + posts, d)`` block, and a member leaves the block when it
-    stops early."""
     rng = np.random.default_rng(hyper.seed)
     d = hyper.embedding_dim
     scale = 1.0 / np.sqrt(d)
@@ -294,6 +280,7 @@ def _train_group(graph: InteractionGraph, thetas, hyper: BprHyper):
     curves = [[] for _ in thetas]
     best = [np.inf] * len(thetas)
     stale = [0] * len(thetas)
+    diverged = {}  # member -> epoch of its first non-finite loss
     active = list(range(len(thetas)))
 
     def finish(m, factors):
@@ -330,11 +317,12 @@ def _train_group(graph: InteractionGraph, thetas, hyper: BprHyper):
         if hyper.l2_reg > 0.0:
             block *= decay
         epoch_loss /= graph.n_edges
-        if not np.all(np.isfinite(epoch_loss)):
-            return None, epoch
         keep = []
         for i, m in enumerate(active):
             loss = float(epoch_loss[i])
+            if not np.isfinite(loss):
+                diverged[m] = epoch
+                continue
             curves[m].append(loss)
             if best[m] - loss < hyper.early_stop_tol:
                 stale[m] += 1
@@ -350,9 +338,12 @@ def _train_group(graph: InteractionGraph, thetas, hyper: BprHyper):
             active = [active[i] for i in keep]
             if not active:
                 break
+    if diverged:
+        raise RuntimeError("training diverged (non-finite loss) at epoch "
+                           f"{diverged[min(diverged)]}")
     for i, m in enumerate(active):
         finish(m, block[i])
-    return models, None
+    return models
 
 
 @dataclass

@@ -534,7 +534,7 @@ def _fit_interactions(X, Y, cells, shapes, intercepts, bags, base, hyper: EbmHyp
     return all_terms, out_intercepts
 
 
-def fit_linear(features: FeatureMatrix, y, allow_ridge: bool = True) -> EffectModel:
+def fit_linear(features: FeatureMatrix, y) -> EffectModel:
     """Ordinary least squares of the target ``y`` with the same centered-shape
     representation."""
     X = features.X
@@ -545,8 +545,6 @@ def fit_linear(features: FeatureMatrix, y, allow_ridge: bool = True) -> EffectMo
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     ridge_fallback = False
     if rank < p + 1:
-        if not allow_ridge:
-            raise DataError("design matrix is rank deficient")
         warnings.warn("rank-deficient design; falling back to a small ridge penalty")
         gram = design.T @ design
         alpha = 1e-8 * np.trace(gram) / (p + 1)

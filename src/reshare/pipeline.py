@@ -10,11 +10,11 @@ marker matches, and whose files to reload, copy or present (the synthetic
 are reloaded, which reproduces the final report byte-for-byte.
 The cheap outcomes stage always recomputes and keeps no marker.
 
-The ``plv_<scheme>`` stages of a run share one stacked BPR training: every
-scheme whose marker does not match trains in one ``train_stack`` call, then
-each writes its embeddings, curve and marker in ``config.schemes`` order. The
-mu sweep likewise trains all of its (scheme, mu) cells in one call, on the
-same hate split as the pipeline.
+The ``plv_<scheme>`` stages of a run whose markers do not match train in
+contiguous groups, one stacked ``train_stack`` call per group, and each group
+ranks, writes and marks its own schemes. The mu sweep likewise trains its
+(scheme, mu) cells in groups, each ranking its own models, on the same hate
+split as the pipeline.
 
 The effect study fits one model per variant (``base``, then each debiased
 scheme) and target (``overall``, then each configured cluster); the targets
@@ -24,13 +24,13 @@ means, and copies the canonical scheme's ``plv_embeddings``,
 ``training_curve`` and ``importance`` CSVs byte for byte; a copy whose source
 the config does not produce (the ``base`` variant has no embeddings) goes.
 
-Three things spread over the CPUs through ``workers.spread``: the runs of
-``--runs N``, which share no state (each has its own seeds, ``run_<i>/`` and
-markers), the members of a run's BPR stack, and the ``effects_<variant>``
-stages of a run that are not done, each of which writes its own files and
-marker. Spreads never nest, so while the runs are spread each run trains and
-fits in its own process. Run 0, the merging of the results in config order and
-the report stay here, so the outputs are byte-identical on any number of CPUs.
+Four things spread over the CPUs through ``workers.spread``, called only here:
+the runs of ``--runs N``, which share no state (each has its own seeds,
+``run_<i>/`` and markers), a run's pending ``plv_<scheme>`` and then its
+``effects_<variant>`` stages, each writing its own files and marker, and the
+mu sweep's cells. Spreads never nest, so while the runs are spread each run
+trains and fits in its own process. Run 0, the merging of the results in
+config order and the report stay here: outputs are byte-identical on any CPUs.
 """
 
 import contextlib
@@ -343,42 +343,45 @@ def _propensity_tables(config, train_h, users, topic_vectors, rdir, stages):
 
 
 def _train_rankers(config, tables, train_h, test_h, run_seed, rdir, stages):
-    """The ``plv_<scheme>`` stages: train every scheme that is not done in one
-    stacked loop, then write and mark each in config order; embeddings by scheme."""
+    """The ``plv_<scheme>`` stages. Pending schemes spread over the CPUs
+    (``workers.spread``): each group trains in one stacked loop, then ranks,
+    writes and marks its schemes where it trained. Done schemes are read from
+    their markers and embeddings. Returns ranking, skipped and embeddings by scheme."""
+    hyper = _seeded(config.bpr, run_seed)
 
     def outputs(scheme):
         return [os.path.join(rdir, f"{name}_{scheme}.csv")
                 for name in ("plv_embeddings", "training_curve")]
 
+    def fit(group):
+        """``(payload, (user_ids, user_factors))`` of each scheme of ``group``."""
+        fitted = []
+        for scheme, model in zip(group, train_stack(train_h, [tables[s] for s in group], hyper)):
+            stage = f"plv_{scheme}"
+            with _stage(stage):
+                emb_path, curve_path = outputs(scheme)
+                report = ranking_metrics(model, test_h, config.k_list, train=train_h)
+                artifacts.write_embeddings(model, emb_path)
+                artifacts.write_training_curve(model.training_curve, curve_path)
+                payload = {"metrics": [[m, k, v] for (m, k), v in sorted(report.values.items())],
+                           "n_skipped": report.n_skipped}
+                stages.mark(stage, **payload)
+            fitted.append((payload, (model.user_ids, model.user_factors)))
+        return fitted
+
     pending = [s for s in config.schemes if not stages.done(f"plv_{s}", *outputs(s))]
-    models = {}
-    if pending:
-        with _stage("plv"):
-            hyper = _seeded(config.bpr, run_seed)
-            models = dict(zip(pending, train_stack(train_h, [tables[s] for s in pending], hyper)))
+    with _stage("plv"):  # a group's training error, here or from a worker
+        groups = spread(fit, pending) if pending else []
+    trained = dict(zip(pending, (result for group in groups for result in group)))
     ranking, skipped, embeddings = {}, {}, {}
     for scheme in config.schemes:
-        stage = f"plv_{scheme}"
-        emb_path, curve_path = outputs(scheme)
-        if scheme not in models:
-            payload = stages.payload(stage)
-            embeddings[scheme] = artifacts.read_vectors(emb_path)
-            ranking[scheme] = {(m, int(k)): v for m, k, v in payload["metrics"]}
-            skipped[scheme] = payload["n_skipped"]
-            continue
-        with _stage(stage):
-            model = models.pop(scheme)
-            report = ranking_metrics(model, test_h, config.k_list, train=train_h)
-            artifacts.write_embeddings(model, emb_path)
-            artifacts.write_training_curve(model.training_curve, curve_path)
-            stages.mark(
-                stage,
-                metrics=[[m, k, v] for (m, k), v in sorted(report.values.items())],
-                n_skipped=report.n_skipped,
-            )
-        embeddings[scheme] = model.user_ids, model.user_factors
-        ranking[scheme] = report.values
-        skipped[scheme] = report.n_skipped
+        if scheme in trained:
+            payload, embeddings[scheme] = trained[scheme]
+        else:
+            payload = stages.payload(f"plv_{scheme}")
+            embeddings[scheme] = artifacts.read_vectors(outputs(scheme)[0])
+        ranking[scheme] = {(m, int(k)): v for m, k, v in payload["metrics"]}
+        skipped[scheme] = payload["n_skipped"]
     return ranking, skipped, embeddings
 
 
@@ -392,10 +395,10 @@ def _variants(config: PipelineConfig) -> list:
     return ["base"] + [s for s in config.schemes if s != "biased"]
 
 
-def _effect_study(config, users, embeddings, outcome_table, user_pair, run_idx, rdir, stages):
-    """The ``effects_<variant>`` stages, scored on the by-user holdout. The
-    train/test rows and the targets (``overall``, then each configured
-    cluster) are taken once; a variant builds its feature matrix once and fits
+def _effect_study(config, users, embeddings, outcome_table, user_rows, run_idx, rdir, stages):
+    """The ``effects_<variant>`` stages, scored on the by-user holdout's
+    ``(train, test)`` outcome rows. The targets (``overall``, then each
+    configured cluster) are taken once; a variant builds its feature matrix once and fits
     every target in one ``fit_ebm_stack`` call. The variants that are not done
     are spread over the CPUs (``workers.spread``), each fitting, writing and
     marking its stage where it runs; the others are read from their markers.
@@ -404,11 +407,7 @@ def _effect_study(config, users, embeddings, outcome_table, user_pair, run_idx, 
     hyper = _seeded(config.ebm, config.seed + run_idx)
     targets = ("overall", *config.clusters)
     ys = [outcome_table.target(target) for target in targets]
-    # feature rows follow the outcome rows
-    train_rows, test_rows = (
-        [i for i, u in enumerate(outcome_table.user_ids) if u in half]
-        for half in (user_pair.train, user_pair.test)
-    )
+    train_rows, test_rows = user_rows
 
     def importance_path(variant):
         return os.path.join(rdir, f"importance_{variant}.csv")
@@ -502,6 +501,15 @@ def _run_once(config, graph, users, outcome_table, topic_vectors, out_dir, run_i
     train_h, test_h = _hate_split(config, graph, run_seed)
     with _stage("split"):
         user_pair = split(graph, "by-user", config.user_split_ratio, USER_SPLIT_SEED + run_seed)
+        # feature rows follow the outcome rows
+        user_rows = [[i for i, u in enumerate(outcome_table.user_ids) if u in half]
+                     for half in (user_pair.train, user_pair.test)]
+        (n_train, n_test), width = map(len, user_rows), len(FEATURE_COLUMNS)
+        width += config.bpr.embedding_dim if _variants(config)[1:] else 0
+        if n_train <= width or n_test == 0:
+            raise DataError(f"the by-user split has {n_train} train and {n_test} test outcome "
+                            f"users; the effect models need more train users than their {width} "
+                            "feature columns, and a test user")
 
     tables = _propensity_tables(config, train_h, users, topic_vectors, rdir, stages)
 
@@ -510,7 +518,7 @@ def _run_once(config, graph, users, outcome_table, topic_vectors, out_dir, run_i
     )
 
     rmses, linear_rmse, importance = _effect_study(
-        config, users, embeddings, outcome_table, user_pair, run_idx, rdir, stages
+        config, users, embeddings, outcome_table, user_rows, run_idx, rdir, stages
     )
     return {
         "ranking": ranking,
@@ -675,8 +683,13 @@ def run_mu_sweep(config: PipelineConfig, mu_list) -> list:
             for scheme, mu in cells
         ]
         hyper = _seeded(config.bpr, config.seed)
-        for (scheme, mu), model in zip(cells, train_stack(train_h, tables, hyper)):
-            report = ranking_metrics(model, test_h, config.k_list, train=train_h)
+
+        def rank(group):
+            return [ranking_metrics(model, test_h, config.k_list, train=train_h)
+                    for model in train_stack(train_h, group, hyper)]
+
+        reports = [report for group in spread(rank, tables) for report in group]
+        for (scheme, mu), report in zip(cells, reports):
             label = f"{MODEL_NAMES[scheme]} mu={mu:g}"
             for k in config.k_list:
                 rows.append((label, "recall", k, report[("recall", k)]))

@@ -183,7 +183,6 @@ class SyntheticTruth:
     effect_curves: dict[str, EffectCurve]
     hate_rate_target: np.ndarray  # per-user expected hate fraction of shares
     user_blocks: np.ndarray
-    activity_rescale_fraction: float  # users whose interest row needed feasibility rescaling
 
 
 def _ids(prefix: str, n: int) -> tuple[str, ...]:
@@ -301,7 +300,6 @@ def generate(config: SynthConfig, edge_seed: int | None = None):
     # hate/normal interest ratio, so E[hate fraction] stays exactly on target.
     row_max = interest.max(axis=1)
     rescaled = row_max > 1.0
-    rescale_fraction = float(np.mean(rescaled))
     interest[rescaled] /= row_max[rescaled, None]
 
     rng_e = np.random.default_rng(s_edges if edge_seed is None else edge_seed)
@@ -336,7 +334,6 @@ def generate(config: SynthConfig, edge_seed: int | None = None):
         effect_curves=curves,
         hate_rate_target=hate_rate,
         user_blocks=blocks,
-        activity_rescale_fraction=rescale_fraction,
     )
     return graph, users, truth
 

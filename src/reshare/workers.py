@@ -1,9 +1,9 @@
 """Spread a list of tasks over the CPUs this process may use (its affinity
 mask): one contiguous group per CPU, the first run in the calling process and
 each other in a forked child that pickles its result, or its exception, back
-through a pipe. ``bprmf.train_stack`` spreads the members of a stack,
-``pipeline.run_pipeline`` the runs of ``--runs N`` and the effect study of a
-run its pending variants.
+through a pipe. Every caller is in ``pipeline``: it spreads the runs of
+``--runs N``, a run's pending ``plv_<scheme>`` groups and effect variants,
+and the mu sweep's cells.
 
 Spreads do not nest: while a spread has forked, its groups (here and in the
 children) see one usable CPU, so the CPUs are never oversubscribed. A spread

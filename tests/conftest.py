@@ -219,10 +219,10 @@ def reference_pair_step(factors, users, pos, neg, w, scale, out):
 
 
 def reference_train_group(graph, thetas, hyper):
-    """The stacked BPR loop ``bprmf._train_group`` replaced, each batch's
+    """The stacked BPR loop that ``bprmf.train_stack`` replaced, each batch's
     loss summed as the batch runs: ``(models, None)``, or ``(None, epoch)``
     on a non-finite epoch loss. Its factors and curves are the bits
-    ``_train_group`` must reproduce."""
+    ``train_stack`` must reproduce."""
     rng = np.random.default_rng(hyper.seed)
     d = hyper.embedding_dim
     scale = 1.0 / np.sqrt(d)

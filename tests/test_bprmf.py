@@ -1,5 +1,4 @@
 import math
-import threading
 import tracemalloc
 
 import numpy as np
@@ -238,14 +237,17 @@ def random_graph(n_users=30, n_posts=12, n_edges=150, seed=0):
     return make_graph(n_users, posts, [(u, f"p{j:02d}") for u, j in zip(*np.divmod(cells, n_posts))])
 
 
-def assert_same_outcome(outcome, expected):
-    """``_train_group`` outcomes equal bit for bit: every factor byte and
-    every training curve, or the same divergence epoch."""
-    (models, epoch), (ref_models, ref_epoch) = outcome, expected
-    assert epoch == ref_epoch
-    if ref_models is None:
-        assert models is None
-        return
+def tables_of(graph, thetas):
+    """``PropensityTable``s around per-post thetas; ``None`` (naive) stays ``None``."""
+    return [theta if theta is None else PropensityTable("test", None, 1e-3, graph.post_ids, theta)
+            for theta in thetas]
+
+
+def assert_same_models(models, expected):
+    """``train_stack`` models equal the oracle's bit for bit: every factor
+    byte and every training curve."""
+    ref_models, ref_epoch = expected
+    assert ref_epoch is None
     assert len(models) == len(ref_models)
     for model, ref in zip(models, ref_models):
         assert model.user_factors.tobytes() == ref.user_factors.tobytes()
@@ -254,7 +256,7 @@ def assert_same_outcome(outcome, expected):
 
 
 class TestTrainGroupOracle:
-    """``_train_group`` against the frozen loop of ``conftest``, which sums
+    """``train_stack`` against the frozen loop of ``conftest``, which sums
     each batch's loss as the batch runs and steps with the learning rate
     applied per batch."""
 
@@ -270,7 +272,7 @@ class TestTrainGroupOracle:
         expected = reference_train_group(graph, members, hyper)
         if mode == "unbiased":
             assert min(m.training_curve[0] for m in expected[0]) < 0  # negative weights
-        assert_same_outcome(bprmf._train_group(graph, members, hyper), expected)
+        assert_same_models(train_stack(graph, tables_of(graph, members), hyper), expected)
 
     def test_one_member_stops_while_the_others_go_on(self):
         graph = random_graph()
@@ -280,18 +282,21 @@ class TestTrainGroupOracle:
         expected = reference_train_group(graph, thetas, hyper)
         # member 0 stops at epoch 8 and member 2 at 14; member 1 runs all 30
         assert [len(m.training_curve) for m in expected[0]] == [8, 30, 14]
-        assert_same_outcome(bprmf._train_group(graph, thetas, hyper), expected)
+        assert_same_models(train_stack(graph, tables_of(graph, thetas), hyper), expected)
 
     def test_divergence_epoch(self):
+        # the stack names the first member, in stack order, that diverges when
+        # trained alone: member 1 at epoch 21, although member 2 diverges at 16
         graph = two_block_graph()
         thetas = [np.full(graph.n_posts, t) for t in (1.0, 0.1, 0.05)]
         hyper = BprHyper(embedding_dim=4, learning_rate=1.0, epochs=40, early_stop_patience=40,
                          loss_mode="unbiased", seed=0)
         with np.errstate(over="ignore", invalid="ignore"):
-            expected = reference_train_group(graph, thetas, hyper)
-            outcome = bprmf._train_group(graph, thetas, hyper)
-        assert expected == (None, 16)
-        assert_same_outcome(outcome, expected)
+            alone = [reference_train_group(graph, [theta], hyper)[1] for theta in thetas]
+            with pytest.raises(RuntimeError) as stacked:
+                train_stack(graph, tables_of(graph, thetas), hyper)
+        assert alone == [None, 21, 16]
+        assert str(stacked.value) == "training diverged (non-finite loss) at epoch 21"
 
 
 def two_block_graph():
@@ -421,36 +426,16 @@ class TestTrain:
         hyper = BprHyper(embedding_dim=8, learning_rate=0.01, batch_size=16, epochs=15,
                          early_stop_tol=1e-3, early_stop_patience=2, seed=0)
         solos = [train(graph, table, hyper) for table in tables]
-        for cpus in (1, 3):  # 3 CPUs: groups of 1, 1 and 2 members
+        for cpus in (1, 3):  # the stack trains in this process however many CPUs it may use
             monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
-            forks.clear()
             stacked = train_stack(graph, tables, hyper)
-            assert len(forks) == cpus - 1
+            assert forks == []
             lengths = [len(m.training_curve) for m in stacked]
             assert len(set(lengths)) == len(tables) and min(lengths) < hyper.epochs
             for solo, member in zip(solos, stacked):
                 assert np.array_equal(member.user_factors, solo.user_factors)
                 assert np.array_equal(member.post_factors, solo.post_factors)
                 assert member.training_curve == solo.training_curve
-
-    def test_one_member_stack_never_forks(self, monkeypatch, forks):
-        graph = two_block_graph()
-        monkeypatch.setattr(workers, "_usable_cpus", lambda: 3)
-        (member,) = train_stack(graph, [biased_propensity(graph)], BprHyper(epochs=2, seed=0))
-        assert len(member.training_curve) == 2 and forks == []
-
-    def test_stack_never_forks_while_other_threads_run(self, monkeypatch, forks):
-        graph = two_block_graph()
-        monkeypatch.setattr(workers, "_usable_cpus", lambda: 3)
-        release = threading.Event()
-        waiter = threading.Thread(target=release.wait)
-        waiter.start()
-        try:
-            members = train_stack(graph, [biased_propensity(graph)] * 3, BprHyper(epochs=2, seed=0))
-        finally:
-            release.set()
-            waiter.join(timeout=10)
-        assert len(members) == 3 and forks == [] and not waiter.is_alive()
 
     def test_stack_requires_every_propensity(self):
         graph = two_block_graph()
@@ -473,32 +458,30 @@ class TestTrain:
 
 
 class TestForkedStack:
-    """``train_stack`` over 3 CPUs: members 0, 1 and 2 train in this process,
-    the first worker and the second worker."""
-
-    def tables(self, graph, thetas):
-        return [PropensityTable("test", None, 1e-3, graph.post_ids, np.full(graph.n_posts, t))
-                for t in thetas]
+    """A diverging stack trained in this process, and split by ``spread``
+    over 3 CPUs: members 0, 1 and 2 train in this process, the first worker
+    and the second worker."""
 
     @pytest.mark.parametrize("thetas", [[1.0, 0.1, 0.05], [0.05, 0.1, 1.0], [0.1, 1.0, 0.05]])
     def test_divergence_reports_earliest_epoch_of_any_group(self, monkeypatch, forks, deadline,
                                                             thetas):
         # inverse propensities below 1 make negative weights, which push the
-        # factors apart until the loss overflows: theta 0.1 at epoch 21, 0.05 at 16
+        # factors apart until the loss overflows: theta 0.1 at epoch 21, 0.05 at 16;
+        # the error names the first diverged member in stack order
         hyper = BprHyper(embedding_dim=4, learning_rate=1.0, epochs=40, early_stop_patience=40,
                          loss_mode="unbiased", seed=0)
         graph = two_block_graph()
-        tables = self.tables(graph, thetas)
+        tables = tables_of(graph, [np.full(graph.n_posts, t) for t in thetas])
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: 3)
         with np.errstate(over="ignore", invalid="ignore"):
-            monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)
             with pytest.raises(RuntimeError) as in_process:
                 train_stack(graph, tables, hyper)
-            monkeypatch.setattr(workers, "_usable_cpus", lambda: 3)
             with pytest.raises(RuntimeError) as forked:
-                train_stack(graph, tables, hyper)
+                workers.spread(lambda group: train_stack(graph, group, hyper), tables)
         assert len(forks) == 2
         assert_no_children()
-        assert str(in_process.value) == "training diverged (non-finite loss) at epoch 16"
+        epoch = 16 if thetas[0] == 0.05 else 21
+        assert str(in_process.value) == f"training diverged (non-finite loss) at epoch {epoch}"
         assert str(forked.value) == str(in_process.value)
 
 
@@ -697,6 +680,7 @@ class TestBlockedRanking:
             return ranking_metrics(model, test, k_list, train=train)
 
         monkeypatch.setattr(pipeline, "ranking_metrics", record)
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)  # the spy sees this process only
         cfg = PipelineConfig.from_dict({
             "synth": {"n_users": 200, "n_posts": 120, "n_hate_posts": 60, "n_clusters": 2,
                       "mean_shares": 25.0, "seed": 3},

@@ -206,6 +206,39 @@ class TestSynthCommand:
         assert errors[1] == errors[0]
 
 
+    def test_diverging_stack_exits_two_alike_on_one_two_and_three_cpus(self, tmp_path, capsys,
+                                                                       monkeypatch, forks):
+        # only biased diverges here; on 2 and 3 CPUs it trains in the last worker
+        cfg = dict(small_config(str(tmp_path / "x")), schemes=["virality", "follower", "biased"])
+        cfg["bpr"].update(learning_rate=1.0, loss_mode="unbiased", epochs=40,
+                          early_stop_patience=40)
+        path = write_config(tmp_path, cfg)
+        errors = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
+            forks.clear()
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert main(["pipeline", "--config", path]) == 2
+            assert len(forks) == cpus - 1
+            assert_no_children()
+            errors.append(capsys.readouterr().err)
+        message = "error: stage 'plv' failed: training diverged (non-finite loss) at epoch 19\n"
+        assert errors == [message] * 3
+
+    def test_too_few_outcome_users_for_the_effect_models_exits_two_before_training(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "x"
+        path = write_config(tmp_path, {"synth": {"n_users": 3}, "out_dir": str(out)})
+        assert main(["pipeline", "--config", path]) == 2
+        assert capsys.readouterr().err == (
+            "error: stage 'split' failed: the by-user split has 2 train and 1 test outcome users;"
+            " the effect models need more train users than their 69 feature columns, and a test"
+            " user\n"
+        )
+        assert not list(out.glob("plv_*")) and not list(out.glob("effects_*"))
+
+
 class TestStageError:
     def test_survives_pickling(self):
         error = pickle.loads(pickle.dumps(StageError("plv", ValueError("boom"))))
@@ -398,6 +431,38 @@ class TestPipelineCommand:
             tmp_path / "fresh" / "report.txt", "rb"
         ) as fb:
             assert fa.read() == fb.read()
+
+    def test_file_inputs_reproduce_the_synthetic_run_and_key_every_marker(self, tmp_path):
+        synth_out, out = tmp_path / "synth", tmp_path / "files"
+        cfg = write_config(tmp_path, small_config(str(synth_out)), "synth.json")
+        assert main(["pipeline", "--config", cfg]) == 0
+        data = synth_out / "data"
+        cfg = small_config(str(out))
+        del cfg["synth"]
+        for name in ("posts", "users", "interactions"):
+            cfg[f"{name}_csv"] = str(data / f"{name}.csv")
+        cfg = write_config(tmp_path, cfg, "files.json")
+        assert main(["pipeline", "--config", cfg]) == 0
+        for name in ("report.txt", "metrics.csv", "importance.csv", "plv_embeddings.csv"):
+            assert (out / name).read_bytes() == (synth_out / name).read_bytes(), name
+
+        def marker_hashes():
+            return {path.name: json.loads(path.read_text())["config_hash"]
+                    for path in out.glob("*.done")}
+
+        cold = marker_hashes()
+        assert len(cold) == 11 and set(cold.values()) == {config_hash(PipelineConfig.from_json(cfg))}
+        with open(data / "interactions.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        user, _ = rows[-1]  # moved to a post its user has not shared
+        shared = {post for u, post in rows[1:] if u == user}
+        with open(data / "posts.csv", newline="") as fh:
+            rows[-1][1] = next(row[0] for row in list(csv.reader(fh))[1:] if row[0] not in shared)
+        with open(data / "interactions.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        changed = config_hash(PipelineConfig.from_json(cfg))
+        assert main(["pipeline", "--config", cfg, "--resume"]) == 0
+        assert marker_hashes() == dict.fromkeys(cold, changed) and changed not in cold.values()
 
     def test_resume_after_crashed_rewrite_matches_fresh_run(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, small_config(str(tmp_path / "crashed")), "crashed.json")

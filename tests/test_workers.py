@@ -1,5 +1,6 @@
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -51,6 +52,18 @@ class TestSpread:
     def test_one_group_runs_in_process(self, monkeypatch, cpus, tasks):
         results = self.spread_on(monkeypatch, cpus, lambda g: (os.getpid(), g), tasks)
         assert results == [(self.parent, tasks)] and self.forks == []
+
+    def test_never_forks_while_other_threads_run(self, monkeypatch):
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            results = self.spread_on(monkeypatch, 3, lambda g: (os.getpid(), g), [0, 1, 2])
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert results == [(self.parent, [0, 1, 2])] and self.forks == []
+        assert not waiter.is_alive()
 
     def test_spread_inside_a_forked_spread_runs_in_process(self, monkeypatch):
         def inner(group):
