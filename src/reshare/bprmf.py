@@ -310,10 +310,11 @@ def train_stack(graph: InteractionGraph, propensities, hyper: BprHyper) -> list:
         r = np.empty_like(w)
         for sl in batches:
             r[:, sl] = _pair_step(block, users[sl], pos_rows[sl], neg_rows[sl], steps[:, sl], block)
-        losses = w * np.logaddexp(0.0, -r)
         epoch_loss = np.zeros(len(active))
-        for sl in batches:  # batch by batch: this order sets the training curve's bits
-            epoch_loss += losses[:, sl].sum(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # divergence is raised below
+            losses = w * np.logaddexp(0.0, -r)
+            for sl in batches:  # batch by batch: this order sets the training curve's bits
+                epoch_loss += losses[:, sl].sum(axis=1)
         if hyper.l2_reg > 0.0:
             block *= decay
         epoch_loss /= graph.n_edges

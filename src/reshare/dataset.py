@@ -353,22 +353,25 @@ def load_dataset(posts_path, users_path, interactions_path):
     return graph, users
 
 
-def write_dataset(graph: InteractionGraph, users: UserAttributeTable, out_dir):
-    """Write posts.csv / users.csv / interactions.csv under out_dir."""
+def write_dataset(graph: InteractionGraph, users: UserAttributeTable, out_dir) -> list:
+    """Write posts.csv / users.csv / interactions.csv under out_dir; returns their paths."""
     os.makedirs(out_dir, exist_ok=True)
     posts = ([p.post_id, p.author_id, int(p.is_hate), p.cluster or "", p.text or ""]
              for p in graph.posts)
     user_rows = ([u.user_id, int(u.verified), u.account_age_days, u.n_posts, u.n_followers,
                   u.n_friends] for u in users)
+    paths = []
     for name, header, rows in (
         ("posts.csv", POSTS_COLUMNS, posts),
         ("users.csv", USERS_COLUMNS, user_rows),
         ("interactions.csv", INTERACTIONS_COLUMNS, graph.edges),
     ):
-        with open(os.path.join(out_dir, name), "w", newline="", encoding="utf-8") as fh:
+        paths.append(os.path.join(out_dir, name))
+        with open(paths[-1], "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(header)
             w.writerows(rows)
+    return paths
 
 
 def log_transform_attributes(table: UserAttributeTable) -> FeatureView:

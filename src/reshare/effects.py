@@ -33,6 +33,10 @@ from .errors import ConfigError, DataError, check_fields
 from .outcomes import OutcomeTable
 
 
+DETECT_BINS, PAIR_BINS = 8, 16  # bins per column to rank pairs, and of a chosen pair's grid
+CURVE_GRID = 64  # points of a continuous feature's contribution curve
+
+
 @dataclass(frozen=True)
 class EbmHyper:
     learning_rate: float = 0.01
@@ -43,14 +47,11 @@ class EbmHyper:
     n_bags: int = 8
     early_stop_patience: int = 50
     early_stop_tol: float = 0.0
-    pair_bins: int = 16
-    detect_bins: int = 8
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("max_bins", "pair_bins", "detect_bins"):
-            if getattr(self, name) < 2:
-                raise ConfigError(f"{name} must be >= 2")
+        if self.max_bins < 2:
+            raise ConfigError("max_bins must be >= 2")
         if self.n_bags < 1:
             raise ConfigError("n_bags must be >= 1")
         if self.learning_rate <= 0:
@@ -196,7 +197,6 @@ class PairTerm:
 
 @dataclass
 class EffectModel:
-    kind: str  # "ebm" | "linear"
     columns: tuple[str, ...]
     intercept: float
     shapes: list
@@ -382,7 +382,6 @@ def fit_ebm_stack(features: FeatureMatrix, ys, hyper: EbmHyper) -> list:
 
     def model(intercept, shapes, pair_terms=(), rmse_curve=()):
         return EffectModel(
-            kind="ebm",
             columns=features.columns,
             intercept=intercept,
             shapes=shapes,
@@ -480,7 +479,7 @@ def _fit_interactions(X, Y, cells, shapes, intercepts, bags, base, hyper: EbmHyp
         pred_main += np.array([member[m].values for member in shapes])[:, cells[m]]
     res_full = Y - pred_main
 
-    detect = [_build_bins(X[:, m], hyper.detect_bins, hyper.min_samples_leaf) for m in range(p)]
+    detect = [_build_bins(X[:, m], DETECT_BINS, hyper.min_samples_leaf) for m in range(p)]
     didx = [detect[m].assign(X[:, m]) for m in range(p)]
     pairs = [
         (i, j)
@@ -503,7 +502,7 @@ def _fit_interactions(X, Y, cells, shapes, intercepts, bags, base, hyper: EbmHyp
 
     used = {pair for member in chosen for pair in member}
     pair_bins = {
-        m: _build_bins(X[:, m], hyper.pair_bins, hyper.min_samples_leaf)
+        m: _build_bins(X[:, m], PAIR_BINS, hyper.min_samples_leaf)
         for m in sorted({m for pair in used for m in pair})
     }
     pair_idx = {m: bins.assign(X[:, m]) for m, bins in pair_bins.items()}
@@ -554,7 +553,6 @@ def fit_linear(features: FeatureMatrix, y) -> EffectModel:
     shapes = [LinearShape(slope=float(coef[m + 1]), center=float(means[m])) for m in range(p)]
     intercept = float(coef[0] + np.dot(coef[1:], means))
     return EffectModel(
-        kind="linear",
         columns=features.columns,
         intercept=intercept,
         shapes=shapes,
@@ -601,7 +599,7 @@ class CurveTable:
         return list(zip(self.x, self.value, self.lower, self.upper))
 
 
-def contribution_curve(model: EffectModel, feature: str, grid: int = 64) -> CurveTable:
+def contribution_curve(model: EffectModel, feature: str) -> CurveTable:
     """Centered shape curve with +/- 2 bag-standard-error bounds.
 
     Discrete features (including binary ones) get one row per level;
@@ -618,7 +616,7 @@ def contribution_curve(model: EffectModel, feature: str, grid: int = 64) -> Curv
     if levels is not None:
         xs = np.asarray(levels, dtype=np.float64)
     elif hi > lo:
-        xs = np.linspace(lo, hi, grid)
+        xs = np.linspace(lo, hi, CURVE_GRID)
     else:
         xs = np.array([lo])
     value = shape(xs)

@@ -4,17 +4,19 @@ effect models, and a deterministic report, with resumable stage outputs.
 Only the resumable stages (dataset, topics, propensity, ``plv_<scheme>`` and
 ``effects_<variant>``) keep a ``<stage>.done`` marker: such a stage removes
 its marker, writes its artifacts, then writes a marker holding a hash of the
-effective configuration and input files. With ``resume=True`` a stage whose
-marker matches, and whose files to reload, copy or present (the synthetic
-``data/*.csv``, the canonical curves) all exist, is skipped and its outputs
-are reloaded, which reproduces the final report byte-for-byte.
-The cheap outcomes stage always recomputes and keeps no marker.
+effective configuration and input files and the list of files the stage
+wrote. With ``resume=True`` a stage whose marker matches, and whose listed
+files all exist, is skipped and its outputs are reloaded, which reproduces
+the final report byte-for-byte. A marker without that list is stale. The
+cheap outcomes stage always recomputes and keeps no marker.
 
-The ``plv_<scheme>`` stages of a run whose markers do not match train in
-contiguous groups, one stacked ``train_stack`` call per group, and each group
-ranks, writes and marks its own schemes. The mu sweep likewise trains its
-(scheme, mu) cells in groups, each ranking its own models, on the same hate
-split as the pipeline.
+The stage functions only compute and write; ``_Stages`` decides what is done,
+marks, and spreads a run's pending ``plv_<scheme>`` and then its
+``effects_<variant>`` stages (``_Stages.fan_out``). The pending schemes train
+in contiguous groups, one stacked ``train_stack`` call per group, and each
+group ranks, writes and marks its own schemes. The mu sweep likewise trains
+its (scheme, mu) cells in groups, each ranking its own models, on the same
+hate split as the pipeline.
 
 The effect study fits one model per variant (``base``, then each debiased
 scheme) and target (``overall``, then each configured cluster); the targets
@@ -105,8 +107,6 @@ class PipelineConfig:
     topics_k: int = 20
     topics_iterations: int = 200
     stopwords_path: str | None = None
-    edge_split_ratio: float = 0.8
-    user_split_ratio: float = 0.8
     clusters: tuple = ()
     runs: int = 1
     seed: int = 0
@@ -137,9 +137,6 @@ class PipelineConfig:
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ConfigError(f"{name} must not repeat a value: {list(values)}")
-        for name in ("edge_split_ratio", "user_split_ratio"):
-            if not (0.0 < getattr(self, name) < 1.0):
-                raise ConfigError(f"{name} must be in (0, 1)")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
         if self.topics_k < 2 or self.topics_iterations < 1:
@@ -208,7 +205,8 @@ def config_hash(config: PipelineConfig) -> str:
 
 
 class _Stages:
-    """Stage markers in one directory, keyed by the effective config hash."""
+    """Stage markers in one directory, keyed by the effective config hash and
+    listing, relative to the directory, the files each stage wrote."""
 
     def __init__(self, out_dir: str, chash: str, resume: bool):
         self.out_dir = out_dir
@@ -218,14 +216,17 @@ class _Stages:
     def _marker(self, stage: str) -> str:
         return os.path.join(self.out_dir, f"{stage}.done")
 
-    def done(self, stage: str, *outputs) -> bool:
-        """True when resuming, the marker matches and every path in ``outputs``
-        exists; else the marker goes, as the stage reruns."""
-        if self.resume and all(map(os.path.exists, outputs)):
-            with contextlib.suppress(OSError, json.JSONDecodeError):
-                with open(self._marker(stage), encoding="utf-8") as fh:
-                    if json.load(fh).get("config_hash") == self.chash:
-                        return True
+    def done(self, stage: str) -> bool:
+        """True when resuming, the marker matches and every file it lists
+        exists; else the marker goes, as the stage reruns. A marker without a
+        file list, as written before markers had one, or not a JSON object,
+        does not match."""
+        if self.resume:
+            with contextlib.suppress(OSError, KeyError, TypeError, json.JSONDecodeError):
+                marker = self.payload(stage)
+                if marker["config_hash"] == self.chash and all(
+                        os.path.exists(os.path.join(self.out_dir, f)) for f in marker["files"]):
+                    return True
         with contextlib.suppress(FileNotFoundError):
             os.remove(self._marker(stage))
         return False
@@ -234,12 +235,39 @@ class _Stages:
         with open(self._marker(stage), encoding="utf-8") as fh:
             return json.load(fh)
 
-    def mark(self, stage: str, **payload):
-        data = {"stage": stage, "config_hash": self.chash}
+    def mark(self, stage: str, *, files, **payload):
+        data = {"stage": stage, "config_hash": self.chash,
+                "files": [os.path.relpath(f, self.out_dir) for f in files]}
         data.update(payload)
         with open(self._marker(stage), "w", encoding="utf-8") as fh:
             json.dump(data, fh, sort_keys=True)
             fh.write("\n")
+
+    def fan_out(self, prefix: str, keys, fit, load) -> list:
+        """``(payload, result)`` of the ``<prefix>_<key>`` stage of each key.
+
+        The pending keys spread over the CPUs in groups (``workers.spread``).
+        ``fit(group)`` does the group's shared work, then returns an iterator
+        that yields ``(files, payload, result)`` for each key once its files
+        are written; the key is marked right there, in the process that fitted
+        it, so a failure keeps the keys before it done. An error in the shared
+        work reads ``<prefix>``, one of a key ``<prefix>_<key>``. A done key
+        gives its marker's payload and ``load(key)``."""
+        pending = [key for key in keys if not self.done(f"{prefix}_{key}")]
+
+        def run(group):
+            fitted, each = [], fit(group)
+            for key in group:
+                with _stage(f"{prefix}_{key}"):
+                    files, payload, result = next(each)
+                    self.mark(f"{prefix}_{key}", files=files, **payload)
+                fitted.append((payload, result))
+            return fitted
+
+        with _stage(prefix):
+            fitted = dict(zip(pending, spread(run, pending) if pending else []))
+        return [fitted[key] if key in fitted else (self.payload(f"{prefix}_{key}"), load(key))
+                for key in keys]
 
 
 @contextlib.contextmanager
@@ -264,26 +292,22 @@ def _seeded(obj, offset: int):
 # the splits' seeds before a run's seed is added; ``--seed`` moves them both
 EDGE_SPLIT_SEED = 17
 USER_SPLIT_SEED = 23
+# the share of each split's train half
+EDGE_SPLIT_RATIO = 0.8
+USER_SPLIT_RATIO = 0.8
 
 
 def _load_inputs(config: PipelineConfig, out_dir: str, stages: _Stages):
     """Dataset stage: synthesize or load the three CSV inputs."""
     with _stage("dataset"):
-        if config.synth is not None:
-            data_dir = os.path.join(out_dir, "data")
+        if config.synth is None:
+            graph, users = load_dataset(config.posts_csv, config.users_csv, config.interactions_csv)
+        else:
             graph, users, _ = generate(_seeded(config.synth, config.seed))
-            written = [
-                os.path.join(data_dir, f"{name}.csv") for name in ("posts", "users", "interactions")
-            ]
-            if not stages.done("dataset", *written):
-                write_dataset(graph, users, data_dir)
-                stages.mark("dataset", source="synth")
-            return graph, users
-        graph, users = load_dataset(
-            config.posts_csv, config.users_csv, config.interactions_csv
-        )
         if not stages.done("dataset"):
-            stages.mark("dataset", source="files")
+            files = () if config.synth is None else write_dataset(
+                graph, users, os.path.join(out_dir, "data"))
+            stages.mark("dataset", files=files)
         return graph, users
 
 
@@ -293,13 +317,13 @@ def _hate_split(config: PipelineConfig, graph, run_seed: int):
         hate = graph.hate_subgraph()
         if hate.n_edges == 0 or hate.n_posts < 2:
             raise DataError("pipeline needs at least two hate posts and one hate reshare")
-        pair = split(hate, "by-edge", config.edge_split_ratio, EDGE_SPLIT_SEED + run_seed)
+        pair = split(hate, "by-edge", EDGE_SPLIT_RATIO, EDGE_SPLIT_SEED + run_seed)
         return pair.train, pair.test
 
 
 def _topic_vectors(config, graph, out_dir, stages):
     path = os.path.join(out_dir, "topics.csv")
-    if stages.done("topics", path):
+    if stages.done("topics"):
         return artifacts.read_vectors(path)
     with _stage("topics"):
         hate_posts = [p for p in graph.posts if p.is_hate]
@@ -313,73 +337,58 @@ def _topic_vectors(config, graph, out_dir, stages):
         )
         vectors = corpus.doc_ids, infer_corpus(model, corpus)
         artifacts.write_topic_vectors(*vectors, path)
-        stages.mark("topics")
+        stages.mark("topics", files=[path])
     return vectors
+
+
+def _propensity(scheme, mu, floor, train_h, users, topic_vectors):
+    """The exposure propensity table of one scheme on the train edges."""
+    if scheme == "biased":
+        return biased_propensity(train_h, floor=floor)
+    if scheme == "virality":
+        return virality_propensity(train_h, mu=mu, floor=floor)
+    if scheme == "follower":
+        return follower_propensity(train_h, users, mu=mu, floor=floor)
+    return neural_propensity(topic_vectors, train_h, mu=mu, floor=floor)
 
 
 def _propensity_tables(config, train_h, users, topic_vectors, rdir, stages):
     path = os.path.join(rdir, "propensity.csv")
-    if stages.done("propensity", path):
+    if stages.done("propensity"):
         return artifacts.read_propensities(path, floor=config.floor)
     with _stage("propensity"):
-        tables = {}
-        if "biased" in config.schemes:
-            tables["biased"] = biased_propensity(train_h, floor=config.floor)
-        if "virality" in config.schemes:
-            tables["virality"] = virality_propensity(train_h, mu=config.mu, floor=config.floor)
-        if "follower" in config.schemes:
-            tables["follower"] = follower_propensity(
-                train_h, users, mu=config.mu, floor=config.floor
-            )
-        if "neural" in config.schemes:
-            tables["neural"] = neural_propensity(
-                topic_vectors, train_h, mu=config.mu, floor=config.floor
-            )
-        artifacts.write_propensities(
-            [tables[s] for s in config.schemes if s in tables], path
-        )
-        stages.mark("propensity")
+        tables = {scheme: _propensity(scheme, config.mu, config.floor, train_h, users,
+                                      topic_vectors) for scheme in config.schemes}
+        artifacts.write_propensities(list(tables.values()), path)
+        stages.mark("propensity", files=[path])
     return tables
 
 
 def _train_rankers(config, tables, train_h, test_h, run_seed, rdir, stages):
-    """The ``plv_<scheme>`` stages. Pending schemes spread over the CPUs
-    (``workers.spread``): each group trains in one stacked loop, then ranks,
-    writes and marks its schemes where it trained. Done schemes are read from
-    their markers and embeddings. Returns ranking, skipped and embeddings by scheme."""
+    """The ``plv_<scheme>`` stages: a group of pending schemes trains in one
+    stacked loop, then ranks and writes each scheme. Returns ranking, skipped
+    and embeddings by scheme."""
     hyper = _seeded(config.bpr, run_seed)
 
-    def outputs(scheme):
-        return [os.path.join(rdir, f"{name}_{scheme}.csv")
-                for name in ("plv_embeddings", "training_curve")]
+    def emb_path(scheme):
+        return os.path.join(rdir, f"plv_embeddings_{scheme}.csv")
+
+    def write(scheme, model):
+        report = ranking_metrics(model, test_h, config.k_list, train=train_h)
+        curve_path = os.path.join(rdir, f"training_curve_{scheme}.csv")
+        artifacts.write_embeddings(model, emb_path(scheme))
+        artifacts.write_training_curve(model.training_curve, curve_path)
+        payload = {"metrics": [[m, k, v] for (m, k), v in sorted(report.values.items())],
+                   "n_skipped": report.n_skipped}
+        return [emb_path(scheme), curve_path], payload, (model.user_ids, model.user_factors)
 
     def fit(group):
-        """``(payload, (user_ids, user_factors))`` of each scheme of ``group``."""
-        fitted = []
-        for scheme, model in zip(group, train_stack(train_h, [tables[s] for s in group], hyper)):
-            stage = f"plv_{scheme}"
-            with _stage(stage):
-                emb_path, curve_path = outputs(scheme)
-                report = ranking_metrics(model, test_h, config.k_list, train=train_h)
-                artifacts.write_embeddings(model, emb_path)
-                artifacts.write_training_curve(model.training_curve, curve_path)
-                payload = {"metrics": [[m, k, v] for (m, k), v in sorted(report.values.items())],
-                           "n_skipped": report.n_skipped}
-                stages.mark(stage, **payload)
-            fitted.append((payload, (model.user_ids, model.user_factors)))
-        return fitted
+        return map(write, group, train_stack(train_h, [tables[s] for s in group], hyper))
 
-    pending = [s for s in config.schemes if not stages.done(f"plv_{s}", *outputs(s))]
-    with _stage("plv"):  # a group's training error, here or from a worker
-        groups = spread(fit, pending) if pending else []
-    trained = dict(zip(pending, (result for group in groups for result in group)))
+    fitted = stages.fan_out("plv", config.schemes, fit,
+                            lambda scheme: artifacts.read_vectors(emb_path(scheme)))
     ranking, skipped, embeddings = {}, {}, {}
-    for scheme in config.schemes:
-        if scheme in trained:
-            payload, embeddings[scheme] = trained[scheme]
-        else:
-            payload = stages.payload(f"plv_{scheme}")
-            embeddings[scheme] = artifacts.read_vectors(outputs(scheme)[0])
+    for scheme, (payload, embeddings[scheme]) in zip(config.schemes, fitted):
         ranking[scheme] = {(m, int(k)): v for m, k, v in payload["metrics"]}
         skipped[scheme] = payload["n_skipped"]
     return ranking, skipped, embeddings
@@ -399,66 +408,42 @@ def _effect_study(config, users, embeddings, outcome_table, user_rows, run_idx, 
     """The ``effects_<variant>`` stages, scored on the by-user holdout's
     ``(train, test)`` outcome rows. The targets (``overall``, then each
     configured cluster) are taken once; a variant builds its feature matrix once and fits
-    every target in one ``fit_ebm_stack`` call. The variants that are not done
-    are spread over the CPUs (``workers.spread``), each fitting, writing and
-    marking its stage where it runs; the others are read from their markers.
-    The first run writes ``importance_<variant>.csv`` and the canonical
-    variant's curves; a resumed stage whose files are gone reruns."""
+    every target in one ``fit_ebm_stack`` call. The first run writes
+    ``importance_<variant>.csv`` and the canonical variant's curves. Returns
+    each variant's marker payload."""
     hyper = _seeded(config.ebm, config.seed + run_idx)
     targets = ("overall", *config.clusters)
     ys = [outcome_table.target(target) for target in targets]
     train_rows, test_rows = user_rows
 
-    def importance_path(variant):
-        return os.path.join(rdir, f"importance_{variant}.csv")
-
-    def outputs(variant):
-        if run_idx != 0:
-            return []
-        written = [importance_path(variant)]
-        if variant == _canonical_scheme(config):
-            written += [path for f in FEATURE_COLUMNS for path in _curve_paths(config, rdir, f)]
-        return written
-
     def fit(variant):
-        """Fit, score, write and mark one variant's stage; returns its payload."""
-        stage = f"effects_{variant}"
-        with _stage(stage):
-            fm = assemble_features(users, embeddings.get(variant), outcome_table)
-            fm_train, fm_test = _subset_rows(fm, train_rows), _subset_rows(fm, test_rows)
-            models = fit_ebm_stack(fm_train, [y[train_rows] for y in ys], hyper)
-            payload = {
-                "rmse": {
-                    target: rmse(predict(model, fm_test), y[test_rows])
-                    for target, model, y in zip(targets, models, ys)
-                },
-                "linear_rmse": None,
-            }
-            if variant == "base":
-                linear = fit_linear(fm_train, ys[0][train_rows])
-                payload["linear_rmse"] = rmse(predict(linear, fm_test), ys[0][test_rows])
-            importance_rows = feature_importance(models[0], fm_train)
-            payload["importance"] = [[name, value] for name, value in importance_rows.rows]
-            if run_idx == 0:
-                artifacts.write_importance(importance_rows, importance_path(variant))
-                if variant == _canonical_scheme(config):
-                    _export_curves(config, models[0], rdir)
-            stages.mark(stage, **payload)
-        return payload
+        """The files, payload and no result of one variant's stage."""
+        fm = assemble_features(users, embeddings.get(variant), outcome_table)
+        fm_train, fm_test = _subset_rows(fm, train_rows), _subset_rows(fm, test_rows)
+        models = fit_ebm_stack(fm_train, [y[train_rows] for y in ys], hyper)
+        payload = {
+            "rmse": {
+                target: rmse(predict(model, fm_test), y[test_rows])
+                for target, model, y in zip(targets, models, ys)
+            },
+            "linear_rmse": None,
+        }
+        if variant == "base":
+            linear = fit_linear(fm_train, ys[0][train_rows])
+            payload["linear_rmse"] = rmse(predict(linear, fm_test), ys[0][test_rows])
+        importance_rows = feature_importance(models[0], fm_train)
+        payload["importance"] = [[name, value] for name, value in importance_rows.rows]
+        files = []
+        if run_idx == 0:
+            files.append(os.path.join(rdir, f"importance_{variant}.csv"))
+            artifacts.write_importance(importance_rows, files[0])
+            if variant == _canonical_scheme(config):
+                files += _export_curves(config, models[0], rdir)
+        return files, payload, None
 
     variants = _variants(config)
-    pending = [v for v in variants if not stages.done(f"effects_{v}", *outputs(v))]
-    fitted = spread(lambda group: [fit(variant) for variant in group], pending)
-    payloads = dict(zip(pending, (payload for group in fitted for payload in group)))
-    rmses, importance = {}, {}
-    linear_rmse = None
-    for variant in variants:
-        payload = payloads.get(variant) or stages.payload(f"effects_{variant}")
-        rmses[variant] = payload["rmse"]
-        importance[variant] = payload["importance"]
-        if payload["linear_rmse"] is not None:
-            linear_rmse = payload["linear_rmse"]
-    return rmses, linear_rmse, importance
+    fitted = stages.fan_out("effects", variants, lambda group: map(fit, group), lambda _: None)
+    return {variant: payload for variant, (payload, _) in zip(variants, fitted)}
 
 
 def _canonical_scheme(config: PipelineConfig) -> str:
@@ -468,18 +453,16 @@ def _canonical_scheme(config: PipelineConfig) -> str:
     return "base"
 
 
-def _curve_paths(config, rdir, feature) -> tuple:
-    """The canonical variant's ``curve_<feature>`` files: the CSV, then the SVG if plotted."""
-    kinds = ("csv", "svg") if config.emit_plots else ("csv",)
-    return tuple(os.path.join(rdir, f"curve_{feature}.{kind}") for kind in kinds)
-
-
-def _export_curves(config, model, rdir):
+def _export_curves(config, model, rdir) -> list:
+    """Write each feature's ``curve_<feature>.csv``, then its SVG if plotted;
+    returns the paths written."""
+    written = []
     for feature in FEATURE_COLUMNS:
-        curve = contribution_curve(model, feature, grid=64)
-        csv_path, *svg_path = _curve_paths(config, rdir, feature)
-        artifacts.write_curve(curve, csv_path)
-        if svg_path:
+        curve = contribution_curve(model, feature)
+        written.append(os.path.join(rdir, f"curve_{feature}.csv"))
+        artifacts.write_curve(curve, written[-1])
+        if config.emit_plots:
+            written.append(os.path.join(rdir, f"curve_{feature}.svg"))
             line_chart_svg(
                 curve.x,
                 [
@@ -488,8 +471,9 @@ def _export_curves(config, model, rdir):
                     ("upper", curve.upper, "#ff7f0e"),
                 ],
                 title=feature,
-                path=svg_path[0],
+                path=written[-1],
             )
+    return written
 
 
 def _run_once(config, graph, users, outcome_table, topic_vectors, out_dir, run_idx, resume, chash):
@@ -500,7 +484,7 @@ def _run_once(config, graph, users, outcome_table, topic_vectors, out_dir, run_i
 
     train_h, test_h = _hate_split(config, graph, run_seed)
     with _stage("split"):
-        user_pair = split(graph, "by-user", config.user_split_ratio, USER_SPLIT_SEED + run_seed)
+        user_pair = split(graph, "by-user", USER_SPLIT_RATIO, USER_SPLIT_SEED + run_seed)
         # feature rows follow the outcome rows
         user_rows = [[i for i, u in enumerate(outcome_table.user_ids) if u in half]
                      for half in (user_pair.train, user_pair.test)]
@@ -517,15 +501,15 @@ def _run_once(config, graph, users, outcome_table, topic_vectors, out_dir, run_i
         config, tables, train_h, test_h, run_seed, rdir, stages
     )
 
-    rmses, linear_rmse, importance = _effect_study(
+    effects = _effect_study(
         config, users, embeddings, outcome_table, user_rows, run_idx, rdir, stages
     )
     return {
         "ranking": ranking,
         "skipped": skipped,
-        "rmse": rmses,
-        "linear_rmse": linear_rmse,
-        "importance": importance,
+        "rmse": {variant: payload["rmse"] for variant, payload in effects.items()},
+        "linear_rmse": effects["base"]["linear_rmse"],  # only base fits the linear model
+        "importance": {variant: payload["importance"] for variant, payload in effects.items()},
     }
 
 
@@ -625,7 +609,7 @@ def run_pipeline(config: PipelineConfig, resume: bool = False) -> str:
         return [_run_once(config, graph, users, outcome_table, topic_vectors, out_dir, run_idx,
                           resume, chash) for run_idx in run_indices]
 
-    results = [result for group in spread(run_group, range(config.runs)) for result in group]
+    results = spread(run_group, range(config.runs))
 
     with _stage("report"):
         rows = _ranking_rows(config, results)
@@ -676,20 +660,15 @@ def run_mu_sweep(config: PipelineConfig, mu_list) -> list:
     rows = []
     with _stage("mu-sweep"):
         cells = [(scheme, mu) for scheme in ("virality", "follower") for mu in mu_list]
-        tables = [
-            virality_propensity(train_h, mu=mu, floor=config.floor)
-            if scheme == "virality"
-            else follower_propensity(train_h, users, mu=mu, floor=config.floor)
-            for scheme, mu in cells
-        ]
+        tables = [_propensity(scheme, mu, config.floor, train_h, users, None)
+                  for scheme, mu in cells]
         hyper = _seeded(config.bpr, config.seed)
 
         def rank(group):
             return [ranking_metrics(model, test_h, config.k_list, train=train_h)
                     for model in train_stack(train_h, group, hyper)]
 
-        reports = [report for group in spread(rank, tables) for report in group]
-        for (scheme, mu), report in zip(cells, reports):
+        for (scheme, mu), report in zip(cells, spread(rank, tables)):
             label = f"{MODEL_NAMES[scheme]} mu={mu:g}"
             for k in config.k_list:
                 rows.append((label, "recall", k, report[("recall", k)]))

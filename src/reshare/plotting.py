@@ -8,8 +8,9 @@ def _scale(vals, lo, hi, out_lo, out_hi):
     return [out_lo + (v - lo) / span * (out_hi - out_lo) for v in vals]
 
 
-def line_chart_svg(x, series, title, path, width=480, height=320):
+def line_chart_svg(x, series, title, path):
     """Write a polyline chart; series is a list of (label, ys, css_color)."""
+    width, height = 480, 320
     x = [float(v) for v in x]
     all_y = [float(v) for _, ys, _ in series for v in ys]
     if not x or not all_y:

@@ -368,8 +368,9 @@ def sample_interest_graph(
     return InteractionGraph.from_indices(exclude.users, exclude.posts, *np.nonzero(mask))
 
 
-def write_truth(truth: SyntheticTruth, out_dir, chunk: int = 256):
+def write_truth(truth: SyntheticTruth, out_dir):
     os.makedirs(out_dir, exist_ok=True)
+    chunk = 256  # users per write
     path = os.path.join(out_dir, "truth.csv")
     n_u = len(truth.user_ids)
     with open(path, "w", encoding="utf-8") as fh:

@@ -136,8 +136,6 @@ def fit_lda(
     iterations: int = 200,
     seed: int = 0,
     alpha: float | None = None,
-    beta: float = 0.01,
-    min_df: int = 2,
 ) -> TopicModel:
     """Fit LDA by ``iterations`` batch CVB0 updates from random responsibilities.
 
@@ -146,6 +144,7 @@ def fit_lda(
     ``seed``. alpha defaults to 50/K. Tokens appearing in fewer than
     ``min_df`` documents are dropped from the model vocabulary.
     """
+    beta, min_df = 0.01, 2
     if n_topics < 2:
         raise ValueError("n_topics must be >= 2")
     n_nonempty = sum(1 for d in corpus.documents if d)

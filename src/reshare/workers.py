@@ -1,9 +1,10 @@
 """Spread a list of tasks over the CPUs this process may use (its affinity
 mask): one contiguous group per CPU, the first run in the calling process and
-each other in a forked child that pickles its result, or its exception, back
-through a pipe. Every caller is in ``pipeline``: it spreads the runs of
-``--runs N``, a run's pending ``plv_<scheme>`` groups and effect variants,
-and the mu sweep's cells.
+each other in a forked child that pickles its results, or its exception, back
+through a pipe. A group returns one result per task, and the caller gets one
+list of them in task order. Every caller is in ``pipeline``: it spreads the
+runs of ``--runs N``, a run's pending ``plv_<scheme>`` and ``effects_<variant>``
+stages, and the mu sweep's cells.
 
 Spreads do not nest: while a spread has forked, its groups (here and in the
 children) see one usable CPU, so the CPUs are never oversubscribed. A spread
@@ -21,14 +22,15 @@ _forked = False  # True while a spread of this process has forked
 
 
 def spread(run, tasks) -> list:
-    """``[run(group) for group in groups]``, the tasks split into ``min(len(tasks),
-    usable CPUs)`` contiguous groups. A worker still running when this raises is
-    killed and reaped; one that ends without a result raises ``RuntimeError``,
-    and a worker's own exception is raised here."""
+    """One result per task: the lists ``run(group)`` returns end to end, the
+    tasks split into ``min(len(tasks), usable CPUs)`` contiguous groups. A
+    worker still running when this raises is killed and reaped; one that ends
+    without a result raises ``RuntimeError``, and a worker's own exception is
+    raised here."""
     global _forked
     n_groups = min(len(tasks), 1 if _forked else _usable_cpus())
     if n_groups < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return [run(tasks)]
+        return run(tasks)
     bounds = [len(tasks) * g // n_groups for g in range(n_groups + 1)]
     groups = [tasks[a:b] for a, b in zip(bounds, bounds[1:])]
     children = []
@@ -36,7 +38,7 @@ def spread(run, tasks) -> list:
     try:
         for group in groups[1:]:
             children.append(_fork(lambda group=group: run(group)))
-        results = [run(groups[0])]
+        results = list(run(groups[0]))
         while children:
             pid, fd = children[0]
             data = b"".join(iter(lambda: os.read(fd, 1 << 20), b""))
@@ -50,7 +52,7 @@ def spread(run, tasks) -> list:
             ok, value = pickle.loads(data)
             if not ok:
                 raise value
-            results.append(value)
+            results.extend(value)
     finally:
         _forked = False
         for pid, fd in children:

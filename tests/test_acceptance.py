@@ -365,7 +365,7 @@ class TestCriterion7EffectRecovery:
         model = fit_ebm(fm, outcomes.target("overall"), EbmHyper(seed=0, max_bins=128))
         worst_corr, worst_mae = 1.0, 0.0
         for shape in self.EFFECTS:
-            curve = contribution_curve(model, shape.attribute, grid=64)
+            curve = contribution_curve(model, shape.attribute)
             target = truth.effect_curves[shape.attribute](curve.x)
             corr = float(np.corrcoef(curve.value, target)[0, 1])
             mae = float(np.abs(curve.value - target).mean()) / float(target.max() - target.min())

@@ -10,6 +10,7 @@ import pytest
 from reshare import artifacts, cli, pipeline, workers
 from reshare.bprmf import BprHyper, BprModel
 from reshare.cli import main
+from reshare.dataset import FEATURE_COLUMNS
 from reshare.errors import DataError
 from reshare.pipeline import PipelineConfig, StageError, config_hash, run_pipeline
 
@@ -142,6 +143,10 @@ class TestSynthCommand:
     @pytest.mark.parametrize("block, name, value", [
         (None, "edge_split_seed", 17),
         (None, "user_split_seed", 23),
+        (None, "edge_split_ratio", 0.8),
+        (None, "user_split_ratio", 0.8),
+        ("ebm", "pair_bins", 16),
+        ("ebm", "detect_bins", 8),
         ("synth", "n_user_blocks", 2),
         ("synth", "verified_rate", 0.05),
         ("synth", "follower_exposure_exponent", 0.25),
@@ -217,8 +222,7 @@ class TestSynthCommand:
         for cpus in (1, 2, 3):
             monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
             forks.clear()
-            with np.errstate(over="ignore", invalid="ignore"):
-                assert main(["pipeline", "--config", path]) == 2
+            assert main(["pipeline", "--config", path]) == 2  # and warns nothing
             assert len(forks) == cpus - 1
             assert_no_children()
             errors.append(capsys.readouterr().err)
@@ -344,6 +348,7 @@ class TestPipelineCommand:
         "plv_embeddings_virality.csv",
         "training_curve_virality.csv",
         "importance_virality.csv",
+        "curve_verified.svg",
     ])
     def test_resume_reruns_stage_whose_output_is_gone(self, cold_run, name):
         cfg, out, snapshot = cold_run
@@ -352,6 +357,46 @@ class TestPipelineCommand:
         (out / name).unlink()
         assert main(["pipeline", "--config", cfg, "--resume"]) == 0
         assert output_bytes(out) == output_bytes(snapshot)
+
+    @pytest.mark.parametrize("old", [True, False], ids=["without-files", "not-an-object"])
+    def test_old_or_foreign_markers_rerun_their_stages(self, cold_run, old):
+        cfg, out, snapshot = cold_run
+        shutil.rmtree(out)
+        shutil.copytree(snapshot, out)
+        for path in out.glob("*.done"):  # the format before markers listed their files
+            marker = json.loads(path.read_text())
+            del marker["files"]
+            if path.name == "dataset.done":
+                marker["source"] = "synth"
+            path.write_text(json.dumps(marker if old else [marker], sort_keys=True) + "\n")
+        assert main(["pipeline", "--config", cfg, "--resume"]) == 0
+        assert output_bytes(out) == output_bytes(snapshot)
+        for path in snapshot.glob("*.done"):  # every stage reran and marked anew
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_each_marker_lists_the_files_its_stage_wrote(self, tmp_path):
+        out = tmp_path / "listed"
+        assert main(["pipeline", "--config", write_config(tmp_path, small_config(str(out), 2))]) == 0
+        listed = {str(path.relative_to(out)): json.loads(path.read_text())["files"]
+                  for path in out.rglob("*.done")}
+        curves = [f"curve_{f}.{kind}" for f in FEATURE_COLUMNS for kind in ("csv", "svg")]
+        expected = {"dataset.done": ["data/posts.csv", "data/users.csv", "data/interactions.csv"],
+                    "topics.done": ["topics.csv"]}
+        for rdir in ("", "run_1/"):
+            expected[rdir + "propensity.done"] = ["propensity.csv"]
+            for scheme in pipeline.RANKING_SCHEMES:
+                expected[f"{rdir}plv_{scheme}.done"] = [f"plv_embeddings_{scheme}.csv",
+                                                        f"training_curve_{scheme}.csv"]
+            for variant in ("base", "virality", "follower", "neural"):
+                files = [] if rdir else [f"importance_{variant}.csv"]
+                expected[f"{rdir}effects_{variant}.done"] = files + (
+                    curves if files and variant == "virality" else [])
+        assert listed == expected and len(curves) == 10
+        written = {os.path.join(os.path.dirname(marker), name)
+                   for marker, names in listed.items() for name in names}
+        unlisted = {name for name in output_bytes(out) if name not in written}
+        assert unlisted == {"outcomes.csv", "report.txt", "metrics.csv", "plv_embeddings.csv",
+                            "training_curve.csv", "importance.csv"}
 
     def test_resume_restores_deleted_curve_and_dataset_file(self, cold_run):
         cfg, out, snapshot = cold_run

@@ -93,7 +93,7 @@ class TestFitEbm:
         y = 2.0 * X[:, 0]
         fm = fmatrix(X, cols)
         model = fit_ebm(fm, y, EbmHyper(n_interactions=0, n_bags=4, seed=1))
-        curve = contribution_curve(model, "a", grid=64)
+        curve = contribution_curve(model, "a")
         truth = 2.0 * (curve.x - X[:, 0].mean())
         tol = np.maximum(0.02 * (truth.max() - truth.min()), 2.0 * (curve.upper - curve.value))
         assert np.all(np.abs(curve.value - truth) <= tol + 1e-12)
@@ -219,10 +219,6 @@ class TestFitEbm:
     def test_invalid_hyper(self):
         with pytest.raises(ConfigError):
             EbmHyper(max_bins=1)
-        with pytest.raises(ConfigError, match="pair_bins"):
-            EbmHyper(pair_bins=1)
-        with pytest.raises(ConfigError, match="detect_bins"):
-            EbmHyper(detect_bins=1)
         with pytest.raises(ConfigError):
             EbmHyper(n_bags=0)
         with pytest.raises(ConfigError, match="early_stop_patience"):
@@ -465,7 +461,7 @@ class TestRecoveryThroughSynthetic:
         oc = compute_outcomes(graph)
         fm = assemble_features(users, None, oc)
         model = fit_ebm(fm, oc.target("overall"), EbmHyper(seed=21, max_bins=128))
-        curve = contribution_curve(model, "log1p_n_followers", grid=64)
+        curve = contribution_curve(model, "log1p_n_followers")
         target = truth.effect_curves["log1p_n_followers"](curve.x)
         corr = float(np.corrcoef(curve.value, target)[0, 1])
         assert corr >= 0.9

@@ -42,43 +42,50 @@ class TestSpread:
 
         return run
 
+    @staticmethod
+    def tag(group):
+        """One ``(pid, task, group)`` result per task of ``group``."""
+        return [(os.getpid(), task, group) for task in group]
+
     def test_contiguous_groups_and_results_in_task_order(self, monkeypatch):
-        results = self.spread_on(monkeypatch, 3, lambda g: (os.getpid(), g), list(range(7)))
-        assert [group for _, group in results] == [[0, 1], [2, 3], [4, 5, 6]]
-        assert [pid for pid, _ in results] == [self.parent, *self.forks]
+        results = self.spread_on(monkeypatch, 3, self.tag, list(range(7)))
+        groups = [[0, 1], [2, 3], [4, 5, 6]]
         assert len(self.forks) == 2
+        pids = [self.parent, *self.forks]
+        assert results == [(pid, task, group) for pid, group in zip(pids, groups) for task in group]
 
     @pytest.mark.parametrize("cpus, tasks", [(1, [0, 1, 2]), (3, [0]), (3, [])])
     def test_one_group_runs_in_process(self, monkeypatch, cpus, tasks):
-        results = self.spread_on(monkeypatch, cpus, lambda g: (os.getpid(), g), tasks)
-        assert results == [(self.parent, tasks)] and self.forks == []
+        results = self.spread_on(monkeypatch, cpus, self.tag, tasks)
+        assert results == [(self.parent, task, tasks) for task in tasks] and self.forks == []
 
     def test_never_forks_while_other_threads_run(self, monkeypatch):
         release = threading.Event()
         waiter = threading.Thread(target=release.wait)
         waiter.start()
         try:
-            results = self.spread_on(monkeypatch, 3, lambda g: (os.getpid(), g), [0, 1, 2])
+            results = self.spread_on(monkeypatch, 3, self.tag, [0, 1, 2])
         finally:
             release.set()
             waiter.join(timeout=10)
-        assert results == [(self.parent, [0, 1, 2])] and self.forks == []
-        assert not waiter.is_alive()
+        assert results == [(self.parent, task, [0, 1, 2]) for task in [0, 1, 2]]
+        assert self.forks == [] and not waiter.is_alive()
 
     def test_spread_inside_a_forked_spread_runs_in_process(self, monkeypatch):
-        def inner(group):
-            return spread(lambda g: (os.getpid(), g), ["a", "b", "c"])
+        def inner(group):  # one result, the inner spread's list, for the group's one task
+            return [spread(self.tag, ["a", "b", "c"])]
 
         results = self.spread_on(monkeypatch, 2, inner, [0, 1])
         assert len(self.forks) == 1
-        assert results == [[(pid, ["a", "b", "c"])] for pid in (self.parent, self.forks[0])]
+        assert results == [[(pid, task, ["a", "b", "c"]) for task in "abc"]
+                           for pid in (self.parent, self.forks[0])]
 
     def test_spread_inside_a_one_group_spread_still_forks(self, monkeypatch):
         def inner(group):
-            return spread(lambda g: (os.getpid(), g), ["a", "b"])
+            return [spread(self.tag, ["a", "b"])]
 
         (results,) = self.spread_on(monkeypatch, 2, inner, [0])
-        assert results == [(self.parent, ["a"]), (self.forks[0], ["b"])]
+        assert results == [(self.parent, "a", ["a"]), (self.forks[0], "b", ["b"])]
         assert len(self.forks) == 1
 
     def test_interrupted_parent_kills_and_reaps_every_worker(self, monkeypatch):
