@@ -1,18 +1,22 @@
-"""Time one desk-scale ``reshare pipeline`` run and write its numbers as JSON.
+"""Time one desk-scale ``reshare pipeline`` run and its resume, and write
+their numbers as JSON.
 
-    python scripts/bench_desk.py --json BENCH_18.json
+    python scripts/bench_desk.py --json BENCH_21.json
     python scripts/bench_desk.py --config tiny.json --json bench.json
 
-The pipeline runs once, in a child process (``python -m reshare.cli`` with
-``PYTHONPATH=src`` and every BLAS/OpenMP thread variable set to 1), into a
-temporary output directory that is deleted afterwards; the JSON file is the
-only thing written. The pipeline's ``--seed`` is always 1. The child
-inherits this process's CPU affinity, so ``taskset -c 0`` gives the one-CPU
-number. The JSON holds the total wall time, the child's peak RSS
-(``os.wait4``, which covers its reaped workers), its exit code, the sha256 of
-``report.txt`` and ``metrics.csv``, and the provenance: git commit, whether
-``src/`` is that commit's as committed, sha256 of ``src/``, Python and numpy
-versions and usable CPUs. The script exits 1 if the pipeline fails.
+The pipeline runs cold, then with ``--resume`` on the same output directory,
+each in a child process (``python -m reshare.cli`` with ``PYTHONPATH=src`` and
+every BLAS/OpenMP thread variable set to 1). The output directory is
+temporary and deleted afterwards; the JSON file is the only thing written.
+The pipeline's ``--seed`` is always 1. The children inherit this process's
+CPU affinity, so ``taskset -c 0`` gives the one-CPU numbers. The JSON holds
+the cold call's wall time, the resumed call's (``resume_wall_s``), the cold
+child's peak RSS (``os.wait4``, which covers its reaped workers) and exit
+code, the sha256 of ``report.txt`` and ``metrics.csv``, and the provenance:
+git commit, whether ``src/`` is that commit's as committed, sha256 of
+``src/``, Python and numpy versions and usable CPUs. The script exits 1 if
+either call fails or the resumed ``report.txt`` or ``metrics.csv`` differs
+from the cold one.
 """
 
 import argparse
@@ -74,9 +78,9 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def run_pipeline(config: Path, out_dir: str) -> dict:
+def run_pipeline(config: Path, out_dir: str, *flags) -> dict:
     cmd = [sys.executable, "-m", "reshare.cli", "pipeline", "--config", str(config),
-           "--out", out_dir, "--seed", str(CLI_SEED)]
+           "--out", out_dir, "--seed", str(CLI_SEED), *flags]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **{v: "1" for v in THREAD_VARS})
     start = time.perf_counter()
     proc = subprocess.Popen(cmd, stdout=subprocess.DEVNULL, cwd=ROOT, env=env)
@@ -109,6 +113,7 @@ def main(argv=None) -> int:
     config = args.config.resolve()
     with tempfile.TemporaryDirectory(prefix="bench_desk_") as out_dir:
         result = run_pipeline(config, out_dir)
+        resumed = run_pipeline(config, out_dir, "--resume") if result["exit_code"] == 0 else None
     try:
         config_name = str(config.relative_to(ROOT))
     except ValueError:
@@ -118,6 +123,7 @@ def main(argv=None) -> int:
         "config": config_name,
         "cli_seed": CLI_SEED,
         **result,
+        "resume_wall_s": resumed["wall_s"] if resumed else None,
         "provenance": {
             "git_commit": commit,
             "src_committed": src_committed,
@@ -131,6 +137,13 @@ def main(argv=None) -> int:
     print(json.dumps(bench, indent=2))
     if result["exit_code"] != 0:
         print(f"error: the pipeline exited with {result['exit_code']}", file=sys.stderr)
+        return 1
+    if resumed["exit_code"] != 0:
+        print(f"error: the resumed pipeline exited with {resumed['exit_code']}", file=sys.stderr)
+        return 1
+    changed = [name for name in COMPARED if resumed["sha256"][name] != result["sha256"][name]]
+    if changed:
+        print(f"error: the resumed run changed {', '.join(changed)}", file=sys.stderr)
         return 1
     return 0
 

@@ -141,16 +141,16 @@ def _build_bins(col: np.ndarray, max_bins: int, min_leaf: int) -> Bins:
     # enforce the occupancy minimum in one left-to-right pass: close a bin
     # whenever it has gathered min_leaf rows; a short tail merges leftwards
     counts = np.bincount(np.searchsorted(cuts, col, side="right"), minlength=cuts.size + 1)
-    kept = []
-    acc = 0
+    counts = counts.tolist()  # the loop is faster on Python ints than on numpy scalars
+    kept, acc = [], 0  # indices of the cuts that close a bin
     for k in range(cuts.size):
-        acc += int(counts[k])
+        acc += counts[k]
         if acc >= min_leaf:
-            kept.append(cuts[k])
+            kept.append(k)
             acc = 0
-    if acc + int(counts[cuts.size]) < min_leaf and kept:
+    if acc + counts[cuts.size] < min_leaf and kept:
         kept.pop()
-    new_cuts = np.asarray(kept)
+    new_cuts = cuts[kept]
     if levels is not None and new_cuts.size != cuts.size:
         levels = None  # merged levels no longer map one-to-one
     return Bins(cuts=new_cuts, levels=levels)

@@ -6,9 +6,9 @@ Only the resumable stages (dataset, topics, propensity, ``plv_<scheme>`` and
 its marker, writes its artifacts, then writes a marker holding a hash of the
 effective configuration and input files and the list of files the stage
 wrote. With ``resume=True`` a stage whose marker matches, and whose listed
-files all exist, is skipped and its outputs are reloaded, which reproduces
-the final report byte-for-byte. A marker without that list is stale. The
-cheap outcomes stage always recomputes and keeps no marker.
+files all exist, is skipped, which reproduces the final report byte-for-byte;
+a skipped scheme's embedding table is read only if its effect variant refits.
+A marker without that list is stale. The cheap outcomes stage always reruns.
 
 The stage functions only compute and write; ``_Stages`` decides what is done,
 marks, and spreads a run's pending ``plv_<scheme>`` and then its
@@ -243,7 +243,7 @@ class _Stages:
             json.dump(data, fh, sort_keys=True)
             fh.write("\n")
 
-    def fan_out(self, prefix: str, keys, fit, load) -> list:
+    def fan_out(self, prefix: str, keys, fit) -> list:
         """``(payload, result)`` of the ``<prefix>_<key>`` stage of each key.
 
         The pending keys spread over the CPUs in groups (``workers.spread``).
@@ -252,7 +252,7 @@ class _Stages:
         are written; the key is marked right there, in the process that fitted
         it, so a failure keeps the keys before it done. An error in the shared
         work reads ``<prefix>``, one of a key ``<prefix>_<key>``. A done key
-        gives its marker's payload and ``load(key)``."""
+        gives its marker's payload and None; none of its files is read."""
         pending = [key for key in keys if not self.done(f"{prefix}_{key}")]
 
         def run(group):
@@ -266,7 +266,7 @@ class _Stages:
 
         with _stage(prefix):
             fitted = dict(zip(pending, spread(run, pending) if pending else []))
-        return [fitted[key] if key in fitted else (self.payload(f"{prefix}_{key}"), load(key))
+        return [fitted[key] if key in fitted else (self.payload(f"{prefix}_{key}"), None)
                 for key in keys]
 
 
@@ -367,26 +367,23 @@ def _propensity_tables(config, train_h, users, topic_vectors, rdir, stages):
 def _train_rankers(config, tables, train_h, test_h, run_seed, rdir, stages):
     """The ``plv_<scheme>`` stages: a group of pending schemes trains in one
     stacked loop, then ranks and writes each scheme. Returns ranking, skipped
-    and embeddings by scheme."""
+    and embeddings by scheme; a done scheme's embeddings are None, not read."""
     hyper = _seeded(config.bpr, run_seed)
-
-    def emb_path(scheme):
-        return os.path.join(rdir, f"plv_embeddings_{scheme}.csv")
 
     def write(scheme, model):
         report = ranking_metrics(model, test_h, config.k_list, train=train_h)
-        curve_path = os.path.join(rdir, f"training_curve_{scheme}.csv")
-        artifacts.write_embeddings(model, emb_path(scheme))
-        artifacts.write_training_curve(model.training_curve, curve_path)
+        paths = [os.path.join(rdir, f"{name}_{scheme}.csv")
+                 for name in ("plv_embeddings", "training_curve")]
+        artifacts.write_embeddings(model, paths[0])
+        artifacts.write_training_curve(model.training_curve, paths[1])
         payload = {"metrics": [[m, k, v] for (m, k), v in sorted(report.values.items())],
                    "n_skipped": report.n_skipped}
-        return [emb_path(scheme), curve_path], payload, (model.user_ids, model.user_factors)
+        return paths, payload, (model.user_ids, model.user_factors)
 
     def fit(group):
         return map(write, group, train_stack(train_h, [tables[s] for s in group], hyper))
 
-    fitted = stages.fan_out("plv", config.schemes, fit,
-                            lambda scheme: artifacts.read_vectors(emb_path(scheme)))
+    fitted = stages.fan_out("plv", config.schemes, fit)
     ranking, skipped, embeddings = {}, {}, {}
     for scheme, (payload, embeddings[scheme]) in zip(config.schemes, fitted):
         ranking[scheme] = {(m, int(k)): v for m, k, v in payload["metrics"]}
@@ -407,10 +404,10 @@ def _variants(config: PipelineConfig) -> list:
 def _effect_study(config, users, embeddings, outcome_table, user_rows, run_idx, rdir, stages):
     """The ``effects_<variant>`` stages, scored on the by-user holdout's
     ``(train, test)`` outcome rows. The targets (``overall``, then each
-    configured cluster) are taken once; a variant builds its feature matrix once and fits
-    every target in one ``fit_ebm_stack`` call. The first run writes
-    ``importance_<variant>.csv`` and the canonical variant's curves. Returns
-    each variant's marker payload."""
+    configured cluster) are taken once; a variant builds its feature matrix once, reading
+    its scheme's embedding table if its ``plv`` stage was done, and fits every target in one
+    ``fit_ebm_stack`` call. The first run writes ``importance_<variant>.csv`` and the
+    canonical variant's curves. Returns each variant's marker payload."""
     hyper = _seeded(config.ebm, config.seed + run_idx)
     targets = ("overall", *config.clusters)
     ys = [outcome_table.target(target) for target in targets]
@@ -418,7 +415,10 @@ def _effect_study(config, users, embeddings, outcome_table, user_rows, run_idx, 
 
     def fit(variant):
         """The files, payload and no result of one variant's stage."""
-        fm = assemble_features(users, embeddings.get(variant), outcome_table)
+        vectors = embeddings.get(variant)
+        if vectors is None and variant != "base":
+            vectors = artifacts.read_vectors(os.path.join(rdir, f"plv_embeddings_{variant}.csv"))
+        fm = assemble_features(users, vectors, outcome_table)
         fm_train, fm_test = _subset_rows(fm, train_rows), _subset_rows(fm, test_rows)
         models = fit_ebm_stack(fm_train, [y[train_rows] for y in ys], hyper)
         payload = {
@@ -442,7 +442,7 @@ def _effect_study(config, users, embeddings, outcome_table, user_rows, run_idx, 
         return files, payload, None
 
     variants = _variants(config)
-    fitted = stages.fan_out("effects", variants, lambda group: map(fit, group), lambda _: None)
+    fitted = stages.fan_out("effects", variants, lambda group: map(fit, group))
     return {variant: payload for variant, (payload, _) in zip(variants, fitted)}
 
 

@@ -197,6 +197,36 @@ def masked_sigmoid(z):
     return out
 
 
+def reference_build_bins(col, max_bins, min_leaf):
+    """``(cuts, levels)`` of ``effects._build_bins`` as first shipped: the
+    occupancy merge over numpy scalars, keeping cut values. Its bytes are the
+    ones ``_build_bins`` must reproduce."""
+    vals = np.unique(col)
+    if vals.size <= max_bins:
+        cuts = (vals[:-1] + vals[1:]) / 2.0
+        levels = vals
+    else:
+        qs = np.linspace(0.0, 1.0, max_bins + 1)[1:-1]
+        cuts = np.unique(np.quantile(col, qs))
+        levels = None
+    if cuts.size == 0:
+        return cuts, levels
+    counts = np.bincount(np.searchsorted(cuts, col, side="right"), minlength=cuts.size + 1)
+    kept = []
+    acc = 0
+    for k in range(cuts.size):
+        acc += int(counts[k])
+        if acc >= min_leaf:
+            kept.append(cuts[k])
+            acc = 0
+    if acc + int(counts[cuts.size]) < min_leaf and kept:
+        kept.pop()
+    new_cuts = np.asarray(kept)
+    if levels is not None and new_cuts.size != cuts.size:
+        levels = None
+    return new_cuts, levels
+
+
 def reference_pair_step(factors, users, pos, neg, w, scale, out):
     """The stacked pairwise step as first shipped: a fancy-index gather, the
     masked sigmoid, the step size applied per batch and the weighted losses

@@ -398,6 +398,41 @@ class TestPipelineCommand:
         assert unlisted == {"outcomes.csv", "report.txt", "metrics.csv", "plv_embeddings.csv",
                             "training_curve.csv", "importance.csv"}
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_resume_reads_the_embedding_tables_of_refitted_variants_only(
+        self, cold_run, tmp_path, monkeypatch, forks, cpus
+    ):
+        cfg, out, snapshot = cold_run
+        shutil.rmtree(out)
+        shutil.copytree(snapshot, out)
+        log, read_vectors = tmp_path / "reads.txt", artifacts.read_vectors
+
+        def spy(path):  # logs every table read, from any process
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(os.path.basename(path) + "\n")
+            return read_vectors(path)
+
+        def resume():
+            log.write_text("")
+            forks.clear()
+            assert main(["pipeline", "--config", cfg, "--resume"]) == 0
+            resumed = output_bytes(out)
+            for name, data in output_bytes(snapshot).items():
+                if name in ("report.txt", "metrics.csv") or (
+                        name.startswith(("importance", "curve_")) and name.endswith(".csv")):
+                    assert resumed[name] == data, name
+            return sorted(name for name in log.read_text().split()
+                          if name.startswith("plv_embeddings"))
+
+        monkeypatch.setattr(artifacts, "read_vectors", spy)
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
+        assert resume() == [] and forks == []
+        for variant in ("virality", "neural"):
+            (out / f"effects_{variant}.done").unlink()
+        # on two CPUs virality refits here and neural in a worker
+        assert resume() == ["plv_embeddings_neural.csv", "plv_embeddings_virality.csv"]
+        assert len(forks) == cpus - 1
+
     def test_resume_restores_deleted_curve_and_dataset_file(self, cold_run):
         cfg, out, snapshot = cold_run
         shutil.rmtree(out)

@@ -7,6 +7,7 @@ from reshare.effects import (
     assemble_features,
     contribution_curve,
     _boost_bags,
+    _build_bins,
     _interaction_strengths,
     feature_importance,
     fit_ebm,
@@ -18,7 +19,7 @@ from reshare.errors import ConfigError, DataError
 from reshare.outcomes import compute_outcomes
 from reshare.synthgen import SynthConfig, generate
 
-from conftest import make_graph, make_users, subset_matrix
+from conftest import make_graph, make_users, reference_build_bins, subset_matrix
 
 
 def matrix_from(rng, n=1500, uniform=True):
@@ -77,6 +78,31 @@ class TestAssemble:
         embeddings = (ids[0], ids[2]), vectors[[0, 2]]
         with pytest.raises(DataError, match="no embedding"):
             assemble_features(self.users, embeddings, self.outcomes)
+
+
+class TestBuildBins:
+    @pytest.mark.parametrize("min_leaf", [1, 3, 10])
+    @pytest.mark.parametrize("max_bins", [8, 64, 512])
+    def test_same_bytes_as_the_reference_loop(self, rng, min_leaf, max_bins):
+        n = 480
+        columns = [
+            rng.normal(0.0, 1.0, n),  # distinct values: the quantile path
+            rng.integers(0, 12, n).astype(float),  # ties: the levels path when they fit
+            np.round(rng.exponential(1.0, n), 1),  # many ties, a long thin right tail
+            (rng.random(n) < 0.05).astype(float),  # two levels, one rare
+            np.where(rng.random(n) < 0.98, 0.0, rng.normal(0.0, 1.0, n)),  # few distinct
+            np.full(n, 3.0),  # one value: no cuts
+            np.r_[np.zeros(n - 2), 1.0, 2.0],  # a two-row tail that merges left
+            np.r_[np.zeros(n // 2), np.ones(n // 2 - 2), 2.0, 3.0],  # ... into a kept bin
+        ]
+        for col in columns:
+            bins = _build_bins(col, max_bins, min_leaf)
+            cuts, levels = reference_build_bins(col, max_bins, min_leaf)
+            assert bins.cuts.dtype == cuts.dtype == np.float64
+            assert bins.cuts.tobytes() == cuts.tobytes()
+            assert (bins.levels is None) == (levels is None)
+            if levels is not None:
+                assert bins.levels.tobytes() == levels.tobytes()
 
 
 class TestFitEbm:
