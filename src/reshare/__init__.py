@@ -20,7 +20,7 @@ from .bprmf import (
     user_embedding,
 )
 from .dataset import (
-    FeatureView,
+    FeatureMatrix,
     InteractionGraph,
     Post,
     SplitPair,
@@ -34,7 +34,6 @@ from .dataset import (
 from .effects import (
     EbmHyper,
     EffectModel,
-    FeatureMatrix,
     assemble_features,
     contribution_curve,
     feature_importance,

@@ -17,7 +17,6 @@ import numpy as np
 from .bprmf import BprModel
 from .errors import DataError
 from .outcomes import OutcomeTable
-from .propensity import PropensityTable
 
 
 def _fmt(x: float) -> str:
@@ -57,24 +56,6 @@ def write_propensities(tables, path):
         for table in tables
         for post_id, theta in zip(table.post_ids, table.theta)
     ))
-
-
-def read_propensities(path, floor: float) -> dict:
-    """Reload propensity tables keyed by scheme, in the post order they were written."""
-    by_scheme: dict[str, list] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            by_scheme.setdefault(row["scheme"], []).append(row)
-    return {
-        scheme: PropensityTable(
-            scheme,
-            float(rows[0]["mu"]) if rows[0]["mu"] else None,
-            floor,
-            tuple(r["post_id"] for r in rows),
-            np.clip([float(r["theta_hat"]) for r in rows], floor, 1.0),
-        )
-        for scheme, rows in by_scheme.items()
-    }
 
 
 def _write_vectors(path, id_column, prefix, ids, vectors):

@@ -95,15 +95,15 @@ class UserAttributeTable:
 
 
 @dataclass(frozen=True)
-class FeatureView:
-    """Per-user numeric feature matrix with the log-transformed count attributes."""
+class FeatureMatrix:
+    """Per-user numeric features: one row of ``X`` per user id, one column per name."""
 
     user_ids: tuple[str, ...]
     columns: tuple[str, ...]
-    matrix: np.ndarray
+    X: np.ndarray
 
     def column(self, name: str) -> np.ndarray:
-        return self.matrix[:, self.columns.index(name)]
+        return self.X[:, self.columns.index(name)]
 
 
 def index_of(ids, query) -> tuple[np.ndarray, np.ndarray]:
@@ -374,8 +374,8 @@ def write_dataset(graph: InteractionGraph, users: UserAttributeTable, out_dir) -
     return paths
 
 
-def log_transform_attributes(table: UserAttributeTable) -> FeatureView:
-    """Numeric feature view: verified as {0,1}, raw account age, ln(1+x) counts.
+def log_transform_attributes(table: UserAttributeTable) -> FeatureMatrix:
+    """Numeric features: verified as {0,1}, raw account age, ln(1+x) counts.
 
     The count attributes are heavily right-skewed, so they enter every model
     downstream on the log scale.
@@ -392,7 +392,7 @@ def log_transform_attributes(table: UserAttributeTable) -> FeatureView:
         matrix[i, 2] = math.log1p(row.n_posts)
         matrix[i, 3] = math.log1p(row.n_followers)
         matrix[i, 4] = math.log1p(row.n_friends)
-    return FeatureView(user_ids=table.user_ids, columns=FEATURE_COLUMNS, matrix=matrix)
+    return FeatureMatrix(user_ids=table.user_ids, columns=FEATURE_COLUMNS, X=matrix)
 
 
 def _test_quota(sizes, ratio: float, n_edges: int) -> np.ndarray:

@@ -28,7 +28,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import FEATURE_COLUMNS, UserAttributeTable, index_of, log_transform_attributes
+from .dataset import (
+    FEATURE_COLUMNS,
+    FeatureMatrix,
+    UserAttributeTable,
+    index_of,
+    log_transform_attributes,
+)
 from .errors import ConfigError, DataError, check_fields
 from .outcomes import OutcomeTable
 
@@ -73,13 +79,6 @@ class EbmHyper:
         return EbmHyper(**d)
 
 
-@dataclass
-class FeatureMatrix:
-    user_ids: tuple[str, ...]
-    columns: tuple[str, ...]
-    X: np.ndarray
-
-
 def _rows_of(ids, users, missing: str) -> np.ndarray:
     """Row of each of ``users`` in ``ids``; else "user <first absent> has <missing>"."""
     rows, found = index_of(ids, users)
@@ -101,7 +100,7 @@ def assemble_features(
     view = log_transform_attributes(attrs)
     columns = list(FEATURE_COLUMNS)
     rows = _rows_of(view.user_ids, outcomes.user_ids, "outcomes but no attributes")
-    blocks = [view.matrix[rows]]
+    blocks = [view.X[rows]]
     if embeddings is not None:
         user_ids, vectors = embeddings
         vectors = np.asarray(vectors, dtype=np.float64)

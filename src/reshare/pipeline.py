@@ -1,14 +1,15 @@
 """End-to-end orchestration: propensities, debiased embeddings, outcomes,
 effect models, and a deterministic report, with resumable stage outputs.
 
-Only the resumable stages (dataset, topics, propensity, ``plv_<scheme>`` and
-``effects_<variant>``) keep a ``<stage>.done`` marker: such a stage removes
-its marker, writes its artifacts, then writes a marker holding a hash of the
-effective configuration and input files and the list of files the stage
-wrote. With ``resume=True`` a stage whose marker matches, and whose listed
-files all exist, is skipped, which reproduces the final report byte-for-byte;
-a skipped scheme's embedding table is read only if its effect variant refits.
-A marker without that list is stale. The cheap outcomes stage always reruns.
+Only the stages whose skip saves work (a synth block's dataset, topics,
+``plv_<scheme>`` and ``effects_<variant>``) keep a ``<stage>.done`` marker:
+such a stage removes its marker, writes its artifacts, then writes a marker
+holding a hash of the effective configuration and input files and the list of
+files the stage wrote. With ``resume=True`` a stage whose marker matches, and
+whose listed files all exist, is skipped, which reproduces the final report
+byte-for-byte; a skipped scheme's embedding table is read only if its effect
+variant refits. A marker without that list is stale. The cheap outcomes and
+propensity stages always rerun, and the mu sweep writes only ``mu_sweep.csv``.
 
 The stage functions only compute and write; ``_Stages`` decides what is done,
 marks, and spreads a run's pending ``plv_<scheme>`` and then its
@@ -297,17 +298,12 @@ EDGE_SPLIT_RATIO = 0.8
 USER_SPLIT_RATIO = 0.8
 
 
-def _load_inputs(config: PipelineConfig, out_dir: str, stages: _Stages):
+def _load_inputs(config: PipelineConfig):
     """Dataset stage: synthesize or load the three CSV inputs."""
     with _stage("dataset"):
         if config.synth is None:
-            graph, users = load_dataset(config.posts_csv, config.users_csv, config.interactions_csv)
-        else:
-            graph, users, _ = generate(_seeded(config.synth, config.seed))
-        if not stages.done("dataset"):
-            files = () if config.synth is None else write_dataset(
-                graph, users, os.path.join(out_dir, "data"))
-            stages.mark("dataset", files=files)
+            return load_dataset(config.posts_csv, config.users_csv, config.interactions_csv)
+        graph, users, _ = generate(_seeded(config.synth, config.seed))
         return graph, users
 
 
@@ -352,15 +348,12 @@ def _propensity(scheme, mu, floor, train_h, users, topic_vectors):
     return neural_propensity(topic_vectors, train_h, mu=mu, floor=floor)
 
 
-def _propensity_tables(config, train_h, users, topic_vectors, rdir, stages):
-    path = os.path.join(rdir, "propensity.csv")
-    if stages.done("propensity"):
-        return artifacts.read_propensities(path, floor=config.floor)
+def _propensity_tables(config, train_h, users, topic_vectors, rdir):
+    """Propensity stage: every scheme's table, recomputed and written on every run."""
     with _stage("propensity"):
         tables = {scheme: _propensity(scheme, config.mu, config.floor, train_h, users,
                                       topic_vectors) for scheme in config.schemes}
-        artifacts.write_propensities(list(tables.values()), path)
-        stages.mark("propensity", files=[path])
+        artifacts.write_propensities(list(tables.values()), os.path.join(rdir, "propensity.csv"))
     return tables
 
 
@@ -495,7 +488,7 @@ def _run_once(config, graph, users, outcome_table, topic_vectors, out_dir, run_i
                             f"users; the effect models need more train users than their {width} "
                             "feature columns, and a test user")
 
-    tables = _propensity_tables(config, train_h, users, topic_vectors, rdir, stages)
+    tables = _propensity_tables(config, train_h, users, topic_vectors, rdir)
 
     ranking, skipped, embeddings = _train_rankers(
         config, tables, train_h, test_h, run_seed, rdir, stages
@@ -592,7 +585,10 @@ def run_pipeline(config: PipelineConfig, resume: bool = False) -> str:
     chash = config_hash(config)
     stages = _Stages(out_dir, chash, resume)
 
-    graph, users = _load_inputs(config, out_dir, stages)
+    graph, users = _load_inputs(config)
+    if config.synth is not None and not stages.done("dataset"):
+        with _stage("dataset"):
+            stages.mark("dataset", files=write_dataset(graph, users, os.path.join(out_dir, "data")))
 
     with _stage("outcomes"):
         outcome_table = compute_outcomes(graph)
@@ -653,9 +649,7 @@ def run_mu_sweep(config: PipelineConfig, mu_list) -> list:
         raise ConfigError(f"mus must not repeat a value: {list(mu_list)}")
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    chash = config_hash(config)
-    stages = _Stages(out_dir, chash, resume=False)
-    graph, users = _load_inputs(config, out_dir, stages)
+    graph, users = _load_inputs(config)
     train_h, test_h = _hate_split(config, graph, config.seed)
     rows = []
     with _stage("mu-sweep"):

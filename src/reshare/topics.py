@@ -28,15 +28,13 @@ _EMOJI_RANGES = (
     (0xFE00, 0xFE0F),
 )
 
+_EMOJI_RE = re.compile("[" + "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _EMOJI_RANGES) + "]")
+
 MIN_TOKEN_LEN = 2
 
 
 def _strip_emoji(text: str) -> str:
-    return "".join(
-        ch
-        for ch in text
-        if not any(lo <= ord(ch) <= hi for lo, hi in _EMOJI_RANGES)
-    )
+    return _EMOJI_RE.sub("", text)
 
 
 @dataclass(frozen=True)

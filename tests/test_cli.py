@@ -131,6 +131,21 @@ class TestSynthCommand:
         assert f"k_list must contain positive integers: {k_list}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("block, name, value", [
+        (None, "runs", 2.5),
+        (None, "runs", True),
+        ("bpr", "epochs", 2.5),
+        ("bpr", "epochs", True),
+        ("ebm", "n_bags", 2.0),
+        ("synth", "n_users", 120.0),
+    ])
+    def test_non_integer_int_field_exits_one(self, tmp_path, capsys, block, name, value):
+        cfg = small_config(str(tmp_path / "x"))
+        (cfg if block is None else cfg[block])[name] = value
+        assert main(["pipeline", "--config", write_config(tmp_path, cfg)]) == 1
+        assert f"field '{name}' must be an integer, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("command", ["synth", "pipeline"])
     @pytest.mark.parametrize("name", ["popularity_spread", "share_spread", "cluster_virality_lift"])
     def test_negative_synth_spread_or_lift_exits_one(self, tmp_path, capsys, command, name):
@@ -383,7 +398,6 @@ class TestPipelineCommand:
         expected = {"dataset.done": ["data/posts.csv", "data/users.csv", "data/interactions.csv"],
                     "topics.done": ["topics.csv"]}
         for rdir in ("", "run_1/"):
-            expected[rdir + "propensity.done"] = ["propensity.csv"]
             for scheme in pipeline.RANKING_SCHEMES:
                 expected[f"{rdir}plv_{scheme}.done"] = [f"plv_embeddings_{scheme}.csv",
                                                         f"training_curve_{scheme}.csv"]
@@ -395,8 +409,25 @@ class TestPipelineCommand:
         written = {os.path.join(os.path.dirname(marker), name)
                    for marker, names in listed.items() for name in names}
         unlisted = {name for name in output_bytes(out) if name not in written}
-        assert unlisted == {"outcomes.csv", "report.txt", "metrics.csv", "plv_embeddings.csv",
-                            "training_curve.csv", "importance.csv"}
+        assert unlisted == {"outcomes.csv", "propensity.csv", "run_1/propensity.csv", "report.txt",
+                            "metrics.csv", "plv_embeddings.csv", "training_curve.csv",
+                            "importance.csv"}
+
+    def test_resume_recomputes_the_propensities_a_retrained_scheme_uses(self, cold_run):
+        cfg, out, snapshot = cold_run
+        shutil.rmtree(out)
+        shutil.copytree(snapshot, out)
+        with open(out / "propensity.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        row = next(row for row in rows if row[1] == "virality")  # post_id,scheme,mu,theta_hat
+        row[3] = repr(float(row[3]) * 0.5)
+        with open(out / "propensity.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        (out / "plv_virality.done").unlink()
+        assert main(["pipeline", "--config", cfg, "--resume"]) == 0
+        for name in ("report.txt", "plv_embeddings_virality.csv", "propensity.csv"):
+            assert (out / name).read_bytes() == (snapshot / name).read_bytes(), name
+        assert not (out / "propensity.done").exists()
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_resume_reads_the_embedding_tables_of_refitted_variants_only(
@@ -531,7 +562,8 @@ class TestPipelineCommand:
                     for path in out.glob("*.done")}
 
         cold = marker_hashes()
-        assert len(cold) == 11 and set(cold.values()) == {config_hash(PipelineConfig.from_json(cfg))}
+        assert "dataset.done" not in cold and not (out / "data").exists()
+        assert len(cold) == 9 and set(cold.values()) == {config_hash(PipelineConfig.from_json(cfg))}
         with open(data / "interactions.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         user, _ = rows[-1]  # moved to a post its user has not shared
@@ -764,6 +796,7 @@ class TestMuSweepCommand:
         out = str(tmp_path / "mu1")
         cfg = write_config(tmp_path, small_config(out))
         assert main(["mu-sweep", "--config", cfg, "--mus", "0.5"]) == 0
+        assert os.listdir(out) == ["mu_sweep.csv"]  # no copy of its input, no marker
         with open(os.path.join(out, "mu_sweep.csv")) as fh:
             rows = list(csv.DictReader(fh))
         assert len({r["model"] for r in rows}) == 2

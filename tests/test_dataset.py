@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from reshare.dataset import (
+    FEATURE_COLUMNS,
     InteractionGraph,
     Post,
     UserAttributes,
@@ -103,6 +104,14 @@ class TestLogTransform:
         table = make_users([{"user_id": "u1", "n_followers": 0}])
         view = log_transform_attributes(table)
         assert view.column("log1p_n_followers")[0] == 0.0
+
+    def test_is_the_feature_matrix_the_effect_models_take(self):
+        from reshare.effects import FeatureMatrix
+
+        view = log_transform_attributes(make_users([{"user_id": "u1", "n_posts": 3}]))
+        assert type(view) is FeatureMatrix and view.user_ids == ("u1",)
+        assert view.columns == FEATURE_COLUMNS and view.X.shape == (1, len(FEATURE_COLUMNS))
+        assert view.column("log1p_n_posts")[0] == view.X[0, FEATURE_COLUMNS.index("log1p_n_posts")]
 
     def test_median_scale_value(self):
         table = make_users([{"user_id": "u1", "n_friends": 491}])

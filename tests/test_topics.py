@@ -4,6 +4,8 @@ import pytest
 from reshare.dataset import Post
 from reshare.errors import DataError
 from reshare.topics import (
+    _EMOJI_RANGES,
+    _strip_emoji,
     fit_lda,
     infer_corpus,
     infer_topics,
@@ -65,6 +67,11 @@ class TestTokenize:
         c = tokenize([post("p0", "look www.bad.site/xyz ❤️ wow")])
         toks = [c.tokens[i] for i in c.documents[0]]
         assert toks == ["look", "wow"]
+
+    def test_emoji_ranges_are_stripped_edges_included(self):
+        kept = "".join(chr(lo - 1) + chr(hi + 1) for lo, hi in _EMOJI_RANGES)
+        text = "".join(chr(lo) + "a" + chr(hi) for lo, hi in _EMOJI_RANGES)
+        assert _strip_emoji(kept + text) == kept + "a" * len(_EMOJI_RANGES)
 
 
 class TestFitLda:
