@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import InteractionGraph, index_of
-from .errors import ConfigError, check_fields
+from .errors import ConfigError
 from .propensity import PropensityTable
 from .stats import sigmoid
 
@@ -63,11 +63,6 @@ class BprHyper:
             raise ConfigError("early_stop_patience must be >= 1")
         if self.early_stop_tol < 0:
             raise ConfigError("early_stop_tol must be >= 0")
-
-    @staticmethod
-    def from_dict(d: dict) -> "BprHyper":
-        check_fields(BprHyper, d, "bpr config")
-        return BprHyper(**d)
 
 
 @dataclass

@@ -55,8 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args, runs=None) -> PipelineConfig:
-    config = PipelineConfig.from_json(args.config)
-    return config.with_overrides(out_dir=args.out, seed=args.seed, runs=runs)
+    return PipelineConfig.from_json(args.config, out_dir=args.out, seed=args.seed, runs=runs)
 
 
 def main(argv=None) -> int:

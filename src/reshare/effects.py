@@ -35,7 +35,7 @@ from .dataset import (
     index_of,
     log_transform_attributes,
 )
-from .errors import ConfigError, DataError, check_fields
+from .errors import ConfigError, DataError
 from .outcomes import OutcomeTable
 
 
@@ -72,11 +72,6 @@ class EbmHyper:
             raise ConfigError("early_stop_patience must be >= 1")
         if self.early_stop_tol < 0:
             raise ConfigError("early_stop_tol must be >= 0")
-
-    @staticmethod
-    def from_dict(d: dict) -> "EbmHyper":
-        check_fields(EbmHyper, d, "ebm config")
-        return EbmHyper(**d)
 
 
 def _rows_of(ids, users, missing: str) -> np.ndarray:

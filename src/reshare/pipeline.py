@@ -1,5 +1,8 @@
 """End-to-end orchestration: propensities, debiased embeddings, outcomes,
 effect models, and a deterministic report, with resumable stage outputs.
+``PipelineConfig.from_json`` reads a config, the CLI's overrides included,
+through ``errors.read_config``, which checks every field's type before any
+stage writes.
 
 Only the stages whose skip saves work (a synth block's dataset, topics,
 ``plv_<scheme>`` and ``effects_<variant>``) keep a ``<stage>.done`` marker:
@@ -58,7 +61,7 @@ from .effects import (
     fit_linear,
     predict,
 )
-from .errors import ConfigError, DataError, check_fields
+from .errors import ConfigError, DataError, read_config
 from .outcomes import compute_outcomes
 from .plotting import line_chart_svg
 from .propensity import (
@@ -101,23 +104,24 @@ class PipelineConfig:
     out_dir: str = "out"
     mu: float = 0.5
     floor: float = 1e-3
-    schemes: tuple = RANKING_SCHEMES
+    schemes: tuple[str, ...] = RANKING_SCHEMES
     k_list: tuple = (20, 40, 60, 80)
     bpr: BprHyper = field(default_factory=BprHyper)
     ebm: EbmHyper = field(default_factory=EbmHyper)
     topics_k: int = 20
     topics_iterations: int = 200
     stopwords_path: str | None = None
-    clusters: tuple = ()
+    clusters: tuple[str, ...] = ()
     runs: int = 1
     seed: int = 0
     emit_plots: bool = True
 
     def __post_init__(self):
-        has_files = all(
-            p is not None for p in (self.posts_csv, self.users_csv, self.interactions_csv)
-        )
-        if self.synth is None and not has_files:
+        paths = [n for n in ("posts_csv", "users_csv", "interactions_csv")
+                 if getattr(self, n) is not None]
+        if self.synth is not None and paths:
+            raise ConfigError(f"config takes a 'synth' block or input files, not both: {paths}")
+        if self.synth is None and len(paths) < 3:
             raise ConfigError(
                 "config needs either a 'synth' block or all of posts_csv/users_csv/interactions_csv"
             )
@@ -145,41 +149,21 @@ class PipelineConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "PipelineConfig":
-        check_fields(PipelineConfig, d, "config")
-        kwargs = dict(d)
-        if kwargs.get("synth") is not None:
-            kwargs["synth"] = SynthConfig.from_dict(kwargs["synth"])
-        if "bpr" in kwargs:
-            kwargs["bpr"] = BprHyper.from_dict(kwargs["bpr"])
-        if "ebm" in kwargs:
-            kwargs["ebm"] = EbmHyper.from_dict(kwargs["ebm"])
-        for name in ("schemes", "k_list", "clusters"):
-            if name in kwargs:
-                kwargs[name] = tuple(kwargs[name])
-        return PipelineConfig(**kwargs)
+        return read_config(PipelineConfig, d, "config")
 
     @staticmethod
-    def from_json(path) -> "PipelineConfig":
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
-        with open(path, encoding="utf-8") as fh:
-            try:
+    def from_json(path, **overrides) -> "PipelineConfig":
+        """The config in JSON file ``path``; an override that is not None replaces its field."""
+        try:
+            with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}") from None
-        if not isinstance(raw, dict):
-            raise ConfigError("config JSON must be an object")
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from None
+        if isinstance(raw, dict):
+            raw.update((name, v) for name, v in overrides.items() if v is not None)
         return PipelineConfig.from_dict(raw)
-
-    def with_overrides(self, out_dir=None, seed=None, runs=None) -> "PipelineConfig":
-        changes = {}
-        if out_dir is not None:
-            changes["out_dir"] = out_dir
-        if seed is not None:
-            changes["seed"] = int(seed)
-        if runs is not None:
-            changes["runs"] = int(runs)
-        return dataclasses.replace(self, **changes) if changes else self
 
 
 def _file_digest(path) -> str | None:

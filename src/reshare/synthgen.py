@@ -27,7 +27,7 @@ from .dataset import (
     index_of,
     log_transform_attributes,
 )
-from .errors import ConfigError, DataError, check_fields
+from .errors import ConfigError, DataError, read_config
 
 SHAPES = ("zero", "linear", "step", "u", "sin")
 
@@ -162,14 +162,7 @@ class SynthConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "SynthConfig":
-        check_fields(SynthConfig, d, "synth config")
-        kwargs = dict(d)
-        if "effect_spec" in kwargs:
-            kwargs["effect_spec"] = tuple(
-                EffectShape(**e) if isinstance(e, dict) else e
-                for e in kwargs["effect_spec"]
-            )
-        return SynthConfig(**kwargs)
+        return read_config(SynthConfig, d, "synth config")
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import pickle
@@ -11,8 +12,10 @@ from reshare import artifacts, cli, pipeline, workers
 from reshare.bprmf import BprHyper, BprModel
 from reshare.cli import main
 from reshare.dataset import FEATURE_COLUMNS
+from reshare.effects import EbmHyper
 from reshare.errors import DataError
 from reshare.pipeline import PipelineConfig, StageError, config_hash, run_pipeline
+from reshare.synthgen import EffectShape, SynthConfig
 
 from conftest import assert_no_children
 
@@ -256,6 +259,71 @@ class TestSynthCommand:
             " user\n"
         )
         assert not list(out.glob("plv_*")) and not list(out.glob("effects_*"))
+
+    @pytest.mark.parametrize("block, name, value, message", [
+        (None, "mu", "0.5", "config field 'mu' must be a number, got '0.5'"),
+        (None, "floor", None, "config field 'floor' must be a number, got None"),
+        (None, "synth", 5, "config field 'synth' must be an object or null, got 5"),
+        (None, "bpr", [8], "config field 'bpr' must be an object, got [8]"),
+        (None, "ebm", None, "config field 'ebm' must be an object, got None"),
+        (None, "schemes", "virality", "config field 'schemes' must be a list, got 'virality'"),
+        (None, "k_list", 20, "config field 'k_list' must be a list, got 20"),
+        (None, "clusters", 5, "config field 'clusters' must be a list, got 5"),
+        (None, "schemes", ["virality", 5], "config field 'schemes[1]' must be a string, got 5"),
+        (None, "clusters", [["c1"]], "config field 'clusters[0]' must be a string, got ['c1']"),
+        (None, "stopwords_path", 5, "config field 'stopwords_path' must be a string or null"),
+        (None, "emit_plots", "no", "config field 'emit_plots' must be true or false, got 'no'"),
+        ("bpr", "learning_rate", "0.1", "bpr config field 'learning_rate' must be a number"),
+        ("bpr", "learning_rate", True, "bpr config field 'learning_rate' must be a number"),
+        ("ebm", "early_stop_tol", "0", "ebm config field 'early_stop_tol' must be a number"),
+        ("synth", "with_text", "no", "synth config field 'with_text' must be true or false"),
+        ("synth", "effect_spec", 5, "synth config field 'effect_spec' must be a list, got 5"),
+        ("synth", "effect_spec", [5], "synth config field 'effect_spec[0]' must be an object"),
+        ("synth", "effect_spec", [{"attribute": "verified", "shape": "step", "bogus": 1}],
+         "unknown effect_spec[0] config fields: ['bogus']"),
+        ("synth", "effect_spec", [{"attribute": "verified", "shape": "step", "amplitude": "x"}],
+         "effect_spec[0] config field 'amplitude' must be a number, got 'x'"),
+    ])
+    def test_malformed_config_value_exits_one(self, tmp_path, capsys, block, name, value,
+                                              message):
+        cfg = small_config(str(tmp_path / "x"))
+        (cfg if block is None else cfg[block])[name] = value
+        assert main(["pipeline", "--config", write_config(tmp_path, cfg)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_config_that_names_a_directory_exits_one(self, tmp_path, capsys):
+        assert main(["pipeline", "--config", str(tmp_path), "--out", str(tmp_path / "x")]) == 1
+        assert f"cannot read config file {tmp_path}: Is a directory" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_synth_block_beside_an_input_file_exits_one(self, tmp_path, capsys):
+        cfg = small_config(str(tmp_path / "x"))
+        cfg["posts_csv"] = str(tmp_path / "posts.csv")
+        assert main(["pipeline", "--config", write_config(tmp_path, cfg)]) == 1
+        assert "a 'synth' block or input files, not both: ['posts_csv']" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "x").exists()
+
+    def test_cli_overrides_are_read_like_the_file(self, tmp_path, capsys):
+        path = write_config(tmp_path, small_config(str(tmp_path / "x")))
+        assert main(["pipeline", "--config", path, "--runs", "0"]) == 1
+        assert "runs must be >= 1" in capsys.readouterr().err
+        config = PipelineConfig.from_json(path, out_dir="y", seed=4, runs=None)
+        assert (config.out_dir, config.seed, config.runs) == ("y", 4, 1)
+
+    def test_config_round_trips_through_json(self, tmp_path):
+        config = PipelineConfig(
+            synth=SynthConfig(n_users=50, mean_shares=25, with_text=False, effect_spec=(
+                EffectShape("log1p_n_posts", "linear", 0.1), EffectShape("verified", "step"))),
+            out_dir=str(tmp_path), mu=1, schemes=("virality", "biased"), k_list=(5, 10),
+            bpr=BprHyper(embedding_dim=4, learning_rate=0.05, loss_mode="unbiased"),
+            ebm=EbmHyper(n_bags=2, early_stop_tol=0.001), stopwords_path="stop.txt",
+            clusters=("c1",), runs=2, emit_plots=False,
+        )
+        back = PipelineConfig.from_dict(json.loads(json.dumps(dataclasses.asdict(config))))
+        assert back == config and config_hash(back) == config_hash(config)
+        assert isinstance(back.mu, int) and isinstance(back.synth.effect_spec[0], EffectShape)
 
 
 class TestStageError:
