@@ -4,6 +4,7 @@ import argparse
 import sys
 import traceback
 
+from .errors import ConfigError
 from .pipeline import (
     PipelineConfig,
     StageError,
@@ -43,7 +44,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_mu.add_argument(
         "--mus", default="0.1,0.5,1.0", help="comma-separated smoothing exponents"
     )
-    p_mu.add_argument("--resume", action="store_true", help="ignored: mu-sweep always recomputes")
+    p_mu.add_argument(
+        "--resume", action="store_true",
+        help="train only the (scheme, mu) cells whose marker does not match the config",
+    )
 
     p_emb = sub.add_parser("embed-analyze", help="DBSCAN + silhouette on exported embeddings")
     p_emb.add_argument("--embeddings", required=True, help="embeddings CSV path")
@@ -73,8 +77,12 @@ def main(argv=None) -> int:
             return 0
         if args.command == "mu-sweep":
             config = _load_config(args)
-            mus = [float(v) for v in args.mus.split(",") if v.strip()]
-            rows = run_mu_sweep(config, mus)
+            try:
+                mus = [float(v) for v in args.mus.split(",") if v.strip()]
+            except ValueError:
+                msg = f"--mus takes comma-separated numbers, got {args.mus!r}"
+                raise ConfigError(msg) from None
+            rows = run_mu_sweep(config, mus, resume=args.resume)
             print(f"{'model':<18} {'metric':<8} {'k':>4} {'value':>10}")
             for model, metric, k, value in rows:
                 print(f"{model:<18} {metric:<8} {k:>4} {value:>10.4f}")

@@ -5,22 +5,25 @@ through ``errors.read_config``, which checks every field's type before any
 stage writes.
 
 Only the stages whose skip saves work (a synth block's dataset, topics,
-``plv_<scheme>`` and ``effects_<variant>``) keep a ``<stage>.done`` marker:
+``plv_<scheme>``, ``effects_<variant>`` and the mu sweep's
+``mu-sweep_<scheme>_<repr(mu)>`` cells) keep a ``<stage>.done`` marker:
 such a stage removes its marker, writes its artifacts, then writes a marker
 holding a hash of the effective configuration and input files and the list of
 files the stage wrote. With ``resume=True`` a stage whose marker matches, and
 whose listed files all exist, is skipped, which reproduces the final report
 byte-for-byte; a skipped scheme's embedding table is read only if its effect
 variant refits. A marker without that list is stale. The cheap outcomes and
-propensity stages always rerun, and the mu sweep writes only ``mu_sweep.csv``.
+propensity stages always rerun. A mu-sweep cell writes no file: its marker
+holds its recall@k values, from which ``mu_sweep.csv`` is rebuilt on every
+call, and a sweep whose cells are all done loads no data.
 
 The stage functions only compute and write; ``_Stages`` decides what is done,
 marks, and spreads a run's pending ``plv_<scheme>`` and then its
-``effects_<variant>`` stages (``_Stages.fan_out``). The pending schemes train
-in contiguous groups, one stacked ``train_stack`` call per group, and each
-group ranks, writes and marks its own schemes. The mu sweep likewise trains
-its (scheme, mu) cells in groups, each ranking its own models, on the same
-hate split as the pipeline.
+``effects_<variant>`` stages, and the mu sweep's pending cells
+(``_Stages.fan_out``). The pending schemes train in contiguous groups, one
+stacked ``train_stack`` call per group, and each group ranks, writes and marks
+its own schemes; a group of mu-sweep cells trains and ranks alike, on the
+same hate split as the pipeline.
 
 The effect study fits one model per variant (``base``, then each debiased
 scheme) and target (``overall``, then each configured cluster); the targets
@@ -30,13 +33,14 @@ means, and copies the canonical scheme's ``plv_embeddings``,
 ``training_curve`` and ``importance`` CSVs byte for byte; a copy whose source
 the config does not produce (the ``base`` variant has no embeddings) goes.
 
-Four things spread over the CPUs through ``workers.spread``, called only here:
-the runs of ``--runs N``, which share no state (each has its own seeds,
-``run_<i>/`` and markers), a run's pending ``plv_<scheme>`` and then its
-``effects_<variant>`` stages, each writing its own files and marker, and the
-mu sweep's cells. Spreads never nest, so while the runs are spread each run
-trains and fits in its own process. Run 0, the merging of the results in
-config order and the report stay here: outputs are byte-identical on any CPUs.
+``workers.spread`` has two callers, both here: ``run_pipeline`` spreads the
+runs of ``--runs N``, which share no state (each has its own seeds,
+``run_<i>/`` and markers), and ``_Stages.fan_out`` spreads the pending stages
+of one prefix, each group writing its own files and markers: a run's
+``plv_<scheme>``, then its ``effects_<variant>`` stages, and the mu sweep's
+cells. Spreads never nest, so while the runs are spread each run trains and
+fits in its own process. Run 0, the merging of the results in config order
+and the report stay here: outputs are byte-identical on any CPUs.
 """
 
 import contextlib
@@ -159,6 +163,9 @@ class PipelineConfig:
                 raw = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8: {exc.reason} at byte "
+                              f"{exc.start}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
         if isinstance(raw, dict):
@@ -564,6 +571,12 @@ def _render_report(config, graph, outcome_table, results, ranking_rows) -> str:
 
 def run_pipeline(config: PipelineConfig, resume: bool = False) -> str:
     """Run every stage; returns the rendered report text (also written to disk)."""
+    if "neural" in config.schemes and config.stopwords_path is not None:
+        try:  # the topics stage reads it after earlier stages wrote
+            open(config.stopwords_path, "rb").close()
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot read stopwords_path {config.stopwords_path}: {exc.strerror}") from None
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
     chash = config_hash(config)
@@ -622,8 +635,15 @@ def run_synth(config: PipelineConfig, write_truth_files: bool = True) -> str:
     return out_dir
 
 
-def run_mu_sweep(config: PipelineConfig, mu_list) -> list:
-    """Recall@k for the two popularity-based schemes across smoothing values."""
+def run_mu_sweep(config: PipelineConfig, mu_list, resume: bool = False) -> list:
+    """Recall@k for the two popularity-based schemes across smoothing values.
+
+    Each (scheme, mu) cell is a ``mu-sweep_<scheme>_<repr(mu)>`` stage of
+    ``_Stages.fan_out`` whose marker holds the cell's recall@k values and
+    lists no files. The data is loaded and split only if some cell is
+    pending, and ``mu_sweep.csv`` is rewritten from the payloads on every
+    call. A model does not depend on the cells trained beside it, so a
+    ``resume`` over a wider mu list writes the bytes of a cold run of it."""
     if not mu_list:
         raise ConfigError("mu sweep needs at least one mu value")
     for mu in mu_list:
@@ -633,23 +653,27 @@ def run_mu_sweep(config: PipelineConfig, mu_list) -> list:
         raise ConfigError(f"mus must not repeat a value: {list(mu_list)}")
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    graph, users = _load_inputs(config)
-    train_h, test_h = _hate_split(config, graph, config.seed)
+    stages = _Stages(out_dir, config_hash(config), resume)
+    cells = {f"{scheme}_{mu!r}": (scheme, mu)
+             for scheme in ("virality", "follower") for mu in mu_list}
+    if not all(stages.done(f"mu-sweep_{key}") for key in cells):
+        graph, users = _load_inputs(config)
+        train_h, test_h = _hate_split(config, graph, config.seed)
+    hyper = _seeded(config.bpr, config.seed)
+
+    def rank(model):
+        report = ranking_metrics(model, test_h, config.k_list, train=train_h)
+        return (), {"recall": [[k, report[("recall", k)]] for k in config.k_list]}, None
+
+    def fit(group):  # called only if some cell is pending, so the data is loaded
+        tables = [_propensity(*cells[key], config.floor, train_h, users, None) for key in group]
+        return map(rank, train_stack(train_h, tables, hyper))
+
     rows = []
+    for (scheme, mu), (payload, _) in zip(cells.values(),
+                                          stages.fan_out("mu-sweep", list(cells), fit)):
+        rows += [(f"{MODEL_NAMES[scheme]} mu={mu:g}", "recall", k, v) for k, v in payload["recall"]]
     with _stage("mu-sweep"):
-        cells = [(scheme, mu) for scheme in ("virality", "follower") for mu in mu_list]
-        tables = [_propensity(scheme, mu, config.floor, train_h, users, None)
-                  for scheme, mu in cells]
-        hyper = _seeded(config.bpr, config.seed)
-
-        def rank(group):
-            return [ranking_metrics(model, test_h, config.k_list, train=train_h)
-                    for model in train_stack(train_h, group, hyper)]
-
-        for (scheme, mu), report in zip(cells, spread(rank, tables)):
-            label = f"{MODEL_NAMES[scheme]} mu={mu:g}"
-            for k in config.k_list:
-                rows.append((label, "recall", k, report[("recall", k)]))
         artifacts.write_metrics(rows, os.path.join(out_dir, "mu_sweep.csv"))
     return rows
 

@@ -297,6 +297,27 @@ class TestSynthCommand:
         assert f"cannot read config file {tmp_path}: Is a directory" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_config_that_is_not_utf8_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+        assert f"config file {path} is not UTF-8: invalid start byte at byte 0" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "x").exists()
+
+    def test_missing_stopwords_file_exits_one_before_any_stage_writes(self, tmp_path, capsys):
+        out, missing = tmp_path / "x", tmp_path / "stop.txt"
+        cfg = write_config(tmp_path, dict(small_config(str(out)), stopwords_path=str(missing)))
+        assert main(["pipeline", "--config", cfg]) == 1
+        assert f"cannot read stopwords_path {missing}: No such file or directory" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+        # a run without topics, and the mu sweep, never read the file
+        assert main(["mu-sweep", "--config", cfg, "--mus", "0.5"]) == 0
+        cfg = write_config(tmp_path, dict(small_config(str(out)), stopwords_path=str(missing),
+                                          schemes=["virality"]), "no_topics.json")
+        assert main(["pipeline", "--config", cfg]) == 0
+
     def test_synth_block_beside_an_input_file_exits_one(self, tmp_path, capsys):
         cfg = small_config(str(tmp_path / "x"))
         cfg["posts_csv"] = str(tmp_path / "posts.csv")
@@ -864,10 +885,16 @@ class TestMuSweepCommand:
         out = str(tmp_path / "mu1")
         cfg = write_config(tmp_path, small_config(out))
         assert main(["mu-sweep", "--config", cfg, "--mus", "0.5"]) == 0
-        assert os.listdir(out) == ["mu_sweep.csv"]  # no copy of its input, no marker
+        # no copy of its input, one marker per (scheme, mu) cell
+        assert sorted(os.listdir(out)) == [
+            "mu-sweep_follower_0.5.done", "mu-sweep_virality_0.5.done", "mu_sweep.csv"]
         with open(os.path.join(out, "mu_sweep.csv")) as fh:
             rows = list(csv.DictReader(fh))
         assert len({r["model"] for r in rows}) == 2
+        with open(os.path.join(out, "mu-sweep_virality_0.5.done")) as fh:
+            marker = json.load(fh)
+        assert marker["files"] == []
+        assert marker["recall"] == [[5, float(rows[0]["value"])], [10, float(rows[1]["value"])]]
 
     def test_same_bytes_on_one_and_two_cpus(self, tmp_path, monkeypatch, forks):
         sweeps = []
@@ -880,14 +907,99 @@ class TestMuSweepCommand:
             assert len(forks) == cpus - 1  # the 2-CPU run forks once for its 6 members
         assert sweeps[0] == sweeps[1]
 
-    def test_resume_flag_recomputes(self, tmp_path):
+    def test_resume_trains_nothing_and_restores_the_csv(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def spy(fn):
+            def call(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(pipeline, "_load_inputs", spy(pipeline._load_inputs))
+        monkeypatch.setattr(pipeline, "train_stack", spy(pipeline.train_stack))
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)  # the spy sees this process only
         out = tmp_path / "mu_resume"
+        argv = ["mu-sweep", "--config", write_config(tmp_path, small_config(str(out))),
+                "--mus", "0.1,0.5"]
+        assert main(argv) == 0
+        assert calls == ["_load_inputs", "train_stack"]
+        cold, table = (out / "mu_sweep.csv").read_bytes(), capsys.readouterr().out
+        for damage in ((out / "mu_sweep.csv").unlink,
+                       lambda: (out / "mu_sweep.csv").write_text("stale\n")):
+            damage()
+            calls.clear()
+            assert main([*argv, "--resume"]) == 0
+            assert calls == []  # no data loaded, no cell trained
+            assert (out / "mu_sweep.csv").read_bytes() == cold
+            assert capsys.readouterr().out == table
+
+    def test_resume_over_a_wider_mu_list_trains_only_the_new_cells(
+        self, tmp_path, monkeypatch, forks
+    ):
+        log, train_stack = tmp_path / "trained.txt", pipeline.train_stack
+
+        def spy(graph, tables, hyper):  # logs every trained cell, from any process
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.writelines(f"{table.scheme}_{table.mu!r}\n" for table in tables)
+            return train_stack(graph, tables, hyper)
+
+        def sweep(out, mus, *flags):
+            log.write_text("")
+            forks.clear()
+            assert main(["mu-sweep", "--config", cfg, "--out", str(out), "--mus", mus,
+                         *flags]) == 0
+            assert_no_children()
+            return sorted(log.read_text().split())
+
+        monkeypatch.setattr(pipeline, "train_stack", spy)
+        cfg = write_config(tmp_path, small_config(str(tmp_path / "unused")))
+        wide = ["virality_0.1", "virality_0.5", "virality_1.0",
+                "follower_0.1", "follower_0.5", "follower_1.0"]
+        sweeps = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
+            grown, cold = tmp_path / f"grown{cpus}", tmp_path / f"cold{cpus}"
+            assert sweep(grown, "0.1,1.0") == sorted(c for c in wide if not c.endswith("0.5"))
+            assert sweep(grown, "0.1,0.5,1.0", "--resume") == ["follower_0.5", "virality_0.5"]
+            assert len(forks) == cpus - 1  # the two new cells spread
+            assert sweep(cold, "0.1,0.5,1.0") == sorted(wide)
+            assert (grown / "mu_sweep.csv").read_bytes() == (cold / "mu_sweep.csv").read_bytes()
+            assert sorted(p.name for p in grown.glob("*.done")) == sorted(
+                f"mu-sweep_{cell}.done" for cell in wide)
+            sweeps.append((cold / "mu_sweep.csv").read_bytes())
+        assert sweeps[1] == sweeps[0]
+
+    def test_changed_config_retrains_every_cell(self, tmp_path, monkeypatch):
+        calls, train_stack = [], pipeline.train_stack
+
+        def spy(graph, tables, hyper):
+            calls.append([(table.scheme, table.mu) for table in tables])
+            return train_stack(graph, tables, hyper)
+
+        monkeypatch.setattr(pipeline, "train_stack", spy)
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)  # the spy sees this process only
+        out = tmp_path / "mu_changed"
+        cfg = small_config(str(out))
+        assert main(["mu-sweep", "--config", write_config(tmp_path, cfg), "--mus", "0.5"]) == 0
+        before = (out / "mu_sweep.csv").read_bytes()
+        cfg["bpr"] = dict(cfg["bpr"], seed=2)
+        path = write_config(tmp_path, cfg, "reseeded.json")
+        calls.clear()
+        assert main(["mu-sweep", "--config", path, "--mus", "0.5", "--resume"]) == 0
+        assert calls == [[("virality", 0.5), ("follower", 0.5)]]
+        resumed = (out / "mu_sweep.csv").read_bytes()
+        assert resumed != before
+        assert main(["mu-sweep", "--config", path, "--out", str(tmp_path / "fresh"),
+                     "--mus", "0.5"]) == 0
+        assert resumed == (tmp_path / "fresh" / "mu_sweep.csv").read_bytes()
+
+    def test_non_numeric_mu_exits_one_naming_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "mu_text"
         cfg = write_config(tmp_path, small_config(str(out)))
-        assert main(["mu-sweep", "--config", cfg, "--mus", "0.5"]) == 0
-        cold = (out / "mu_sweep.csv").read_bytes()
-        (out / "mu_sweep.csv").write_text("stale\n")
-        assert main(["mu-sweep", "--config", cfg, "--mus", "0.5", "--resume"]) == 0
-        assert (out / "mu_sweep.csv").read_bytes() == cold
+        assert main(["mu-sweep", "--config", cfg, "--mus", "0.5,abc"]) == 1
+        assert "--mus takes comma-separated numbers, got '0.5,abc'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_mu_exits_one(self, tmp_path, capsys):
         out = str(tmp_path / "mu2")
