@@ -24,7 +24,6 @@ from .dataset import (
     InteractionGraph,
     Post,
     SplitPair,
-    UserAttributes,
     UserAttributeTable,
     load_dataset,
     log_transform_attributes,

@@ -4,7 +4,9 @@ All loaded structures are canonicalized (sorted by id) and immutable after
 construction, so they are safe to share across threads and hash-stable for
 deterministic downstream processing. String ids stay at the I/O boundary: the
 reshare graph keeps its edges as int64 index arrays into its sorted user and
-post tuples, and every stage downstream works on those arrays.
+post tuples, and the user attribute table keeps one read-only array per
+attribute, aligned with its sorted user ids; every stage downstream works on
+those arrays.
 """
 
 import csv
@@ -21,14 +23,9 @@ from .errors import DataError
 log = logging.getLogger(__name__)
 
 POSTS_COLUMNS = ("post_id", "author_id", "is_hate", "cluster", "text")
-USERS_COLUMNS = (
-    "user_id",
-    "verified",
-    "account_age_days",
-    "n_posts",
-    "n_followers",
-    "n_friends",
-)
+COUNT_COLUMNS = ("account_age_days", "n_posts", "n_followers", "n_friends")
+USERS_COLUMNS = ("user_id", "verified", *COUNT_COLUMNS)
+INT64_MAX = int(np.iinfo(np.int64).max)
 INTERACTIONS_COLUMNS = ("user_id", "post_id")
 
 FEATURE_COLUMNS = (
@@ -55,43 +52,45 @@ class Post:
             )
 
 
-@dataclass(frozen=True)
-class UserAttributes:
-    user_id: str
-    verified: bool
-    account_age_days: int
-    n_posts: int
-    n_followers: int
-    n_friends: int
-
-    def __post_init__(self):
-        for name in ("account_age_days", "n_posts", "n_followers", "n_friends"):
-            if getattr(self, name) < 0:
-                raise DataError(f"user {self.user_id!r}: {name} must be >= 0")
-
-
 class UserAttributeTable:
-    """Immutable per-user attribute lookup, ordered by user id."""
+    """Per-user attributes as columns, in user-id order: the ``user_ids``
+    tuple, a read-only bool ``verified`` array and one read-only int64 array
+    per count column (``COUNT_COLUMNS``)."""
 
-    def __init__(self, rows):
-        self._rows = tuple(sorted(rows, key=lambda r: r.user_id))
-        ids = self.user_ids
-        for a, b in zip(ids, ids[1:]):
+    def __init__(self, user_ids, verified, account_age_days, n_posts, n_followers, n_friends):
+        """Columns of one row per user, in any order; the rows are sorted by id.
+
+        A negative count raises ``DataError`` naming the first such row in
+        input order and its first negative column, then a repeated id raises
+        naming the smallest."""
+        ids = tuple(user_ids)
+        flags = np.array(verified, dtype=bool).reshape(len(ids))
+        counts = np.array([account_age_days, n_posts, n_followers, n_friends], dtype=np.int64)
+        counts = counts.reshape(len(COUNT_COLUMNS), len(ids))
+        negative = counts < 0
+        if negative.any():
+            row = int(np.argmax(negative.any(axis=0)))
+            column = COUNT_COLUMNS[int(np.argmax(negative[:, row]))]
+            raise DataError(f"user {ids[row]!r}: {column} must be >= 0")
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        self.user_ids = tuple(ids[i] for i in order)
+        for a, b in zip(self.user_ids, self.user_ids[1:]):
             if a == b:
                 raise DataError(f"duplicate user_id {a!r}")
-
-    @property
-    def user_ids(self) -> tuple[str, ...]:
-        return tuple(r.user_id for r in self._rows)
-
-    def __iter__(self):
-        return iter(self._rows)
+        self.verified, counts = flags[order], counts[:, order]
+        self.verified.flags.writeable = counts.flags.writeable = False
+        self.account_age_days, self.n_posts, self.n_followers, self.n_friends = counts
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self.user_ids)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, UserAttributeTable) and self._rows == other._rows
+        return (
+            isinstance(other, UserAttributeTable)
+            and self.user_ids == other.user_ids
+            and all(np.array_equal(getattr(self, name), getattr(other, name))
+                    for name in USERS_COLUMNS[1:])
+        )
 
 
 @dataclass(frozen=True)
@@ -256,6 +255,8 @@ def _parse_count(raw: str, where: str) -> int:
         raise DataError(f"{where}: cannot parse integer from {raw!r}") from None
     if val < 0:
         raise DataError(f"{where}: count must be >= 0, got {val}")
+    if val > INT64_MAX:
+        raise DataError(f"{where}: count must be <= {INT64_MAX}, got {val}")
     return val
 
 
@@ -296,7 +297,7 @@ def load_posts(path) -> list[Post]:
 
 
 def load_users(path) -> UserAttributeTable:
-    rows = []
+    columns = {name: [] for name in USERS_COLUMNS}
     with _open_csv(path) as fh:
         reader = csv.DictReader(fh)
         _check_header(reader, USERS_COLUMNS, path)
@@ -304,17 +305,11 @@ def load_users(path) -> UserAttributeTable:
             where = f"{path}:{reader.line_num}"
             if row.get("user_id") in (None, ""):
                 raise DataError(f"{where}: user_id is required")
-            rows.append(
-                UserAttributes(
-                    user_id=row["user_id"],
-                    verified=_parse_bool(row["verified"], where),
-                    account_age_days=_parse_count(row["account_age_days"], where),
-                    n_posts=_parse_count(row["n_posts"], where),
-                    n_followers=_parse_count(row["n_followers"], where),
-                    n_friends=_parse_count(row["n_friends"], where),
-                )
-            )
-    return UserAttributeTable(rows)
+            columns["user_id"].append(row["user_id"])
+            columns["verified"].append(_parse_bool(row["verified"], where))
+            for name in COUNT_COLUMNS:
+                columns[name].append(_parse_count(row[name], where))
+    return UserAttributeTable(*columns.values())
 
 
 def load_dataset(posts_path, users_path, interactions_path):
@@ -358,8 +353,8 @@ def write_dataset(graph: InteractionGraph, users: UserAttributeTable, out_dir) -
     os.makedirs(out_dir, exist_ok=True)
     posts = ([p.post_id, p.author_id, int(p.is_hate), p.cluster or "", p.text or ""]
              for p in graph.posts)
-    user_rows = ([u.user_id, int(u.verified), u.account_age_days, u.n_posts, u.n_followers,
-                  u.n_friends] for u in users)
+    user_rows = zip(users.user_ids, users.verified.astype(np.int64).tolist(),
+                    *(getattr(users, name).tolist() for name in COUNT_COLUMNS))
     paths = []
     for name, header, rows in (
         ("posts.csv", POSTS_COLUMNS, posts),
@@ -380,18 +375,13 @@ def log_transform_attributes(table: UserAttributeTable) -> FeatureMatrix:
     The count attributes are heavily right-skewed, so they enter every model
     downstream on the log scale.
     """
-    n = len(table)
-    matrix = np.empty((n, len(FEATURE_COLUMNS)), dtype=np.float64)
     # math.log1p, not np.log1p: numpy's vectorized loop need not round like
     # the C library. With numpy 2.4.6 on an AVX-512 CPU the two differ in the
     # last bit on 19,144 of 1.2M lognormal integer counts, so vectorizing this
     # would change every feature matrix and every report.
-    for i, row in enumerate(table):
-        matrix[i, 0] = 1.0 if row.verified else 0.0
-        matrix[i, 1] = float(row.account_age_days)
-        matrix[i, 2] = math.log1p(row.n_posts)
-        matrix[i, 3] = math.log1p(row.n_followers)
-        matrix[i, 4] = math.log1p(row.n_friends)
+    logs = [[math.log1p(v) for v in counts.tolist()]
+            for counts in (table.n_posts, table.n_followers, table.n_friends)]
+    matrix = np.column_stack([table.verified, table.account_age_days, *logs])  # float64
     return FeatureMatrix(user_ids=table.user_ids, columns=FEATURE_COLUMNS, X=matrix)
 
 

@@ -34,13 +34,15 @@ means, and copies the canonical scheme's ``plv_embeddings``,
 the config does not produce (the ``base`` variant has no embeddings) goes.
 
 ``workers.spread`` has two callers, both here: ``run_pipeline`` spreads the
-runs of ``--runs N``, which share no state (each has its own seeds,
-``run_<i>/`` and markers), and ``_Stages.fan_out`` spreads the pending stages
-of one prefix, each group writing its own files and markers: a run's
-``plv_<scheme>``, then its ``effects_<variant>`` stages, and the mu sweep's
-cells. Spreads never nest, so while the runs are spread each run trains and
-fits in its own process. Run 0, the merging of the results in config order
-and the report stay here: outputs are byte-identical on any CPUs.
+runs of ``--runs N`` with a ``plv`` or ``effects`` stage to fit, which share
+no state (each has its own seeds, ``run_<i>/`` and markers), and
+``_Stages.fan_out`` spreads the pending stages of one prefix, each group
+writing its own files and markers: a run's ``plv_<scheme>``, then its
+``effects_<variant>`` stages, and the mu sweep's cells. Spreads never nest,
+so while the runs are spread each run trains and fits in its own process.
+Run 0, the runs with nothing to fit (they rerun only their split and
+propensity stages), the merging of the results in run order and the report
+stay here: outputs are byte-identical on any CPUs.
 """
 
 import contextlib
@@ -460,8 +462,12 @@ def _export_curves(config, model, rdir) -> list:
     return written
 
 
+def _run_dir(out_dir, run_idx) -> str:
+    return out_dir if run_idx == 0 else os.path.join(out_dir, f"run_{run_idx}")
+
+
 def _run_once(config, graph, users, outcome_table, topic_vectors, out_dir, run_idx, resume, chash):
-    rdir = out_dir if run_idx == 0 else os.path.join(out_dir, f"run_{run_idx}")
+    rdir = _run_dir(out_dir, run_idx)
     os.makedirs(rdir, exist_ok=True)
     stages = _Stages(rdir, chash, resume)
     run_seed = config.seed + run_idx
@@ -602,7 +608,17 @@ def run_pipeline(config: PipelineConfig, resume: bool = False) -> str:
         return [_run_once(config, graph, users, outcome_table, topic_vectors, out_dir, run_idx,
                           resume, chash) for run_idx in run_indices]
 
-    results = spread(run_group, range(config.runs))
+    def fits(run_idx):  # some plv or effects stage of the run is not done
+        run_stages = _Stages(_run_dir(out_dir, run_idx), chash, resume)
+        names = [f"plv_{s}" for s in config.schemes] + [f"effects_{v}" for v in _variants(config)]
+        return not all(run_stages.done(name) for name in names)
+
+    # only runs with a stage to fit spread: a done run reruns just its split and
+    # propensity stages, cheaper here than in a forked worker
+    fitting = [run_idx for run_idx in range(config.runs) if fits(run_idx)]
+    done = [run_idx for run_idx in range(config.runs) if run_idx not in fitting]
+    by_run = dict(zip(fitting + done, spread(run_group, fitting) + run_group(done)))
+    results = [by_run[run_idx] for run_idx in range(config.runs)]
 
     with _stage("report"):
         rows = _ranking_rows(config, results)

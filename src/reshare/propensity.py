@@ -91,16 +91,17 @@ def follower_propensity(
 ) -> PropensityTable:
     """Follower-weighted reshare mass, normalized by its max and smoothed by mu.
 
-    Every user of the graph needs a row in ``users``."""
+    A post's mass is the sum of ``users.n_followers`` over its resharers; every
+    user of the graph needs a row in ``users``."""
     if not (0.0 < mu <= 1.0):
         raise ValueError(f"mu must be in (0, 1], got {mu}")
     rows, found = index_of(users.user_ids, graph.users)
     if not found.all():
         uid = graph.users[int(np.argmin(found))]
         raise DataError(f"no follower count for graph user {uid!r}: not in the user table")
-    followers = np.array([r.n_followers for r in users], dtype=np.float64)
     uidx, pidx = graph.edge_arrays
-    mass = np.bincount(pidx, weights=followers[rows][uidx], minlength=graph.n_posts)
+    weights = users.n_followers[rows][uidx].astype(np.float64)
+    mass = np.bincount(pidx, weights=weights, minlength=graph.n_posts)
     top = mass.max() if mass.size else 0.0
     if top <= 0:
         raise DataError("follower propensity undefined: no follower-weighted reshares")

@@ -22,7 +22,6 @@ from .dataset import (
     FEATURE_COLUMNS,
     InteractionGraph,
     Post,
-    UserAttributes,
     UserAttributeTable,
     index_of,
     log_transform_attributes,
@@ -215,17 +214,7 @@ def generate(config: SynthConfig, edge_seed: int | None = None):
     posts_attr = rng_u.lognormal(math.log(24465.0), 1.3, n_u).astype(np.int64)
     followers = rng_u.lognormal(math.log(546.0), 1.5, n_u).astype(np.int64)
     friends = rng_u.lognormal(math.log(491.0), 1.2, n_u).astype(np.int64)
-    users = UserAttributeTable(
-        UserAttributes(
-            user_id=user_ids[i],
-            verified=bool(verified[i]),
-            account_age_days=int(age[i]),
-            n_posts=int(posts_attr[i]),
-            n_followers=int(followers[i]),
-            n_friends=int(friends[i]),
-        )
-        for i in range(n_u)
-    )
+    users = UserAttributeTable(user_ids, verified, age, posts_attr, followers, friends)
     feats = log_transform_attributes(users)
 
     curves: dict[str, EffectCurve] = {}

@@ -3,9 +3,9 @@ mask): one contiguous group per CPU, the first run in the calling process and
 each other in a forked child that pickles its results, or its exception, back
 through a pipe. A group returns one result per task, and the caller gets one
 list of them in task order. There are two callers, both in ``pipeline``:
-``run_pipeline`` spreads the runs of ``--runs N``, and ``_Stages.fan_out`` the
-pending stages of one kind, a run's ``plv_<scheme>`` or ``effects_<variant>``
-stages or the mu sweep's (scheme, mu) cells.
+``run_pipeline`` spreads the runs of ``--runs N`` with a stage to fit, and
+``_Stages.fan_out`` the pending stages of one kind, a run's ``plv_<scheme>``
+or ``effects_<variant>`` stages or the mu sweep's (scheme, mu) cells.
 
 Spreads do not nest: while a spread has forked, its groups (here and in the
 children) see one usable CPU, so the CPUs are never oversubscribed. A spread

@@ -10,7 +10,6 @@ import pytest
 from reshare.dataset import (
     InteractionGraph,
     Post,
-    UserAttributes,
     UserAttributeTable,
     _test_quota,
     index_of,
@@ -86,19 +85,12 @@ class StringGraph:
 
 def make_users(specs):
     """specs: list of dicts with user_id and optional attribute overrides."""
-    rows = []
-    for s in specs:
-        rows.append(
-            UserAttributes(
-                user_id=s["user_id"],
-                verified=s.get("verified", False),
-                account_age_days=s.get("account_age_days", 1000),
-                n_posts=s.get("n_posts", 10),
-                n_followers=s.get("n_followers", 100),
-                n_friends=s.get("n_friends", 50),
-            )
-        )
-    return UserAttributeTable(rows)
+    defaults = {"verified": False, "account_age_days": 1000, "n_posts": 10,
+                "n_followers": 100, "n_friends": 50}
+    return UserAttributeTable(
+        [s["user_id"] for s in specs],
+        **{name: [s.get(name, default) for s in specs] for name, default in defaults.items()},
+    )
 
 
 def subset_matrix(fm: FeatureMatrix, user_set) -> tuple:

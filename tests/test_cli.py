@@ -11,11 +11,11 @@ import pytest
 from reshare import artifacts, cli, pipeline, workers
 from reshare.bprmf import BprHyper, BprModel
 from reshare.cli import main
-from reshare.dataset import FEATURE_COLUMNS
+from reshare.dataset import FEATURE_COLUMNS, write_dataset
 from reshare.effects import EbmHyper
 from reshare.errors import DataError
 from reshare.pipeline import PipelineConfig, StageError, config_hash, run_pipeline
-from reshare.synthgen import EffectShape, SynthConfig
+from reshare.synthgen import EffectShape, SynthConfig, generate
 
 from conftest import assert_no_children
 
@@ -633,17 +633,22 @@ class TestPipelineCommand:
             assert fa.read() == fb.read()
 
     def test_file_inputs_reproduce_the_synthetic_run_and_key_every_marker(self, tmp_path):
-        synth_out, out = tmp_path / "synth", tmp_path / "files"
+        synth_out, out, data = tmp_path / "synth", tmp_path / "files", tmp_path / "data"
         cfg = write_config(tmp_path, small_config(str(synth_out)), "synth.json")
         assert main(["pipeline", "--config", cfg]) == 0
-        data = synth_out / "data"
+        config = PipelineConfig.from_json(cfg)
+        graph, users, _ = generate(pipeline._seeded(config.synth, config.seed))
+        write_dataset(graph, users, data)
+        for name in ("posts.csv", "users.csv", "interactions.csv"):  # as the synth run dumps them
+            assert (data / name).read_bytes() == (synth_out / "data" / name).read_bytes(), name
         cfg = small_config(str(out))
         del cfg["synth"]
         for name in ("posts", "users", "interactions"):
             cfg[f"{name}_csv"] = str(data / f"{name}.csv")
         cfg = write_config(tmp_path, cfg, "files.json")
         assert main(["pipeline", "--config", cfg]) == 0
-        for name in ("report.txt", "metrics.csv", "importance.csv", "plv_embeddings.csv"):
+        for name in ("report.txt", "metrics.csv", "importance.csv", "outcomes.csv",
+                     "propensity.csv", "plv_embeddings.csv", "topics.csv"):
             assert (out / name).read_bytes() == (synth_out / name).read_bytes(), name
 
         def marker_hashes():
@@ -792,6 +797,30 @@ class TestPipelineCommand:
         monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
         assert main(["pipeline", "--config", cfg, "--resume"]) == 0
         assert (out / "report.txt").read_bytes() == outputs[0]["report.txt"]
+
+    def test_full_resume_forks_nothing_and_refits_only_a_missing_stage(
+        self, tmp_path, monkeypatch, forks
+    ):
+        marked, mark = [], pipeline._Stages.mark
+
+        def spy(stages, stage, **payload):  # nothing forks on resume, so this sees every marker
+            marked.append(os.path.relpath(os.path.join(stages.out_dir, stage), out))
+            mark(stages, stage, **payload)
+
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
+        out = tmp_path / "runs"
+        cfg = write_config(tmp_path, small_config(str(out), runs=3))
+        assert main(["pipeline", "--config", cfg]) == 0
+        assert len(forks) == 1
+        cold = (out / "report.txt").read_bytes()
+        monkeypatch.setattr(pipeline._Stages, "mark", spy)
+        forks.clear()
+        assert main(["pipeline", "--config", cfg, "--resume"]) == 0
+        assert forks == [] and marked == []
+        (out / "run_2" / "effects_virality.done").unlink()
+        assert main(["pipeline", "--config", cfg, "--resume"]) == 0
+        assert forks == [] and marked == [os.path.join("run_2", "effects_virality")]
+        assert (out / "report.txt").read_bytes() == cold
 
     @pytest.mark.parametrize("runs", [1, 2])
     def test_one_spread_forks_on_two_cpus(self, tmp_path, monkeypatch, forks, runs):

@@ -8,7 +8,6 @@ from reshare.dataset import (
     FEATURE_COLUMNS,
     InteractionGraph,
     Post,
-    UserAttributes,
     UserAttributeTable,
     index_of,
     load_dataset,
@@ -79,6 +78,16 @@ class TestLoad:
         with pytest.raises(DataError, match=">= 0"):
             load_dataset(*paths)
 
+    def test_count_beyond_int64_rejected_naming_line(self, tmp_path):
+        top = str(np.iinfo(np.int64).max)
+        paths = write_files(tmp_path, ["p1,a,0,,"], [f"u1,0,1,1,{top},1"], [])
+        assert load_dataset(*paths)[1].n_followers.tolist() == [int(top)]
+        paths = write_files(
+            tmp_path, ["p1,a,0,,"], ["u1,0,1,1,1,1", "u2,0,1,1,99999999999999999999,1"], []
+        )
+        with pytest.raises(DataError, match=rf"users\.csv:3: count must be <= {top}"):
+            load_dataset(*paths)
+
     def test_quoted_text_with_commas(self, tmp_path):
         posts = ['p1,a,1,c1,"hello, world"']
         graph, _ = load_dataset(*write_files(tmp_path, posts, ["u1,0,1,1,1,1"], []))
@@ -97,6 +106,47 @@ class TestLoad:
         )
         assert graph2 == graph
         assert users2 == users
+
+
+class TestUserAttributeTable:
+    COLUMNS = ("verified", "account_age_days", "n_posts", "n_followers", "n_friends")
+
+    def test_rows_sorted_by_id_with_every_column(self):
+        table = UserAttributeTable(
+            ["u2", "u0", "u1"], [True, False, True], [20, 0, 10], [21, 1, 11], [22, 2, 12],
+            [23, 3, 13],
+        )
+        assert table.user_ids == ("u0", "u1", "u2") and len(table) == 3
+        assert table.verified.dtype == bool and table.verified.tolist() == [False, True, True]
+        for j, name in enumerate(self.COLUMNS[1:]):
+            column = getattr(table, name)
+            assert column.dtype == np.int64 and column.tolist() == [j, 10 + j, 20 + j], name
+
+    def test_duplicate_id_rejected(self):
+        with pytest.raises(DataError, match="duplicate user_id 'u1'"):
+            UserAttributeTable(["u1", "u0", "u1"], [False] * 3, *[[1, 1, 1]] * 4)
+
+    def test_negative_count_names_first_row_in_input_order_then_its_first_column(self):
+        # u9 is the later id but the earlier row; its n_friends comes after n_posts
+        with pytest.raises(DataError, match=r"^user 'u9': n_posts must be >= 0$"):
+            UserAttributeTable(
+                ["u0", "u9", "u1"], [False] * 3, [1, 1, -1], [1, -1, 1], [1, 1, 1], [1, -1, 1]
+            )
+
+    def test_columns_are_read_only(self):
+        table = make_users([{"user_id": "u0"}, {"user_id": "u1"}])
+        for name in self.COLUMNS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(table, name)[0] = 1
+
+    def test_equality_compares_ids_and_values(self):
+        table = make_users([{"user_id": "u0"}, {"user_id": "u1", "n_friends": 7}])
+        assert table == make_users([{"user_id": "u1", "n_friends": 7}, {"user_id": "u0"}])
+        assert table != make_users([{"user_id": "u0"}, {"user_id": "u1", "n_friends": 8}])
+        assert table != make_users([{"user_id": "u0", "verified": True},
+                                    {"user_id": "u1", "n_friends": 7}])
+        assert table != make_users([{"user_id": "u0"}, {"user_id": "u2", "n_friends": 7}])
+        assert table != table.user_ids
 
 
 class TestLogTransform:
