@@ -6,7 +6,9 @@ deterministic downstream processing. String ids stay at the I/O boundary: the
 reshare graph keeps its edges as int64 index arrays into its sorted user and
 post tuples, and the user attribute table keeps one read-only array per
 attribute, aligned with its sorted user ids; every stage downstream works on
-those arrays.
+those arrays. The three input CSVs go through one row reader, which rejects
+a bad row (a field count other than the header's, an empty id) naming its
+file and line, and a file that is not UTF-8 naming the file.
 """
 
 import csv
@@ -260,55 +262,54 @@ def _parse_count(raw: str, where: str) -> int:
     return val
 
 
-def _open_csv(path):
+def _rows(path, columns, required):
+    """Yield ``(where, row)`` per data row of the CSV at ``path``: ``where`` is
+    ``<path>:<line>`` and ``row`` maps each header name to its field.
+
+    Blank lines are skipped. Raises ``DataError`` on a missing file, a header
+    without one of ``columns``, a row whose field count is not the header's,
+    an empty ``required`` field, and a file that is not UTF-8."""
     if not os.path.exists(path):
         raise DataError(f"missing file: {path}")
-    return open(path, newline="", encoding="utf-8")
-
-
-def _check_header(reader: csv.DictReader, required, path):
-    fields = reader.fieldnames or []
-    missing = [c for c in required if c not in fields]
-    if missing:
-        raise DataError(f"{path}: header is missing columns {missing}")
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            missing = [c for c in columns if c not in header]
+            if missing:
+                raise DataError(f"{path}: header is missing columns {missing}")
+            for fields in filter(None, reader):  # a blank line reads as []
+                where = f"{path}:{reader.line_num}"
+                if len(fields) != len(header):
+                    raise DataError(f"{where}: expected {len(header)} fields, got {len(fields)}")
+                row = dict(zip(header, fields))
+                if not all(row[c] for c in required):
+                    verb = "is" if len(required) == 1 else "are"
+                    raise DataError(f"{where}: {' and '.join(required)} {verb} required")
+                yield where, row
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def load_posts(path) -> list[Post]:
     posts = []
-    with _open_csv(path) as fh:
-        reader = csv.DictReader(fh)
-        _check_header(reader, ("post_id", "author_id", "is_hate", "cluster"), path)
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            if row.get("post_id") in (None, "") or row.get("author_id") in (None, ""):
-                raise DataError(f"{where}: post_id and author_id are required")
-            cluster = row.get("cluster") or None
-            text = row.get("text") or None
-            posts.append(
-                Post(
-                    post_id=row["post_id"],
-                    author_id=row["author_id"],
-                    is_hate=_parse_bool(row["is_hate"], where),
-                    cluster=cluster,
-                    text=text,
-                )
-            )
+    for where, row in _rows(path, POSTS_COLUMNS[:4], ("post_id", "author_id")):
+        is_hate = _parse_bool(row["is_hate"], where)
+        try:
+            posts.append(Post(post_id=row["post_id"], author_id=row["author_id"], is_hate=is_hate,
+                              cluster=row["cluster"] or None, text=row.get("text") or None))
+        except DataError as exc:  # a cluster on a post not flagged as hate
+            raise DataError(f"{where}: {exc}") from None
     return posts
 
 
 def load_users(path) -> UserAttributeTable:
     columns = {name: [] for name in USERS_COLUMNS}
-    with _open_csv(path) as fh:
-        reader = csv.DictReader(fh)
-        _check_header(reader, USERS_COLUMNS, path)
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            if row.get("user_id") in (None, ""):
-                raise DataError(f"{where}: user_id is required")
-            columns["user_id"].append(row["user_id"])
-            columns["verified"].append(_parse_bool(row["verified"], where))
-            for name in COUNT_COLUMNS:
-                columns[name].append(_parse_count(row[name], where))
+    for where, row in _rows(path, USERS_COLUMNS, ("user_id",)):
+        columns["user_id"].append(row["user_id"])
+        columns["verified"].append(_parse_bool(row["verified"], where))
+        for name in COUNT_COLUMNS:
+            columns[name].append(_parse_count(row[name], where))
     return UserAttributeTable(*columns.values())
 
 
@@ -322,22 +323,20 @@ def load_dataset(posts_path, users_path, interactions_path):
     users = load_users(users_path)
     post_ids = {p.post_id for p in posts}
     if len(post_ids) != len(posts):
-        raise DataError(f"{posts_path}: duplicate post_id")
+        ids = sorted(p.post_id for p in posts)
+        repeated = next(a for a, b in zip(ids, ids[1:]) if a == b)
+        raise DataError(f"{posts_path}: duplicate post_id {repeated!r}")
     user_ids = set(users.user_ids)
-    edges = []
-    with _open_csv(interactions_path) as fh:
-        reader = csv.DictReader(fh)
-        _check_header(reader, INTERACTIONS_COLUMNS, interactions_path)
-        for row in reader:
-            where = f"{interactions_path}:{reader.line_num}"
-            u, p = row.get("user_id"), row.get("post_id")
-            if not u or not p:
-                raise DataError(f"{where}: user_id and post_id are required")
-            if u not in user_ids:
-                raise DataError(f"{where}: interaction references unknown user {u!r}")
-            if p not in post_ids:
-                raise DataError(f"{where}: interaction references unknown post {p!r}")
-            edges.append((u, p))
+    edges = {}  # (user_id, post_id) -> where, in input order
+    for where, row in _rows(interactions_path, INTERACTIONS_COLUMNS, INTERACTIONS_COLUMNS):
+        u, p = row["user_id"], row["post_id"]
+        if u not in user_ids:
+            raise DataError(f"{where}: interaction references unknown user {u!r}")
+        if p not in post_ids:
+            raise DataError(f"{where}: interaction references unknown post {p!r}")
+        if (u, p) in edges:
+            raise DataError(f"{where}: duplicate interaction {(u, p)!r}, first at {edges[u, p]}")
+        edges[u, p] = where
     graph = InteractionGraph(users.user_ids, posts, edges)
     log.info(
         "loaded %d posts, %d users, %d interactions",

@@ -205,6 +205,22 @@ class TestSynthCommand:
         assert main(["pipeline", "--config", path]) == 2
         assert "stage 'topics'" in capsys.readouterr().err
 
+    def test_short_users_row_exits_two_naming_file_and_line(self, tmp_path, capsys):
+        graph, users, _ = generate(SynthConfig(n_users=40, n_posts=30, n_hate_posts=10, seed=3))
+        data, out = tmp_path / "data", tmp_path / "out"
+        write_dataset(graph, users, data)
+        lines = (data / "users.csv").read_text().splitlines(keepends=True)
+        lines[1] = lines[1].rsplit(",", 1)[0] + "\n"  # drop the first user's last field
+        (data / "users.csv").write_text("".join(lines))
+        cfg = small_config(str(out))
+        del cfg["synth"]
+        for name in ("posts", "users", "interactions"):
+            cfg[f"{name}_csv"] = str(data / f"{name}.csv")
+        assert main(["pipeline", "--config", write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: stage 'dataset' failed: {data / 'users.csv'}:2: expected 6 fields, got 5\n")
+        assert os.listdir(out) == []
+
     def test_failure_in_a_forked_run_exits_two_as_in_process(self, tmp_path, capsys, monkeypatch,
                                                              forks):
         parent, fit_linear = os.getpid(), pipeline.fit_linear

@@ -21,13 +21,16 @@ from reshare.synthgen import SynthConfig, generate
 from conftest import StringGraph, make_graph, make_users
 
 
+HEADERS = {
+    "posts.csv": "post_id,author_id,is_hate,cluster,text",
+    "users.csv": "user_id,verified,account_age_days,n_posts,n_followers,n_friends",
+    "interactions.csv": "user_id,post_id",
+}
+
+
 def write_files(tmp_path, posts_rows, users_rows, inter_rows):
     paths = {}
-    for name, header, rows in (
-        ("posts.csv", "post_id,author_id,is_hate,cluster,text", posts_rows),
-        ("users.csv", "user_id,verified,account_age_days,n_posts,n_followers,n_friends", users_rows),
-        ("interactions.csv", "user_id,post_id", inter_rows),
-    ):
+    for (name, header), rows in zip(HEADERS.items(), (posts_rows, users_rows, inter_rows)):
         p = tmp_path / name
         p.write_text("\n".join([header] + rows) + "\n")
         paths[name] = str(p)
@@ -88,6 +91,11 @@ class TestLoad:
         with pytest.raises(DataError, match=rf"users\.csv:3: count must be <= {top}"):
             load_dataset(*paths)
 
+    def test_duplicate_post_id_is_named(self, tmp_path):
+        paths = write_files(tmp_path, ["p1,a,0,,", "p2,a,0,,", "p1,b,0,,"], ["u1,0,1,1,1,1"], [])
+        with pytest.raises(DataError, match=r"posts\.csv: duplicate post_id 'p1'$"):
+            load_dataset(*paths)
+
     def test_quoted_text_with_commas(self, tmp_path):
         posts = ['p1,a,1,c1,"hello, world"']
         graph, _ = load_dataset(*write_files(tmp_path, posts, ["u1,0,1,1,1,1"], []))
@@ -106,6 +114,103 @@ class TestLoad:
         )
         assert graph2 == graph
         assert users2 == users
+
+
+VALID_ROWS = {
+    "posts.csv": ["p1,a,0,,", "p2,a,1,c1,some text"],
+    "users.csv": ["u1,0,100,5,10,20", "u2,1,200,1,2,3"],
+    "interactions.csv": ["u1,p1", "u2,p2"],
+}
+
+
+def csv_bytes(name, rows=None, header=None, end="\n"):
+    lines = [HEADERS[name] if header is None else header,
+             *(VALID_ROWS[name] if rows is None else rows)]
+    return "".join(line + end for line in lines).encode()
+
+
+# (case, file, its bytes, outcome): the other two files hold VALID_ROWS. The
+# outcome is the number of edges loaded, or the exact DataError message, where
+# {path} is the file's path.
+MALFORMED_INPUTS = [
+    ("short posts row", "posts.csv", csv_bytes("posts.csv", ["p1,a,0,,", "p2,a,1,c1"]),
+     "{path}:3: expected 5 fields, got 4"),
+    ("short users row", "users.csv", csv_bytes("users.csv", ["u1,0,100,5", "u2,1,200,1,2,3"]),
+     "{path}:2: expected 6 fields, got 4"),
+    ("short interactions row", "interactions.csv", csv_bytes("interactions.csv", ["u1,p1", "u2"]),
+     "{path}:3: expected 2 fields, got 1"),
+    ("extra users field", "users.csv",
+     csv_bytes("users.csv", ["u1,0,100,5,10,20,x", "u2,1,200,1,2,3"]),
+     "{path}:2: expected 6 fields, got 7"),
+    ("extra interactions field", "interactions.csv",
+     csv_bytes("interactions.csv", ["u1,p1,x", "u2,p2"]), "{path}:2: expected 2 fields, got 3"),
+    ("empty file", "posts.csv", b"",
+     "{path}: header is missing columns ['post_id', 'author_id', 'is_hate', 'cluster']"),
+    ("header only", "interactions.csv", csv_bytes("interactions.csv", []), 0),
+    ("missing column", "users.csv",
+     csv_bytes("users.csv", header=HEADERS["users.csv"].rsplit(",", 1)[0]),
+     "{path}: header is missing columns ['n_friends']"),
+    ("columns in another order, one extra", "posts.csv",
+     csv_bytes("posts.csv", ["x,some text,c1,1,a,p2", "x,,,0,a,p1"],
+               header="extra,text,cluster,is_hate,author_id,post_id"), 2),
+    ("posts without a text column", "posts.csv",
+     csv_bytes("posts.csv", ["p1,a,0,", "p2,a,1,c1"], header="post_id,author_id,is_hate,cluster"),
+     2),
+    ("utf-8 bom before the header", "posts.csv", b"\xef\xbb\xbf" + csv_bytes("posts.csv"),
+     "{path}: header is missing columns ['post_id']"),
+    ("crlf line ends", "users.csv", csv_bytes("users.csv", end="\r\n"), 2),
+    ("blank line", "interactions.csv", csv_bytes("interactions.csv", ["u1,p1", "", "u2,p2"]), 2),
+    ("blank line before a bad row", "interactions.csv",
+     csv_bytes("interactions.csv", ["u1,p1", "", "u2,p9"]),
+     "{path}:4: interaction references unknown post 'p9'"),
+    ("quoted field with a newline", "posts.csv",
+     csv_bytes("posts.csv", ['p1,a,0,,"two\nlines"', "p2,a,1,c1,x,y"]),
+     "{path}:4: expected 5 fields, got 6"),
+    ("non-utf-8 byte", "posts.csv", csv_bytes("posts.csv").replace(b"some", b"\xffsome"),
+     "{path}: not UTF-8 text (invalid start byte)"),
+    ("empty user_id", "users.csv", csv_bytes("users.csv", [",0,1,1,1,1"]),
+     "{path}:2: user_id is required"),
+    ("empty post_id of an interaction", "interactions.csv",
+     csv_bytes("interactions.csv", ["u1,"]), "{path}:2: user_id and post_id are required"),
+    ("count beyond int64", "users.csv",
+     csv_bytes("users.csv", ["u1,0,100,5,99999999999999999999,20"]),
+     f"{{path}}:2: count must be <= {np.iinfo(np.int64).max}, got 99999999999999999999"),
+    ("negative count", "users.csv", csv_bytes("users.csv", ["u1,0,100,-5,10,20", "u2,1,1,1,1,1"]),
+     "{path}:2: count must be >= 0, got -5"),
+    ("bool spelled yes", "users.csv", csv_bytes("users.csv", ["u1,yes,100,5,10,20"]),
+     "{path}:2: cannot parse boolean from 'yes'"),
+    ("unknown user", "interactions.csv", csv_bytes("interactions.csv", ["u1,p1", "zz,p2"]),
+     "{path}:3: interaction references unknown user 'zz'"),
+    ("unknown post", "interactions.csv", csv_bytes("interactions.csv", ["u1,p9"]),
+     "{path}:2: interaction references unknown post 'p9'"),
+    ("duplicate interaction", "interactions.csv",
+     csv_bytes("interactions.csv", ["u1,p1", "u2,p2", "u1,p1"]),
+     "{path}:4: duplicate interaction ('u1', 'p1'), first at {path}:2"),
+    ("duplicate post id", "posts.csv",
+     csv_bytes("posts.csv", ["p2,a,1,c1,", "p1,a,0,,", "p2,b,1,c1,"]),
+     "{path}: duplicate post_id 'p2'"),
+    ("cluster on a non-hate post", "posts.csv", csv_bytes("posts.csv", ["p1,a,0,c1,", "p2,a,1,,"]),
+     "{path}:2: post 'p1' has cluster 'c1' but is not flagged as hate"),
+]
+
+
+class TestMalformedInputCorpus:
+    """Every case either loads or fails with a DataError naming the file, and
+    the line where one row is at fault."""
+
+    @pytest.mark.parametrize("name, body, outcome", [case[1:] for case in MALFORMED_INPUTS],
+                             ids=[case[0] for case in MALFORMED_INPUTS])
+    def test_loads_or_names_file_and_line(self, tmp_path, name, body, outcome):
+        paths = dict(zip(HEADERS, write_files(tmp_path, *VALID_ROWS.values())))
+        with open(paths[name], "wb") as fh:
+            fh.write(body)
+        if isinstance(outcome, int):
+            graph, users = load_dataset(*paths.values())
+            assert (graph.n_edges, len(users)) == (outcome, 2)
+            return
+        with pytest.raises(DataError) as exc:
+            load_dataset(*paths.values())
+        assert str(exc.value) == outcome.format(path=paths[name])
 
 
 class TestUserAttributeTable:
