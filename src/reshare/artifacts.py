@@ -15,6 +15,7 @@ import os
 import numpy as np
 
 from .bprmf import BprModel
+from .dataset import read_rows
 from .errors import DataError
 from .outcomes import OutcomeTable
 
@@ -86,16 +87,25 @@ def write_embeddings(model: BprModel, path):
 
 def read_vectors(path) -> tuple:
     """Reload a vector table (topic vectors or embeddings) as ``(ids, matrix)``
-    in file order; a repeated id raises ``DataError``."""
-    out = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        dim = len(next(reader)) - 1
-        for row in reader:
-            if row[0] in out:
-                raise DataError(f"{path}: repeated id {row[0]!r}")
-            out[row[0]] = np.array([float(v) for v in row[1:]], dtype=np.float64)
-    return tuple(out), np.array(list(out.values()), dtype=np.float64).reshape(len(out), dim)
+    in file order.
+
+    Rows are read as the input CSVs are, so a missing file, a row whose field
+    count is not the header's and a file that is not UTF-8 raise ``DataError``,
+    as do a table without rows, a value that is not a number and a repeated
+    id, each naming the file and, for a row at fault, its line."""
+    seen, values = {}, []  # id -> where, in file order
+    for where, row in read_rows(path, (), ()):
+        row_id, *fields = row.values()
+        first = seen.setdefault(row_id, where)
+        if first is not where:
+            raise DataError(f"{where}: repeated id {row_id!r}, first at {first}")
+        try:
+            values.append([float(v) for v in fields])
+        except ValueError as exc:
+            raise DataError(f"{where}: {exc}") from None
+    if not values:
+        raise DataError(f"{path}: no rows")
+    return tuple(seen), np.array(values, dtype=np.float64)
 
 
 def write_training_curve(curve, path):

@@ -394,7 +394,7 @@ def ranking_metrics(
     discounts = 1.0 / np.log2(np.arange(2, n_posts + 2))
     idcg_cum = np.cumsum(discounts)
     if train is None:
-        train = InteractionGraph.from_indices(test.users, test.posts, [], [])
+        train = InteractionGraph(test.users, test.posts, [], [])
     if not (test.post_ids == train.post_ids == model.post_ids and test.users == train.users):
         raise ValueError("test and train graphs must share their users and the model's posts")
     # each user's test and train posts are CSR slices of the edge arrays

@@ -3,12 +3,15 @@
 All loaded structures are canonicalized (sorted by id) and immutable after
 construction, so they are safe to share across threads and hash-stable for
 deterministic downstream processing. String ids stay at the I/O boundary: the
-reshare graph keeps its edges as int64 index arrays into its sorted user and
-post tuples, and the user attribute table keeps one read-only array per
-attribute, aligned with its sorted user ids; every stage downstream works on
-those arrays. The three input CSVs go through one row reader, which rejects
-a bad row (a field count other than the header's, an empty id) naming its
-file and line, and a file that is not UTF-8 naming the file.
+reshare graph is built only from int64 index arrays into its user and post
+tuples, sorted by id, and the user attribute table keeps one read-only array
+per attribute, aligned with its sorted user ids; every stage downstream works
+on those arrays. The three input CSVs go through one row reader, which
+rejects a bad row (a field count other than the header's, an empty id)
+naming its file and line, and a file that is not UTF-8 naming the file.
+``load_dataset`` is the one place where (user id, post id) pairs become
+indices, and it checks them once, naming the file and line of an unknown id
+or a repeated pair.
 """
 
 import csv
@@ -115,59 +118,31 @@ def index_of(ids, query) -> tuple[np.ndarray, np.ndarray]:
     return np.append(first, 0)[np.searchsorted(keys, query)], np.isin(query, keys)
 
 
-def _pair_keys(users, post_ids, edges) -> np.ndarray:
-    """Sorted ``user * n_posts + post`` keys of (user_id, post_id) pairs.
-
-    Unknown users, then unknown posts, then repeated pairs raise ``DataError``
-    naming the smallest offending pair."""
-    pairs = np.array(list(edges), dtype=str).reshape(-1, 2)
-    (ui, u_ok), (pi, p_ok) = index_of(users, pairs[:, 0]), index_of(post_ids, pairs[:, 1])
-    for ok, side, kind in ((u_ok, 0, "user"), (p_ok, 1, "post")):
-        if not ok.all():
-            edge = tuple(min(pairs[~ok].tolist()))
-            raise DataError(f"edge {edge!r} references unknown {kind} {edge[side]!r}")
-    keys, counts = np.unique(ui * len(post_ids) + pi, return_counts=True)
-    if np.any(counts > 1):
-        u, p = divmod(int(keys[counts > 1][0]), len(post_ids))
-        raise DataError(f"duplicate edge {(users[u], post_ids[p])!r}")
-    return keys
-
-
 class InteractionGraph:
     """Bipartite user-by-post reshare graph; an edge (u, h) means u reshared h.
 
-    String ids live only at this boundary. The graph holds its ``users`` and
-    ``posts`` sorted by id plus two int64 edge arrays indexing them, sorted by
-    (user index, post index); since indices follow sorted-id order, that is the
-    order of the sorted (user id, post id) pairs. ``edges`` and
-    ``edges_by_user`` are string views built on demand.
+    The graph holds its ``users`` and ``posts`` sorted by id plus two int64
+    edge arrays indexing them, sorted by (user index, post index); since
+    indices follow sorted-id order, that is the order of the sorted (user id,
+    post id) pairs. ``edges`` and ``edges_by_user`` are string views built on
+    demand.
     """
 
-    def __init__(self, users, posts, edges):
-        """``edges`` are (user_id, post_id) pairs in any order."""
-        users = tuple(sorted(users))
-        if len(set(users)) != len(users):
-            raise DataError("duplicate user ids in graph")
-        posts = tuple(sorted(posts, key=lambda p: p.post_id))
-        post_ids = tuple(p.post_id for p in posts)
-        if len(set(post_ids)) != len(post_ids):
-            raise DataError("duplicate post ids in graph")
-        self._assign(users, posts, _pair_keys(users, post_ids, edges))
+    def __init__(self, users, posts, user_idx, post_idx):
+        """Graph over ``users`` and ``posts`` sorted by id, with distinct edges
+        given as index arrays into them, in any order.
 
-    @classmethod
-    def from_indices(cls, users, posts, user_idx, post_idx) -> "InteractionGraph":
-        """Graph over ``users`` and ``posts`` already sorted by id, with distinct
-        edges given as index arrays into them, in any order."""
-        graph = cls.__new__(cls)
-        user_idx = np.asarray(user_idx, dtype=np.int64)
-        keys = user_idx * len(posts) + np.asarray(post_idx, dtype=np.int64)
-        graph._assign(tuple(users), tuple(posts), np.sort(keys))
-        return graph
-
-    def _assign(self, users, posts, keys):
-        self.users = users
-        self.posts = posts
-        self.edge_arrays = divmod(keys, max(len(posts), 1))
+        User or post ids that are not strictly increasing (unsorted or
+        repeated) raise ``DataError`` naming the first offending pair."""
+        self.users, self.posts = tuple(users), tuple(posts)
+        for kind, ids in (("user", self.users), ("post", self.post_ids)):
+            pair = next(((a, b) for a, b in zip(ids, ids[1:]) if a >= b), None)
+            if pair:
+                raise DataError(f"{kind} ids must be strictly increasing, got {pair[0]!r} "
+                                f"before {pair[1]!r}")
+        keys = np.asarray(user_idx, dtype=np.int64) * len(self.posts)
+        keys = np.sort(keys + np.asarray(post_idx, dtype=np.int64))
+        self.edge_arrays = divmod(keys, max(len(self.posts), 1))
         for arr in self.edge_arrays:
             arr.flags.writeable = False
 
@@ -220,7 +195,7 @@ class InteractionGraph:
         eu, ep = self.edge_arrays
         keep = hate[ep]
         hate_posts = tuple(p for p in self.posts if p.is_hate)
-        return InteractionGraph.from_indices(
+        return InteractionGraph(
             self.users, hate_posts, eu[keep], (np.cumsum(hate) - 1)[ep[keep]]
         )
 
@@ -262,7 +237,7 @@ def _parse_count(raw: str, where: str) -> int:
     return val
 
 
-def _rows(path, columns, required):
+def read_rows(path, columns, required):
     """Yield ``(where, row)`` per data row of the CSV at ``path``: ``where`` is
     ``<path>:<line>`` and ``row`` maps each header name to its field.
 
@@ -292,8 +267,11 @@ def _rows(path, columns, required):
 
 
 def load_posts(path) -> list[Post]:
-    posts = []
-    for where, row in _rows(path, POSTS_COLUMNS[:4], ("post_id", "author_id")):
+    posts, seen = [], {}
+    for where, row in read_rows(path, POSTS_COLUMNS[:4], ("post_id", "author_id")):
+        first = seen.setdefault(row["post_id"], where)
+        if first is not where:
+            raise DataError(f"{where}: duplicate post_id {row['post_id']!r}, first at {first}")
         is_hate = _parse_bool(row["is_hate"], where)
         try:
             posts.append(Post(post_id=row["post_id"], author_id=row["author_id"], is_hate=is_hate,
@@ -304,8 +282,11 @@ def load_posts(path) -> list[Post]:
 
 
 def load_users(path) -> UserAttributeTable:
-    columns = {name: [] for name in USERS_COLUMNS}
-    for where, row in _rows(path, USERS_COLUMNS, ("user_id",)):
+    columns, seen = {name: [] for name in USERS_COLUMNS}, {}
+    for where, row in read_rows(path, USERS_COLUMNS, ("user_id",)):
+        first = seen.setdefault(row["user_id"], where)
+        if first is not where:
+            raise DataError(f"{where}: duplicate user_id {row['user_id']!r}, first at {first}")
         columns["user_id"].append(row["user_id"])
         columns["verified"].append(_parse_bool(row["verified"], where))
         for name in COUNT_COLUMNS:
@@ -317,27 +298,25 @@ def load_dataset(posts_path, users_path, interactions_path):
     """Load and cross-validate the three input tables.
 
     Returns (InteractionGraph, UserAttributeTable). Raises DataError naming the
-    offending file/row on any referential-integrity violation.
+    offending file/row on any referential-integrity violation. This is the one
+    place where (user id, post id) pairs become the graph's index arrays.
     """
-    posts = load_posts(posts_path)
+    posts = sorted(load_posts(posts_path), key=lambda p: p.post_id)
     users = load_users(users_path)
-    post_ids = {p.post_id for p in posts}
-    if len(post_ids) != len(posts):
-        ids = sorted(p.post_id for p in posts)
-        repeated = next(a for a, b in zip(ids, ids[1:]) if a == b)
-        raise DataError(f"{posts_path}: duplicate post_id {repeated!r}")
-    user_ids = set(users.user_ids)
-    edges = {}  # (user_id, post_id) -> where, in input order
-    for where, row in _rows(interactions_path, INTERACTIONS_COLUMNS, INTERACTIONS_COLUMNS):
+    user_row = {u: i for i, u in enumerate(users.user_ids)}
+    post_row = {p.post_id: j for j, p in enumerate(posts)}
+    seen = {}  # (user row, post row) -> where, in input order
+    for where, row in read_rows(interactions_path, INTERACTIONS_COLUMNS, INTERACTIONS_COLUMNS):
         u, p = row["user_id"], row["post_id"]
-        if u not in user_ids:
+        if u not in user_row:
             raise DataError(f"{where}: interaction references unknown user {u!r}")
-        if p not in post_ids:
+        if p not in post_row:
             raise DataError(f"{where}: interaction references unknown post {p!r}")
-        if (u, p) in edges:
-            raise DataError(f"{where}: duplicate interaction {(u, p)!r}, first at {edges[u, p]}")
-        edges[u, p] = where
-    graph = InteractionGraph(users.user_ids, posts, edges)
+        first = seen.setdefault((user_row[u], post_row[p]), where)
+        if first is not where:
+            raise DataError(f"{where}: duplicate interaction {(u, p)!r}, first at {first}")
+    user_idx, post_idx = np.array(list(seen), dtype=np.int64).reshape(-1, 2).T
+    graph = InteractionGraph(users.user_ids, posts, user_idx, post_idx)
     log.info(
         "loaded %d posts, %d users, %d interactions",
         graph.n_posts,
@@ -428,7 +407,7 @@ def split(graph: InteractionGraph, mode: str, ratio: float, seed: int) -> SplitP
             is_test[ptr[i] + order[:q]] = True
         eu, ep = graph.edge_arrays
         train, test = (
-            InteractionGraph.from_indices(graph.users, graph.posts, eu[mask], ep[mask])
+            InteractionGraph(graph.users, graph.posts, eu[mask], ep[mask])
             for mask in (~is_test, is_test)
         )
         return SplitPair(train=train, test=test)

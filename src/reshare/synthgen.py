@@ -307,7 +307,7 @@ def generate(config: SynthConfig, edge_seed: int | None = None):
             )
         )
 
-    graph = InteractionGraph.from_indices(user_ids, posts, eu, ep)
+    graph = InteractionGraph(user_ids, posts, eu, ep)
     truth = SyntheticTruth(
         user_ids=user_ids,
         post_ids=post_ids,
@@ -347,7 +347,7 @@ def sample_interest_graph(
     mass[mass == 0.0] = 1.0
     np.clip(prob * (per_user / mass), 0.0, 1.0, out=prob)
     mask = rng.random(prob.shape) < prob
-    return InteractionGraph.from_indices(exclude.users, exclude.posts, *np.nonzero(mask))
+    return InteractionGraph(exclude.users, exclude.posts, *np.nonzero(mask))
 
 
 def write_truth(truth: SyntheticTruth, out_dir):

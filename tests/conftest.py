@@ -18,6 +18,18 @@ from reshare.bprmf import BprModel, TripletBatch, _draw_negatives, _edge_keys, _
 from reshare.effects import FeatureMatrix
 
 
+def graph_from_pairs(users, posts, edges):
+    """The InteractionGraph over ``users`` and ``posts``, in any order, whose
+    edges are the (user_id, post_id) pairs ``edges``, each known and distinct;
+    nothing here checks that."""
+    users = sorted(users)
+    posts = sorted(posts, key=lambda p: p.post_id)
+    user_row = {u: i for i, u in enumerate(users)}
+    post_row = {p.post_id: j for j, p in enumerate(posts)}
+    return InteractionGraph(users, posts, [user_row[u] for u, _ in edges],
+                            [post_row[p] for _, p in edges])
+
+
 def make_graph(n_users, posts_spec, edges):
     """posts_spec: list of (post_id, is_hate, cluster). edges: (user_idx, post_id)."""
     users = [f"u{i}" for i in range(n_users)]
@@ -25,7 +37,7 @@ def make_graph(n_users, posts_spec, edges):
         Post(post_id=pid, author_id=users[0], is_hate=hate, cluster=cluster)
         for pid, hate, cluster in posts_spec
     ]
-    return InteractionGraph(users, posts, [(f"u{i}", pid) for i, pid in edges])
+    return graph_from_pairs(users, posts, [(f"u{i}", pid) for i, pid in edges])
 
 
 class StringGraph:
@@ -151,7 +163,7 @@ def per_user_ranking(model, test, k_list, train=None):
     discounts = 1.0 / np.log2(np.arange(2, n_posts + 2))
     idcg_cum = np.cumsum(discounts)
     if train is None:
-        train = InteractionGraph.from_indices(test.users, test.posts, [], [])
+        train = InteractionGraph(test.users, test.posts, [], [])
     (_, test_posts), test_ptr = test.edge_arrays, test.indptr
     (_, train_posts), train_ptr = train.edge_arrays, train.indptr
     rows, known = index_of(model.user_ids, test.users)

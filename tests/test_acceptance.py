@@ -29,7 +29,13 @@ from reshare.outcomes import compute_outcomes
 from reshare.stats import dbscan, rmse, welch_t_test
 from reshare.synthgen import EffectShape, SynthConfig, generate, sample_interest_graph
 
-from conftest import brute_force_dbscan, brute_force_ranking, canonical_labels, subset_matrix
+from conftest import (
+    brute_force_dbscan,
+    brute_force_ranking,
+    canonical_labels,
+    graph_from_pairs,
+    subset_matrix,
+)
 
 
 def report(criterion, name, ok, detail=""):
@@ -279,7 +285,7 @@ class TestCriterion6MetricOracles:
                 post_factors=rng.normal(0, 1.0, (n_posts, 3)),
                 hyper=BprHyper(embedding_dim=3),
             )
-            from reshare.dataset import InteractionGraph, Post
+            from reshare.dataset import Post
 
             posts = [Post(post_id=f"p{i}", author_id="u0", is_hate=False) for i in range(n_posts)]
             users = [f"u{i}" for i in range(n_users)]
@@ -298,8 +304,8 @@ class TestCriterion6MetricOracles:
             ]
             if not test_edges:
                 continue
-            test = InteractionGraph(users, posts, test_edges)
-            train = InteractionGraph(users, posts, train_edges)
+            test = graph_from_pairs(users, posts, test_edges)
+            train = graph_from_pairs(users, posts, train_edges)
             k_list = sorted({1, 2, n_posts})
             ours = rs.ranking_metrics(model, test, k_list, train=train)
             expected, n_eval = brute_force_ranking(

@@ -705,7 +705,7 @@ class TestBlockedRanking:
             posts = make_graph(1, [(f"p{i:03d}", False, None) for i in range(n_posts)], []).posts
             picks = np.array([rng.choice(n_posts, 15, replace=False) for _ in range(n_users)])
             test, train_graph = (
-                InteractionGraph.from_indices(users, posts, np.arange(n_users).repeat(n), cols.ravel())
+                InteractionGraph(users, posts, np.arange(n_users).repeat(n), cols.ravel())
                 for n, cols in ((5, picks[:, :5]), (10, picks[:, 5:]))
             )
             model = BprModel(users, test.post_ids, rng.normal(0.0, 1.0, (n_users, 64)),

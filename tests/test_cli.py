@@ -1091,6 +1091,28 @@ class TestEmbedAnalyzeCommand:
         assert int(rows[0]["n_clusters"]) == 2
         assert float(rows[0]["silhouette"]) > 0.9
 
+    def run_on(self, tmp_path, capsys, body):
+        """embed-analyze on ``body`` (None: no file): its exit code and stderr."""
+        path = tmp_path / "emb.csv"
+        if body is not None:
+            path.write_text(body)
+        code = main(["embed-analyze", "--embeddings", str(path), "--out", str(tmp_path / "o")])
+        return code, capsys.readouterr().err, str(path)
+
+    def test_missing_file_exits_one_naming_it(self, tmp_path, capsys):
+        code, err, path = self.run_on(tmp_path, capsys, None)
+        assert (code, err) == (1, f"error: missing file: {path}\n")
+
+    def test_empty_file_exits_one_naming_it(self, tmp_path, capsys):
+        code, err, path = self.run_on(tmp_path, capsys, "")
+        assert (code, err) == (1, f"error: {path}: no rows\n")
+
+    def test_faulty_row_exits_one_naming_file_and_line(self, tmp_path, capsys):
+        code, err, path = self.run_on(tmp_path, capsys, "user_id,x_0\nu1,1.0\nu2,abc\n")
+        assert (code, err) == (1, f"error: {path}:3: could not convert string to float: 'abc'\n")
+        code, err, path = self.run_on(tmp_path, capsys, "user_id,x_0,x_1\nu1,1.0,2.0\nu2,3.0\n")
+        assert (code, err) == (1, f"error: {path}:3: expected 3 fields, got 2\n")
+
 
 class TestArtifactWriters:
     def test_bytes_written(self, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reshare.dataset import InteractionGraph, Post
+from reshare.dataset import Post
 from reshare.errors import ConfigError, DataError
 from reshare.synthgen import (
     EffectShape,
@@ -11,6 +11,8 @@ from reshare.synthgen import (
     write_effects_truth,
     write_truth,
 )
+
+from conftest import graph_from_pairs
 
 
 class TestConfig:
@@ -213,4 +215,4 @@ class TestInterestGraph:
         assert {p for _, p in drawn.edges} <= {p.post_id for p in hate.posts}
         for users, posts in ((graph.users[1:], graph.posts), (graph.users, hate.posts + (extra,))):
             with pytest.raises(DataError):
-                sample_interest_graph(truth, exclude=InteractionGraph(users, posts, []))
+                sample_interest_graph(truth, exclude=graph_from_pairs(users, posts, []))
