@@ -2,12 +2,13 @@
 
 Numeric values are written with repr-level precision so that reloading a
 stage output reproduces the in-memory values bit-for-bit (resume mode relies
-on this). Each writer fills a temporary file beside its target and then moves
-it into place, so a crash mid-write never leaves a torn file at the target;
-``report.txt`` goes through the same helper.
+on this). Each writer goes through ``dataset.replacing``, the package's one
+writer, so a crash mid-write never leaves a torn file at the target, and
+each reader through ``dataset.read_rows``. The writer is imported under
+private names, so that each public ``write_*`` call here writes one file
+(``benchmark/tracer.py`` counts them).
 """
 
-import contextlib
 import csv
 import io
 import os
@@ -15,7 +16,7 @@ import os
 import numpy as np
 
 from .bprmf import BprModel
-from .dataset import read_rows
+from .dataset import read_rows, replacing as _replacing, write_rows as _write_rows
 from .errors import DataError
 from .outcomes import OutcomeTable
 
@@ -24,35 +25,13 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-@contextlib.contextmanager
-def _replacing(path, newline=None):
-    """Open ``<path>.tmp`` for writing, then replace ``path`` with it; on any
-    error the temp file goes and ``path`` keeps its previous contents."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-
-
-def _write_csv(path, header, rows):
-    with _replacing(path, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
 def write_report(text: str, path):
     with _replacing(path) as fh:
         fh.write(text)
 
 
 def write_propensities(tables, path):
-    _write_csv(path, ["post_id", "scheme", "mu", "theta_hat"], (
+    _write_rows(path, ["post_id", "scheme", "mu", "theta_hat"], (
         [post_id, table.scheme, "" if table.mu is None else _fmt(table.mu), _fmt(theta)]
         for table in tables
         for post_id, theta in zip(table.post_ids, table.theta)
@@ -109,11 +88,11 @@ def read_vectors(path) -> tuple:
 
 
 def write_training_curve(curve, path):
-    _write_csv(path, ["epoch", "loss"], ([epoch, _fmt(loss)] for epoch, loss in enumerate(curve)))
+    _write_rows(path, ["epoch", "loss"], ([epoch, _fmt(loss)] for epoch, loss in enumerate(curve)))
 
 
 def write_outcomes(table: OutcomeTable, path):
-    _write_csv(path, ["user_id", "y_overall"] + list(table.clusters), (
+    _write_rows(path, ["user_id", "y_overall"] + list(table.clusters), (
         [user_id, _fmt(table.overall[i])] + [_fmt(v) for v in table.by_cluster[i]]
         for i, user_id in enumerate(table.user_ids)
     ))
@@ -121,30 +100,30 @@ def write_outcomes(table: OutcomeTable, path):
 
 def write_metrics(rows, path):
     """rows: iterable of (model, metric, k, value)."""
-    _write_csv(path, ["model", "metric", "k", "value"], (
+    _write_rows(path, ["model", "metric", "k", "value"], (
         [model, metric, k, _fmt(value)] for model, metric, k, value in rows
     ))
 
 
 def write_importance(table, path):
-    _write_csv(path, ["feature", "importance"], (
+    _write_rows(path, ["feature", "importance"], (
         [feature, _fmt(importance)] for feature, importance in table.rows
     ))
 
 
 def write_curve(curve, path):
-    _write_csv(path, ["x", "value", "lower", "upper"], (
+    _write_rows(path, ["x", "value", "lower", "upper"], (
         [_fmt(x), _fmt(value), _fmt(lower), _fmt(upper)]
         for x, value, lower, upper in curve.rows()
     ))
 
 
 def write_embedding_analysis(rows, path):
-    """Add rows of (dataset_tag, n_clusters, n_noise, silhouette) to the table at ``path``."""
-    kept = []
-    with contextlib.suppress(FileNotFoundError):
-        with open(path, newline="", encoding="utf-8") as fh:
-            kept = list(csv.reader(fh))[1:]
-    _write_csv(path, ["dataset_tag", "n_clusters", "n_noise", "silhouette"], kept + [
+    """Add rows of (dataset_tag, n_clusters, n_noise, silhouette) to the table at
+    ``path``; its earlier rows, if any, are read as the input CSVs are."""
+    header, kept = ("dataset_tag", "n_clusters", "n_noise", "silhouette"), []
+    if os.path.exists(path):
+        kept = [[row[c] for c in header] for _, row in read_rows(path, header, ())]
+    _write_rows(path, header, kept + [
         [tag, n_clusters, n_noise, _fmt(sil)] for tag, n_clusters, n_noise, sil in rows
     ])

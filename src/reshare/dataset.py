@@ -6,14 +6,19 @@ deterministic downstream processing. String ids stay at the I/O boundary: the
 reshare graph is built only from int64 index arrays into its user and post
 tuples, sorted by id, and the user attribute table keeps one read-only array
 per attribute, aligned with its sorted user ids; every stage downstream works
-on those arrays. The three input CSVs go through one row reader, which
-rejects a bad row (a field count other than the header's, an empty id)
-naming its file and line, and a file that is not UTF-8 naming the file.
+on those arrays. Every CSV the package reads goes through one row reader,
+``read_rows``, which rejects a bad row (a field count other than the
+header's, an empty id) naming its file and line, and an unreadable path, a
+header that repeats a column and a file that is not UTF-8 naming the file.
+Every file the package writes goes through one writer, ``replacing``, which
+fills ``<path>.tmp`` and moves it over ``path``, so a failed write leaves the
+previous file whole; ``write_rows`` writes a CSV through it.
 ``load_dataset`` is the one place where (user id, post id) pairs become
 indices, and it checks them once, naming the file and line of an unknown id
 or a repeated pair.
 """
 
+import contextlib
 import csv
 import logging
 import math
@@ -237,22 +242,53 @@ def _parse_count(raw: str, where: str) -> int:
     return val
 
 
+@contextlib.contextmanager
+def replacing(path, newline=None):
+    """Open ``<path>.tmp`` for writing, then replace ``path`` with it; on any
+    error the temp file goes and ``path`` keeps its previous contents."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def write_rows(path, header, rows):
+    """Write the CSV of ``header`` and ``rows`` at ``path`` through ``replacing``."""
+    with replacing(path, newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def read_rows(path, columns, required):
     """Yield ``(where, row)`` per data row of the CSV at ``path``: ``where`` is
     ``<path>:<line>`` and ``row`` maps each header name to its field.
 
-    Blank lines are skipped. Raises ``DataError`` on a missing file, a header
-    without one of ``columns``, a row whose field count is not the header's,
-    an empty ``required`` field, and a file that is not UTF-8."""
-    if not os.path.exists(path):
-        raise DataError(f"missing file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    Blank lines are skipped. Raises ``DataError`` on a missing file, a path
+    that cannot be read (a directory), a header without one of ``columns`` or
+    that repeats a column, a row whose field count is not the header's, an
+    empty ``required`` field, and a file that is not UTF-8."""
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except FileNotFoundError:
+        raise DataError(f"missing file: {path}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
             missing = [c for c in columns if c not in header]
             if missing:
                 raise DataError(f"{path}: header is missing columns {missing}")
+            repeated = next((c for i, c in enumerate(header) if c in header[:i]), None)
+            if repeated is not None:
+                raise DataError(f"{path}: header repeats column {repeated!r}")
             for fields in filter(None, reader):  # a blank line reads as []
                 where = f"{path}:{reader.line_num}"
                 if len(fields) != len(header):
@@ -340,10 +376,7 @@ def write_dataset(graph: InteractionGraph, users: UserAttributeTable, out_dir) -
         ("interactions.csv", INTERACTIONS_COLUMNS, graph.edges),
     ):
         paths.append(os.path.join(out_dir, name))
-        with open(paths[-1], "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
+        write_rows(paths[-1], header, rows)
     return paths
 
 

@@ -12,7 +12,10 @@ holding a hash of the effective configuration and input files and the list of
 files the stage wrote. With ``resume=True`` a stage whose marker matches, and
 whose listed files all exist, is skipped, which reproduces the final report
 byte-for-byte; a skipped scheme's embedding table is read only if its effect
-variant refits. A marker without that list is stale. The cheap outcomes and
+variant refits. A marker without that list is stale. ``run_pipeline`` first
+removes every marker that no stage of its config writes (the mu sweep's
+stay), but not the files such a marker lists. Markers, like every output
+file, are written through ``dataset.replacing``. The cheap outcomes and
 propensity stages always rerun. A mu-sweep cell writes no file: its marker
 holds its recall@k values, from which ``mu_sweep.csv`` is rebuilt on every
 call, and a sweep whose cells are all done loads no data.
@@ -30,8 +33,9 @@ scheme) and target (``overall``, then each configured cluster); the targets
 of a variant share one feature matrix and one ``fit_ebm_stack`` call. The
 report stage writes ``report.txt`` and ``metrics.csv`` from one table of ranking
 means, and copies the canonical scheme's ``plv_embeddings``,
-``training_curve`` and ``importance`` CSVs byte for byte; a copy whose source
-the config does not produce (the ``base`` variant has no embeddings) goes.
+``training_curve`` and ``importance`` CSVs byte for byte, line ends included;
+a copy whose source the config does not produce (the ``base`` variant has no
+embeddings) goes.
 
 ``workers.spread`` has two callers, both here: ``run_pipeline`` spreads the
 runs of ``--runs N`` with a ``plv`` or ``effects`` stage to fit, which share
@@ -47,17 +51,17 @@ stay here: outputs are byte-identical on any CPUs.
 
 import contextlib
 import dataclasses
+import glob
 import hashlib
 import json
 import os
-import shutil
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import artifacts
 from .bprmf import BprHyper, ranking_metrics, train_stack
-from .dataset import FEATURE_COLUMNS, load_dataset, split, write_dataset
+from .dataset import FEATURE_COLUMNS, load_dataset, replacing, split, write_dataset
 from .effects import (
     EbmHyper,
     assemble_features,
@@ -233,7 +237,7 @@ class _Stages:
         data = {"stage": stage, "config_hash": self.chash,
                 "files": [os.path.relpath(f, self.out_dir) for f in files]}
         data.update(payload)
-        with open(self._marker(stage), "w", encoding="utf-8") as fh:
+        with replacing(self._marker(stage)) as fh:
             json.dump(data, fh, sort_keys=True)
             fh.write("\n")
 
@@ -575,6 +579,22 @@ def _render_report(config, graph, outcome_table, results, ranking_rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _remove_stale_markers(config: PipelineConfig, out_dir: str):
+    """Remove the ``*.done`` markers in ``out_dir`` and its ``run_<i>/`` that no
+    stage of this config writes; the mu sweep's markers stay. The files that a
+    removed marker lists stay too: one may be this config's input."""
+    run = [f"plv_{s}.done" for s in config.schemes]
+    run += [f"effects_{v}.done" for v in _variants(config)]
+    top = run + ["dataset.done"] * (config.synth is not None)
+    top += ["topics.done"] * ("neural" in config.schemes)
+    keep = {*top, *(os.path.join(f"run_{i}", name) for i in range(1, config.runs) for name in run)}
+    markers = glob.glob("*.done", root_dir=out_dir)
+    markers += glob.glob(os.path.join("run_*", "*.done"), root_dir=out_dir)
+    for marker in markers:
+        if marker not in keep and not marker.startswith("mu-sweep_"):
+            os.remove(os.path.join(out_dir, marker))
+
+
 def run_pipeline(config: PipelineConfig, resume: bool = False) -> str:
     """Run every stage; returns the rendered report text (also written to disk)."""
     if "neural" in config.schemes and config.stopwords_path is not None:
@@ -585,6 +605,7 @@ def run_pipeline(config: PipelineConfig, resume: bool = False) -> str:
                 f"cannot read stopwords_path {config.stopwords_path}: {exc.strerror}") from None
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
+    _remove_stale_markers(config, out_dir)
     chash = config_hash(config)
     stages = _Stages(out_dir, chash, resume)
 
@@ -630,7 +651,9 @@ def run_pipeline(config: PipelineConfig, resume: bool = False) -> str:
             src = os.path.join(out_dir, f"{name}_{canonical}.csv")
             dst = os.path.join(out_dir, f"{name}.csv")
             if os.path.exists(src):
-                shutil.copyfile(src, dst)
+                with (open(src, newline="", encoding="utf-8") as fh,
+                      replacing(dst, newline="") as copy):
+                    copy.write(fh.read())
             elif os.path.exists(dst):  # base has no embeddings: an earlier config's copy
                 os.remove(dst)
     return report

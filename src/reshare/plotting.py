@@ -1,5 +1,7 @@
 """Minimal standalone SVG line charts (no plotting dependency, stable bytes)."""
 
+from .dataset import replacing
+
 
 def _scale(vals, lo, hi, out_lo, out_hi):
     span = hi - lo
@@ -48,6 +50,6 @@ def line_chart_svg(x, series, title, path):
         )
         legend_y += 13
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.write("\n".join(parts) + "\n")
     return path

@@ -10,7 +10,6 @@ exponent, which makes the popularity-based propensity estimator consistent
 when its smoothing exponent matches the generator's.
 """
 
-import csv
 import dataclasses
 import math
 import os
@@ -25,6 +24,8 @@ from .dataset import (
     UserAttributeTable,
     index_of,
     log_transform_attributes,
+    replacing,
+    write_rows,
 )
 from .errors import ConfigError, DataError, read_config
 
@@ -352,34 +353,21 @@ def sample_interest_graph(
 
 def write_truth(truth: SyntheticTruth, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    chunk = 256  # users per write
     path = os.path.join(out_dir, "truth.csv")
-    n_u = len(truth.user_ids)
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.write("user_id,post_id,theta,iota\n")
-        for start in range(0, n_u, chunk):
-            stop = min(start + chunk, n_u)
-            lines = []
-            for i in range(start, stop):
-                uid = truth.user_ids[i]
-                th = truth.exposure[i]
-                io = truth.interest[i]
-                lines.extend(
-                    f"{uid},{pid},{th[j]:.10g},{io[j]:.10g}"
-                    for j, pid in enumerate(truth.post_ids)
-                )
-            fh.write("\n".join(lines) + "\n")
+        for uid, th, io in zip(truth.user_ids, truth.exposure, truth.interest):
+            fh.writelines(f"{uid},{pid},{th[j]:.10g},{io[j]:.10g}\n"
+                          for j, pid in enumerate(truth.post_ids))
     return path
 
 
 def write_effects_truth(truth: SyntheticTruth, out_dir, grid: int = 64):
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "effects_truth.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["attribute", "grid_x", "contribution"])
-        for attr in FEATURE_COLUMNS:
-            xs, ys = truth.effect_curves[attr].grid(grid)
-            for x, y in zip(xs, ys):
-                w.writerow([attr, f"{x:.10g}", f"{y:.10g}"])
+    write_rows(path, ["attribute", "grid_x", "contribution"], (
+        [attr, f"{x:.10g}", f"{y:.10g}"]
+        for attr in FEATURE_COLUMNS
+        for x, y in zip(*truth.effect_curves[attr].grid(grid))
+    ))
     return path

@@ -8,14 +8,21 @@ import shutil
 import numpy as np
 import pytest
 
-from reshare import artifacts, cli, pipeline, workers
+from reshare import artifacts, cli, pipeline, synthgen, workers
 from reshare.bprmf import BprHyper, BprModel
 from reshare.cli import main
-from reshare.dataset import FEATURE_COLUMNS, write_dataset
+from reshare.dataset import FEATURE_COLUMNS, InteractionGraph, write_dataset, write_rows
 from reshare.effects import EbmHyper
 from reshare.errors import DataError
 from reshare.pipeline import PipelineConfig, StageError, config_hash, run_pipeline
-from reshare.synthgen import EffectShape, SynthConfig, generate
+from reshare.plotting import line_chart_svg
+from reshare.synthgen import (
+    EffectShape,
+    SynthConfig,
+    generate,
+    write_effects_truth,
+    write_truth,
+)
 
 from conftest import assert_no_children
 
@@ -721,6 +728,27 @@ class TestPipelineCommand:
         assert (out / "report.txt").read_bytes() == before
         assert not (out / "report.txt.tmp").exists()
 
+    def test_stale_markers_go_and_the_files_they_list_stay(self, tmp_path):
+        out = tmp_path / "reused"
+        (out / "run_3").mkdir(parents=True)
+        planted = {"propensity.done": "propensity.csv", "plv_gone.done": "old.csv",
+                   "run_3/effects_base.done": "run_3/importance_base.csv",
+                   "mu-sweep_virality_0.5.done": None}
+        for marker, listed in planted.items():
+            (out / marker).write_text(json.dumps({"files": [listed] if listed else []}) + "\n")
+        for name in ("old.csv", "run_3/importance_base.csv"):
+            (out / name).write_text("an earlier run's file\n")
+        cfg = write_config(tmp_path, small_config(str(out)))
+        expected = {"dataset.done", "topics.done", "mu-sweep_virality_0.5.done"}
+        expected |= {f"plv_{s}.done" for s in pipeline.RANKING_SCHEMES}
+        expected |= {f"effects_{v}.done" for v in ("base", "virality", "follower", "neural")}
+        for argv in ([], ["--resume"]):
+            assert main(["pipeline", "--config", cfg, *argv]) == 0
+            assert {str(path.relative_to(out)) for path in out.rglob("*.done")} == expected
+            assert (out / "mu-sweep_virality_0.5.done").read_text() == '{"files": []}\n'
+            for name in ("old.csv", "run_3/importance_base.csv"):
+                assert (out / name).read_text() == "an earlier run's file\n", name
+
     def test_one_stacked_training_per_run_and_resume_trains_only_missing(
         self, tmp_path, monkeypatch
     ):
@@ -1113,6 +1141,15 @@ class TestEmbedAnalyzeCommand:
         code, err, path = self.run_on(tmp_path, capsys, "user_id,x_0,x_1\nu1,1.0,2.0\nu2,3.0\n")
         assert (code, err) == (1, f"error: {path}:3: expected 3 fields, got 2\n")
 
+    def test_repeated_column_exits_one_naming_it(self, tmp_path, capsys):
+        code, err, path = self.run_on(tmp_path, capsys, "user_id,x_0,x_0\nu1,1.0,2.0\nu2,3.0,4.0\n")
+        assert (code, err) == (1, f"error: {path}: header repeats column 'x_0'\n")
+
+    def test_directory_exits_one_naming_it(self, tmp_path, capsys):
+        code = main(["embed-analyze", "--embeddings", str(tmp_path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert (code, err) == (1, f"error: cannot read {tmp_path}: Is a directory\n")
+
 
 class TestArtifactWriters:
     def test_bytes_written(self, tmp_path):
@@ -1152,7 +1189,7 @@ class TestArtifactWriters:
         path = tmp_path / "topics.csv"
         artifacts.write_topic_vectors(ids, values, str(path))
         expected = tmp_path / "expected.csv"
-        artifacts._write_csv(expected, ["post_id"] + [f"t_{i}" for i in range(5)], (
+        write_rows(expected, ["post_id"] + [f"t_{i}" for i in range(5)], (
             [row_id] + [artifacts._fmt(v) for v in row] for row_id, row in zip(ids, values)
         ))
         assert path.read_bytes() == expected.read_bytes()
@@ -1201,3 +1238,80 @@ class TestArtifactWriters:
         with open(path, "rb") as fh:
             assert fh.read() == before
         assert os.listdir(tmp_path) == ["embedding_analysis.csv"]
+
+
+@pytest.fixture(scope="module")
+def tiny_synth():
+    """The graph, users and truth of the small config's synth block."""
+    return generate(PipelineConfig.from_dict(small_config("unused")).synth)
+
+
+# a lone surrogate cannot be encoded, so a write that meets it fails part way
+SURROGATE = "\ud800"
+
+
+def write_posts(out, synth, torn, monkeypatch):
+    graph, users, _ = synth
+    if torn:
+        posts = (*graph.posts[:-1], dataclasses.replace(graph.posts[-1], text=SURROGATE))
+        graph = InteractionGraph(graph.users, posts, *graph.edge_arrays)
+    write_dataset(graph, users, out)
+    return out / "posts.csv"
+
+
+def write_truth_table(out, synth, torn, monkeypatch):
+    truth = synth[2]
+    if torn:
+        truth = dataclasses.replace(truth, user_ids=(*truth.user_ids[:-1], SURROGATE))
+    return write_truth(truth, out)
+
+
+def write_effects_table(out, synth, torn, monkeypatch):
+    truth = synth[2]
+    if torn:  # one more attribute, written after the header
+        curves = {**truth.effect_curves, SURROGATE: truth.effect_curves["verified"]}
+        truth = dataclasses.replace(truth, effect_curves=curves)
+        monkeypatch.setattr(synthgen, "FEATURE_COLUMNS", (SURROGATE, *FEATURE_COLUMNS))
+    return write_effects_truth(truth, out)
+
+
+def write_svg(out, synth, torn, monkeypatch):
+    return line_chart_svg([0, 1], [("effect", [0, 1], "#1f77b4"),
+                                   (SURROGATE if torn else "lower", [0, 1], "#ff7f0e")],
+                          title="chart", path=out / "chart.svg")
+
+
+def write_marker(out, synth, torn, monkeypatch):
+    # JSON escapes a surrogate, so a value it cannot encode fails the dump part way
+    pipeline._Stages(str(out), "0", False).mark("plv_x", files=[], note=object() if torn else 1)
+    return out / "plv_x.done"
+
+
+def copy_importance(out, synth, torn, monkeypatch):
+    config = PipelineConfig.from_dict(small_config(str(out / "pipe")))
+    if torn:  # a copy's source that is not UTF-8 fails the copy after it began
+        with open(out / "pipe" / "importance_virality.csv", "ab") as fh:
+            fh.write(b"\xff")
+    run_pipeline(config, resume=torn)
+    return out / "pipe" / "importance.csv"
+
+
+def write_analysis(out, synth, torn, monkeypatch):
+    path = out / "embedding_analysis.csv"
+    artifacts.write_embedding_analysis([(SURROGATE if torn else "a", 2, 1, 0.5)], str(path))
+    return path
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("write", [write_posts, write_truth_table, write_effects_table,
+                                       write_svg, write_marker, copy_importance, write_analysis],
+                             ids=lambda write: write.__name__)
+    def test_failed_write_keeps_previous_bytes(self, tmp_path, monkeypatch, tiny_synth, write):
+        path = write(tmp_path, tiny_synth, False, monkeypatch)
+        with open(path, "rb") as fh:
+            before = fh.read()
+        with pytest.raises((UnicodeError, TypeError, StageError)):
+            write(tmp_path, tiny_synth, True, monkeypatch)
+        with open(path, "rb") as fh:
+            assert fh.read() == before
+        assert not list(tmp_path.rglob("*.tmp"))

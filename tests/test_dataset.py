@@ -153,6 +153,10 @@ MALFORMED_INPUTS = [
     ("missing column", "users.csv",
      csv_bytes("users.csv", header=HEADERS["users.csv"].rsplit(",", 1)[0]),
      "{path}: header is missing columns ['n_friends']"),
+    ("repeated column", "users.csv",
+     csv_bytes("users.csv", ["u1,0,100,5,10,20,6", "u2,1,200,1,2,3,4"],
+               header=HEADERS["users.csv"] + ",n_posts"),
+     "{path}: header repeats column 'n_posts'"),
     ("columns in another order, one extra", "posts.csv",
      csv_bytes("posts.csv", ["x,some text,c1,1,a,p2", "x,,,0,a,p1"],
                header="extra,text,cluster,is_hate,author_id,post_id"), 2),
