@@ -13,8 +13,9 @@ files the stage wrote. With ``resume=True`` a stage whose marker matches, and
 whose listed files all exist, is skipped, which reproduces the final report
 byte-for-byte; a skipped scheme's embedding table is read only if its effect
 variant refits. A marker without that list is stale. ``run_pipeline`` first
-removes every marker that no stage of its config writes (the mu sweep's
-stay), but not the files such a marker lists. Markers, like every output
+removes every stage marker that no stage of its config writes (any other
+``*.done`` file, the mu sweep's included, stays), but not the files such a
+marker lists. Markers, like every output
 file, are written through ``dataset.replacing``. The cheap outcomes and
 propensity stages always rerun. A mu-sweep cell writes no file: its marker
 holds its recall@k values, from which ``mu_sweep.csv`` is rebuilt on every
@@ -55,6 +56,7 @@ import glob
 import hashlib
 import json
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -579,19 +581,28 @@ def _render_report(config, graph, outcome_table, results, ranking_rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the names of the markers a pipeline stage writes, or wrote in earlier versions
+_STAGE_MARKER = re.compile(r"(dataset|topics|propensity|plv_.+|effects_.+)\.done")
+
+
+def _run_stages(config: PipelineConfig) -> list:
+    """The ``plv`` and ``effects`` stages of each run of ``config``."""
+    return [f"plv_{s}" for s in config.schemes] + [f"effects_{v}" for v in _variants(config)]
+
+
 def _remove_stale_markers(config: PipelineConfig, out_dir: str):
-    """Remove the ``*.done`` markers in ``out_dir`` and its ``run_<i>/`` that no
-    stage of this config writes; the mu sweep's markers stay. The files that a
-    removed marker lists stay too: one may be this config's input."""
-    run = [f"plv_{s}.done" for s in config.schemes]
-    run += [f"effects_{v}.done" for v in _variants(config)]
+    """Remove the stage markers in ``out_dir`` and its ``run_<i>/`` that no stage
+    of this config writes. Any other ``*.done`` file (the mu sweep's, another
+    tool's) stays, and so do the files that a removed marker lists: one may be
+    this config's input."""
+    run = [f"{name}.done" for name in _run_stages(config)]
     top = run + ["dataset.done"] * (config.synth is not None)
     top += ["topics.done"] * ("neural" in config.schemes)
     keep = {*top, *(os.path.join(f"run_{i}", name) for i in range(1, config.runs) for name in run)}
     markers = glob.glob("*.done", root_dir=out_dir)
     markers += glob.glob(os.path.join("run_*", "*.done"), root_dir=out_dir)
     for marker in markers:
-        if marker not in keep and not marker.startswith("mu-sweep_"):
+        if marker not in keep and _STAGE_MARKER.fullmatch(os.path.basename(marker)):
             os.remove(os.path.join(out_dir, marker))
 
 
@@ -631,8 +642,7 @@ def run_pipeline(config: PipelineConfig, resume: bool = False) -> str:
 
     def fits(run_idx):  # some plv or effects stage of the run is not done
         run_stages = _Stages(_run_dir(out_dir, run_idx), chash, resume)
-        names = [f"plv_{s}" for s in config.schemes] + [f"effects_{v}" for v in _variants(config)]
-        return not all(run_stages.done(name) for name in names)
+        return not all(run_stages.done(name) for name in _run_stages(config))
 
     # only runs with a stage to fit spread: a done run reruns just its split and
     # propensity stages, cheaper here than in a forked worker
@@ -651,9 +661,8 @@ def run_pipeline(config: PipelineConfig, resume: bool = False) -> str:
             src = os.path.join(out_dir, f"{name}_{canonical}.csv")
             dst = os.path.join(out_dir, f"{name}.csv")
             if os.path.exists(src):
-                with (open(src, newline="", encoding="utf-8") as fh,
-                      replacing(dst, newline="") as copy):
-                    copy.write(fh.read())
+                with open(src, "rb") as fh, replacing(dst) as copy:
+                    copy.buffer.writelines(fh)  # the bytes as they are, a line at a time
             elif os.path.exists(dst):  # base has no embeddings: an earlier config's copy
                 os.remove(dst)
     return report

@@ -357,8 +357,8 @@ def write_truth(truth: SyntheticTruth, out_dir):
     with replacing(path) as fh:
         fh.write("user_id,post_id,theta,iota\n")
         for uid, th, io in zip(truth.user_ids, truth.exposure, truth.interest):
-            fh.writelines(f"{uid},{pid},{th[j]:.10g},{io[j]:.10g}\n"
-                          for j, pid in enumerate(truth.post_ids))
+            fh.write("".join(f"{uid},{pid},{th[j]:.10g},{io[j]:.10g}\n"
+                             for j, pid in enumerate(truth.post_ids)))
     return path
 
 

@@ -733,19 +733,20 @@ class TestPipelineCommand:
         (out / "run_3").mkdir(parents=True)
         planted = {"propensity.done": "propensity.csv", "plv_gone.done": "old.csv",
                    "run_3/effects_base.done": "run_3/importance_base.csv",
-                   "mu-sweep_virality_0.5.done": None}
+                   "mu-sweep_virality_0.5.done": None, "notes.done": None}
         for marker, listed in planted.items():
             (out / marker).write_text(json.dumps({"files": [listed] if listed else []}) + "\n")
         for name in ("old.csv", "run_3/importance_base.csv"):
             (out / name).write_text("an earlier run's file\n")
         cfg = write_config(tmp_path, small_config(str(out)))
-        expected = {"dataset.done", "topics.done", "mu-sweep_virality_0.5.done"}
+        expected = {"dataset.done", "topics.done", "mu-sweep_virality_0.5.done", "notes.done"}
         expected |= {f"plv_{s}.done" for s in pipeline.RANKING_SCHEMES}
         expected |= {f"effects_{v}.done" for v in ("base", "virality", "follower", "neural")}
         for argv in ([], ["--resume"]):
             assert main(["pipeline", "--config", cfg, *argv]) == 0
             assert {str(path.relative_to(out)) for path in out.rglob("*.done")} == expected
-            assert (out / "mu-sweep_virality_0.5.done").read_text() == '{"files": []}\n'
+            for name in ("mu-sweep_virality_0.5.done", "notes.done"):  # not a stage's marker
+                assert (out / name).read_text() == '{"files": []}\n', name
             for name in ("old.csv", "run_3/importance_base.csv"):
                 assert (out / name).read_text() == "an earlier run's file\n", name
 
@@ -1289,9 +1290,17 @@ def write_marker(out, synth, torn, monkeypatch):
 
 def copy_importance(out, synth, torn, monkeypatch):
     config = PipelineConfig.from_dict(small_config(str(out / "pipe")))
-    if torn:  # a copy's source that is not UTF-8 fails the copy after it began
-        with open(out / "pipe" / "importance_virality.csv", "ab") as fh:
-            fh.write(b"\xff")
+    if torn:  # the copy of a changed source fails after it was written
+        with open(out / "pipe" / "importance_virality.csv", "a", newline="") as fh:
+            fh.write("changed,0\r\n")
+        replace = os.replace
+
+        def failing(src, dst):
+            if os.path.basename(dst) == "importance.csv":
+                raise OSError("replace failed")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing)
     run_pipeline(config, resume=torn)
     return out / "pipe" / "importance.csv"
 
