@@ -15,11 +15,11 @@ byte-for-byte; a skipped scheme's embedding table is read only if its effect
 variant refits. A marker without that list is stale. ``run_pipeline`` first
 removes every stage marker that no stage of its config writes (any other
 ``*.done`` file, the mu sweep's included, stays), but not the files such a
-marker lists. Markers, like every output
-file, are written through ``dataset.replacing``. The cheap outcomes and
-propensity stages always rerun. A mu-sweep cell writes no file: its marker
-holds its recall@k values, from which ``mu_sweep.csv`` is rebuilt on every
-call, and a sweep whose cells are all done loads no data.
+marker lists. Markers, like every output file, are written through
+``dataset.replacing``. The cheap outcomes and propensity stages always rerun.
+A mu-sweep cell writes no file: its marker holds its recall@k values, from
+which ``mu_sweep.csv`` is rebuilt on every call, and a sweep whose cells are
+all done loads no data.
 
 The stage functions only compute and write; ``_Stages`` decides what is done,
 marks, and spreads a run's pending ``plv_<scheme>`` and then its
