@@ -63,6 +63,8 @@ class BprHyper:
             raise ConfigError("early_stop_patience must be >= 1")
         if self.early_stop_tol < 0:
             raise ConfigError("early_stop_tol must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 @dataclass

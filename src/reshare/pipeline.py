@@ -156,6 +156,8 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must not repeat a value: {list(values)}")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.topics_k < 2 or self.topics_iterations < 1:
             raise ConfigError("topics_k must be >= 2 and topics_iterations >= 1")
 

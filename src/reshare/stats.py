@@ -149,7 +149,7 @@ def dbscan(points, eps: float, min_pts: int) -> np.ndarray:
     of their nearest core neighbor, which makes the labeling invariant to
     input order up to label permutation (barring exact distance ties).
     """
-    if eps <= 0:
+    if not eps > 0:  # NaN too
         raise ValueError("eps must be positive")
     if min_pts < 1:
         raise ValueError("min_pts must be >= 1")

@@ -159,6 +159,8 @@ class SynthConfig:
             raise ConfigError("cluster_affinity must be >= 1")
         if not (0.0 < self.exposure_norm_quantile <= 1.0):
             raise ConfigError("exposure_norm_quantile must be in (0, 1]")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
     @staticmethod
     def from_dict(d: dict) -> "SynthConfig":

@@ -1,16 +1,20 @@
 """Spread a list of tasks over the CPUs this process may use (its affinity
-mask): one contiguous group per CPU, the first run in the calling process and
-each other in a forked child that pickles its results, or its exception, back
-through a pipe. A group returns one result per task, and the caller gets one
-list of them in task order. There are two callers, both in ``pipeline``:
-``run_pipeline`` spreads the runs of ``--runs N`` with a stage to fit, and
-``_Stages.fan_out`` the pending stages of one kind, a run's ``plv_<scheme>``
-or ``effects_<variant>`` stages or the mu sweep's (scheme, mu) cells.
+mask): the tasks split into contiguous groups of at most an even share each,
+the first run in the calling process and each other in a forked child that
+pickles its results, or its exception, back through a pipe. ``n`` tasks on
+``C`` CPUs make ``C`` groups where ``C`` divides ``n``, and up to ``2C - 1``
+otherwise: 3 equal tasks on 2 CPUs take about 1.5 task-times as 3 groups the
+kernel time-shares, not 2 as 2 groups. A group returns one result per task,
+and the caller gets one list of them in task order. There are two callers,
+both in ``pipeline``: ``run_pipeline`` spreads the runs of ``--runs N`` with a
+stage to fit, and ``_Stages.fan_out`` the pending stages of one kind, a run's
+``plv_<scheme>`` or ``effects_<variant>`` stages or the mu sweep's (scheme,
+mu) cells.
 
 Spreads do not nest: while a spread has forked, its groups (here and in the
-children) see one usable CPU, so the CPUs are never oversubscribed. A spread
-with one group, one usable CPU, no ``os.fork`` or other threads running stays
-in-process and leaves that state alone.
+children) see one usable CPU, so at most ``2C - 1`` processes share the CPUs.
+A spread with one group, one usable CPU, no ``os.fork`` or other threads
+running stays in-process and leaves that state alone.
 """
 
 import os
@@ -24,15 +28,16 @@ _forked = False  # True while a spread of this process has forked
 
 def spread(run, tasks) -> list:
     """One result per task: the lists ``run(group)`` returns end to end, the
-    tasks split into ``min(len(tasks), usable CPUs)`` contiguous groups. A
-    worker still running when this raises is killed and reaped; one that ends
-    without a result raises ``RuntimeError``, and a worker's own exception is
-    raised here."""
+    ``n`` tasks split into ``ceil(n / max(1, n // usable CPUs))`` contiguous
+    groups whose sizes differ by at most one. A worker still running when this
+    raises is killed and reaped; one that ends without a result raises
+    ``RuntimeError``, and a worker's own exception is raised here."""
     global _forked
-    n_groups = min(len(tasks), 1 if _forked else _usable_cpus())
+    n, cpus = len(tasks), 1 if _forked else _usable_cpus()
+    n_groups = -(-n // max(1, n // cpus))  # no group above an even share of the tasks
     if n_groups < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return run(tasks)
-    bounds = [len(tasks) * g // n_groups for g in range(n_groups + 1)]
+    bounds = [n * g // n_groups for g in range(n_groups + 1)]
     groups = [tasks[a:b] for a, b in zip(bounds, bounds[1:])]
     children = []
     _forked = True

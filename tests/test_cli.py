@@ -165,6 +165,24 @@ class TestSynthCommand:
         assert f"{name} must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command, block, flags", [
+        ("pipeline", None, ["--seed", "-3"]),
+        ("synth", None, ["--seed", "-100"]),
+        ("mu-sweep", None, ["--seed", "-10", "--mus", "0.5"]),
+        ("pipeline", "bpr", []),
+        ("pipeline", "ebm", []),
+        ("synth", "synth", []),
+        ("pipeline", "synth", []),
+    ])
+    def test_negative_seed_exits_one_before_any_stage_writes(self, tmp_path, capsys, command,
+                                                             block, flags):
+        cfg = small_config(str(tmp_path / "x"))
+        if block is not None:
+            cfg[block]["seed"] = -1
+        assert main([command, "--config", write_config(tmp_path, cfg), *flags]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("block, name, value", [
         (None, "edge_split_seed", 17),
         (None, "user_split_seed", 23),
@@ -264,7 +282,7 @@ class TestSynthCommand:
             monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
             forks.clear()
             assert main(["pipeline", "--config", path]) == 2  # and warns nothing
-            assert len(forks) == cpus - 1
+            assert len(forks) == (0 if cpus == 1 else 2)  # one scheme per process
             assert_no_children()
             errors.append(capsys.readouterr().err)
         message = "error: stage 'plv' failed: training diverged (non-finite loss) at epoch 19\n"
@@ -834,7 +852,7 @@ class TestPipelineCommand:
             forks.clear()
             shutil.rmtree(out, ignore_errors=True)
             assert main(["pipeline", "--config", cfg]) == 0
-            assert len(forks) == min(3, cpus) - 1  # one run per worker, no nested spread
+            assert len(forks) == (0 if cpus == 1 else 2)  # one run per process, no nested spread
             outputs.append({str(path.relative_to(out)): path.read_bytes()
                             for path in sorted(out.rglob("*")) if path.is_file()})
         assert {"run_1/plv_virality.done", "run_2/effects_base.done"} <= set(outputs[0])
@@ -842,6 +860,31 @@ class TestPipelineCommand:
         monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
         assert main(["pipeline", "--config", cfg, "--resume"]) == 0
         assert (out / "report.txt").read_bytes() == outputs[0]["report.txt"]
+
+    # run 3's split of this small dataset leaves the linear model a rank-deficient
+    # design, which it warns about, in a worker on two CPUs
+    @pytest.mark.filterwarnings("ignore:rank-deficient design")
+    def test_five_runs_on_two_cpus_fork_two_workers_and_match_one_cpu(
+        self, tmp_path, monkeypatch, forks
+    ):
+        out = tmp_path / "runs"
+        cfg = write_config(tmp_path, small_config(str(out), runs=5))
+        outputs = []
+        for cpus in (1, 2):
+            # on two CPUs run 0 fits here, runs 1-2 in one worker and runs 3-4 in another
+            monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
+            forks.clear()
+            shutil.rmtree(out, ignore_errors=True)
+            assert main(["pipeline", "--config", cfg]) == 0
+            assert len(forks) == {1: 0, 2: 2}[cpus]
+            outputs.append({str(path.relative_to(out)): path.read_bytes()
+                            for path in sorted(out.rglob("*")) if path.is_file()
+                            and (path.name in ("report.txt", "metrics.csv")
+                                 or path.parent.name.startswith("run_"))})
+        names = set(outputs[0])
+        assert {"report.txt", "metrics.csv"} | {f"run_{i}/effects_base.done"
+                                                 for i in range(1, 5)} <= names
+        assert outputs[1] == outputs[0]
 
     def test_full_resume_forks_nothing_and_refits_only_a_missing_stage(
         self, tmp_path, monkeypatch, forks
@@ -856,7 +899,7 @@ class TestPipelineCommand:
         out = tmp_path / "runs"
         cfg = write_config(tmp_path, small_config(str(out), runs=3))
         assert main(["pipeline", "--config", cfg]) == 0
-        assert len(forks) == 1
+        assert len(forks) == 2
         cold = (out / "report.txt").read_bytes()
         monkeypatch.setattr(pipeline._Stages, "mark", spy)
         forks.clear()
@@ -885,7 +928,8 @@ class TestPipelineCommand:
             forks.clear()
             shutil.rmtree(out, ignore_errors=True)
             assert main(["pipeline", "--config", cfg]) == 0
-            assert len(forks) == 2 * (cpus - 1)  # the BPR stack, then the four variants
+            # the BPR stack, then the four variants, one process per task on 3 CPUs
+            assert len(forks) == {1: 0, 2: 2, 3: 6}[cpus]
             outputs.append({str(path.relative_to(out)): path.read_bytes()
                             for path in sorted(out.rglob("*")) if path.is_file()})
         assert {"effects_neural.done", "importance_base.csv", "importance_neural.csv",
@@ -1127,6 +1171,15 @@ class TestEmbedAnalyzeCommand:
             path.write_text(body)
         code = main(["embed-analyze", "--embeddings", str(path), "--out", str(tmp_path / "o")])
         return code, capsys.readouterr().err, str(path)
+
+    def test_nan_eps_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "emb.csv"
+        path.write_text("user_id,x_0\nu1,1.0\nu2,2.0\n")
+        out = tmp_path / "o"
+        assert main(["embed-analyze", "--embeddings", str(path), "--out", str(out),
+                     "--eps", "nan"]) == 1
+        assert capsys.readouterr().err == "error: eps must be positive\n"
+        assert not (out / "embedding_analysis.csv").exists()
 
     def test_missing_file_exits_one_naming_it(self, tmp_path, capsys):
         code, err, path = self.run_on(tmp_path, capsys, None)

@@ -175,6 +175,11 @@ class TestDbscan:
         with pytest.raises(ValueError):
             dbscan(np.zeros((3, 2)), eps=0.0, min_pts=2)
 
+    @pytest.mark.parametrize("eps", [float("nan"), -1.0])
+    def test_eps_that_is_not_positive_raises(self, eps):
+        with pytest.raises(ValueError, match="^eps must be positive$"):
+            dbscan(np.zeros((3, 2)), eps=eps, min_pts=2)
+
 
 class TestSilhouette:
     def test_far_separated_tight_pairs(self):

@@ -49,10 +49,26 @@ class TestSpread:
 
     def test_contiguous_groups_and_results_in_task_order(self, monkeypatch):
         results = self.spread_on(monkeypatch, 3, self.tag, list(range(7)))
-        groups = [[0, 1], [2, 3], [4, 5, 6]]
-        assert len(self.forks) == 2
+        groups = [[0], [1, 2], [3, 4], [5, 6]]
+        assert len(self.forks) == 3
         pids = [self.parent, *self.forks]
         assert results == [(pid, task, group) for pid, group in zip(pids, groups) for task in group]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", range(10))
+    def test_no_group_above_an_even_share(self, monkeypatch, cpus, n):
+        results = self.spread_on(monkeypatch, cpus, self.tag, list(range(n)))
+        assert [task for _, task, _ in results] == list(range(n))
+        groups = [g for i, (_, _, g) in enumerate(results) if not i or g != results[i - 1][2]]
+        assert [task for group in groups for task in group] == list(range(n))
+        sizes = [len(group) for group in groups]
+        assert max(sizes, default=0) - min(sizes, default=0) <= 1
+        assert max(sizes, default=0) <= max(1, n // cpus)
+        if n <= cpus or n % cpus == 0:
+            assert len(groups) == min(n, cpus)
+        assert len(groups) <= 2 * cpus - 1 and len(self.forks) == max(0, len(groups) - 1)
+        assert [pid for pid, _, _ in results] == [
+            pid for pid, group in zip([self.parent, *self.forks], groups) for _ in group]
 
     @pytest.mark.parametrize("cpus, tasks", [(1, [0, 1, 2]), (3, [0]), (3, [])])
     def test_one_group_runs_in_process(self, monkeypatch, cpus, tasks):
