@@ -16,8 +16,12 @@ their triplet weights; ``train`` is a stack of one. One pairwise step function
 serves both ``batch_gradients`` and training, so the gradient the tests check
 against finite differences is the update that training applies. It gathers
 the batch's rows with one ``np.take``, builds one flat scatter index from
-them and adds each member's gradients through it with one 1-D ``np.add.at``;
-it returns the score differences. Training scales each epoch's weights by the
+them and, per member, adds the user and pos steps with one 1-D ``np.add.at``
+and subtracts the pos steps from the neg rows with one ``np.subtract.at``;
+it returns the score differences. The scatter unit is a pair of doubles
+(``complex128``) when the dimension is even and one double when it is odd;
+either way every element gets the same terms in the same order, so the
+factors keep their bits. Training scales each epoch's weights by the
 learning rate once, keeps the epoch's score differences and evaluates the
 losses in one pass, summed batch by batch. ``train_stack`` never forks: it
 trains in the calling process, and a stack with a diverged member (a
@@ -194,25 +198,37 @@ def _pair_step(factors, users, pos, neg, steps, out) -> np.ndarray:
     indices shared by all members and ``steps`` is the ``(S, B)`` triplet
     weights already times the step size. Adds ``coef * (h_pos - h_neg)`` to
     the users' rows and ``+-coef * x_user`` to the posts' rows, where
-    ``coef = steps * sigmoid(-r)``, through one 1-D ``np.add.at`` per member
-    over the user, pos and neg rows in that order, on a flat index built once
-    per batch; returns the ``(S, B)`` score differences ``r``, from which the
-    caller takes the losses. All rows are read (one ``np.take``) before any is
-    written, so ``out`` may be ``factors``."""
-    d = factors.shape[2]
+    ``coef = steps * sigmoid(-r)``; returns the ``(S, B)`` score differences
+    ``r``, from which the caller takes the losses. All rows are read (one
+    ``np.take``) before any is written, so ``out`` may be ``factors``.
+
+    Per member, one 1-D ``np.add.at`` adds the user and pos steps and one
+    ``np.subtract.at`` takes the pos steps from the neg rows, on a flat index
+    built once per batch. Each element thus gets its terms in one fixed
+    order: a user's in batch order, a post's pos terms in batch order and
+    then its neg terms, and ``x - y`` is ``x + (-y)`` bit for bit. The
+    scatter unit is a pair of doubles (``complex128``, whose sum adds the
+    real and imaginary doubles apart) when ``d`` is even and one double
+    when it is odd, so an even ``d`` halves the index without moving a bit.
+    ``coef`` is spelled out along ``d`` once, for both multiplies."""
+    s, _, d = factors.shape
     b = users.size
+    unit = np.complex128 if d % 2 == 0 else np.float64
+    per_row = d * 8 // np.dtype(unit).itemsize
     rows = np.concatenate((users, pos, neg))
-    grads = np.take(factors, rows, axis=1)  # x_user, h_pos, h_neg; overwritten by their steps
-    u, h_pos, h_neg = grads[:, :b], grads[:, b : 2 * b], grads[:, 2 * b :]
-    diff = h_pos - h_neg
+    grads = np.take(factors, rows, axis=1)  # x_user, h_pos, h_neg; then steps, steps, diff
+    u, h_pos, diff = grads[:, :b], grads[:, b : 2 * b], grads[:, 2 * b :]
+    np.subtract(h_pos, diff, out=diff)
     r = np.einsum("sij,sij->si", u, diff)
-    coef = (steps * sigmoid(-r))[:, :, None]
+    coef = np.repeat(steps * sigmoid(-r), d).reshape(s, b, d)
     np.multiply(coef, u, out=h_pos)
     np.multiply(coef, diff, out=u)
-    np.negative(h_pos, out=h_neg)
-    flat = (rows[:, None] * d + np.arange(d)).ravel()
-    for member_out, member_grads in zip(out, grads):
-        np.add.at(member_out.reshape(-1), flat, member_grads.ravel())
+    flat = (rows[:, None] * per_row + np.arange(per_row)).ravel()
+    split = 2 * b * per_row
+    members = zip(out.reshape(s, -1).view(unit), grads.reshape(s, -1).view(unit))
+    for member_out, member_grads in members:
+        np.add.at(member_out, flat[:split], member_grads[:split])
+        np.subtract.at(member_out, flat[split:], member_grads[b * per_row : split])
     return r
 
 

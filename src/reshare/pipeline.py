@@ -735,14 +735,16 @@ def run_embed_analysis(
     eps: float = 0.5,
     min_pts: int = 10,
 ) -> tuple:
-    """DBSCAN + silhouette over an exported embedding table."""
-    os.makedirs(out_dir, exist_ok=True)
+    """DBSCAN + silhouette over an exported embedding table. ``out_dir`` is
+    made only once the table is read and clustered, so a call that fails on
+    its input leaves no directory behind."""
     user_ids, vectors = artifacts.read_vectors(embeddings_path)
     points = vectors[np.argsort(user_ids)]
     labels = dbscan(points, eps=eps, min_pts=min_pts)
     n_clusters = len(set(labels[labels >= 0].tolist()))
     n_noise = int(np.sum(labels < 0))
     sil = silhouette(points, labels) if n_clusters >= 2 else float("nan")
+    os.makedirs(out_dir, exist_ok=True)
     artifacts.write_embedding_analysis(
         [(tag, n_clusters, n_noise, sil)],
         os.path.join(out_dir, "embedding_analysis.csv"),

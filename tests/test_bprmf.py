@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -185,9 +186,11 @@ class TestBatchLoss:
 
 class TestGradients:
     def test_matches_finite_differences(self, rng):
+        """At an odd and an even dimension: ``_pair_step`` scatters single
+        doubles at the one and pairs of doubles at the other."""
         h = 1e-5
-        for case in range(10):
-            model = random_model(rng)
+        for dim, case in itertools.product((3, 4), range(10)):
+            model = random_model(rng, dim=dim)
             batch = random_batch(rng, 5, 7)
             for mode in ("naive", "unbiased", "nonneg"):
                 _, du, dh_ = batch_gradients(model, batch, mode)
@@ -209,25 +212,28 @@ class TestGradients:
 
 class TestPairStep:
     def test_flat_scatter_equals_row_scatter(self, rng):
-        n_users, n_posts, d = 4, 6, 5
-        users = np.array([0, 2, 0, 3, 2, 0])
-        pos = np.array([1, 4, 3, 0, 1, 5])
-        neg = np.array([3, 1, 2, 4, 0, 1])  # triplet 1's neg is triplets 0 and 4's pos
-        w = rng.uniform(0.0, 2.0, (3, users.size))
-        block = rng.normal(0.0, 0.5, (3, n_users + n_posts, d))
-        expected = block.copy()
-        for s in range(3):  # the per-array 2-D np.add.at form, member by member
-            user_f, post_f = expected[s, :n_users], expected[s, n_users:]
-            u = user_f[users]
-            diff = post_f[pos] - post_f[neg]
-            r = np.einsum("ij,ij->i", u, diff)
-            coef = 0.3 * w[s] * sigmoid(-r)
-            np.add.at(user_f, users, coef[:, None] * diff)
-            gp = coef[:, None] * u
-            np.add.at(post_f, pos, gp)
-            np.add.at(post_f, neg, -gp)
-        _pair_step(block, users, pos + n_users, neg + n_users, 0.3 * w, block)
-        assert np.array_equal(block, expected)
+        n_users, n_posts = 4, 6
+        # user 0 takes 4 slots; post 1 is the pos of 4 triplets and the neg
+        # of 5, its neg slots before, between and after its pos slots
+        users = np.array([0, 2, 0, 3, 2, 0, 1, 0, 3])
+        pos = np.array([1, 4, 1, 0, 1, 5, 2, 3, 1])
+        neg = np.array([3, 1, 2, 1, 0, 1, 1, 1, 4])
+        for d in (5, 4):  # the step scatters single doubles, then pairs of doubles
+            w = rng.uniform(0.0, 2.0, (3, users.size))
+            block = rng.normal(0.0, 0.5, (3, n_users + n_posts, d))
+            expected = block.copy()
+            for s in range(3):  # the per-array 2-D np.add.at form, member by member
+                user_f, post_f = expected[s, :n_users], expected[s, n_users:]
+                u = user_f[users]
+                diff = post_f[pos] - post_f[neg]
+                r = np.einsum("ij,ij->i", u, diff)
+                coef = 0.3 * w[s] * sigmoid(-r)
+                np.add.at(user_f, users, coef[:, None] * diff)
+                gp = coef[:, None] * u
+                np.add.at(post_f, pos, gp)
+                np.add.at(post_f, neg, -gp)
+            _pair_step(block, users, pos + n_users, neg + n_users, 0.3 * w, block)
+            assert block.tobytes() == expected.tobytes()
 
 
 def random_graph(n_users=30, n_posts=12, n_edges=150, seed=0):
@@ -267,12 +273,13 @@ class TestTrainGroupOracle:
         graph = random_graph()
         thetas = np.random.default_rng(1).uniform(0.05, 1.0, (3, graph.n_posts))
         members = [None, None] if mode == "naive" else list(thetas)
-        hyper = BprHyper(embedding_dim=5, learning_rate=0.05, batch_size=batch_size,
-                         l2_reg=l2_reg, epochs=4, loss_mode=mode, seed=3)
-        expected = reference_train_group(graph, members, hyper)
-        if mode == "unbiased":
-            assert min(m.training_curve[0] for m in expected[0]) < 0  # negative weights
-        assert_same_models(train_stack(graph, tables_of(graph, members), hyper), expected)
+        for dim in (5, 4):  # the step scatters single doubles, then pairs of doubles
+            hyper = BprHyper(embedding_dim=dim, learning_rate=0.05, batch_size=batch_size,
+                             l2_reg=l2_reg, epochs=4, loss_mode=mode, seed=3)
+            expected = reference_train_group(graph, members, hyper)
+            if mode == "unbiased":
+                assert min(m.training_curve[0] for m in expected[0]) < 0  # negative weights
+            assert_same_models(train_stack(graph, tables_of(graph, members), hyper), expected)
 
     def test_one_member_stops_while_the_others_go_on(self):
         graph = random_graph()

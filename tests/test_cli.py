@@ -1179,7 +1179,19 @@ class TestEmbedAnalyzeCommand:
         assert main(["embed-analyze", "--embeddings", str(path), "--out", str(out),
                      "--eps", "nan"]) == 1
         assert capsys.readouterr().err == "error: eps must be positive\n"
-        assert not (out / "embedding_analysis.csv").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("body, flags, message", [
+        (None, [], "missing file: {path}"),
+        ("user_id,x_0\nu1,1.0\nu2,2.0\n", ["--min-samples", "0"], "min_pts must be >= 1"),
+    ], ids=["missing_file", "zero_min_samples"])
+    def test_failed_call_leaves_no_out_directory(self, tmp_path, capsys, body, flags, message):
+        path, out = tmp_path / "emb.csv", tmp_path / "o"
+        if body is not None:
+            path.write_text(body)
+        assert main(["embed-analyze", "--embeddings", str(path), "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+        assert not out.exists()
 
     def test_missing_file_exits_one_naming_it(self, tmp_path, capsys):
         code, err, path = self.run_on(tmp_path, capsys, None)
