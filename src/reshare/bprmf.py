@@ -386,6 +386,26 @@ def _csr_cells(ptr, cols, rows):
     return np.repeat(np.arange(rows.size), lens), cols[flat]
 
 
+def _top_posts(scores: np.ndarray, k: int) -> np.ndarray:
+    """The first ``min(k, posts)`` posts of each row of ``scores`` in the
+    order of a stable descending sort: score descending, then post index.
+
+    One partition finds each row's k-th score. The posts scored above it, and
+    the lowest-indexed posts scored equal to it up to ``k``, are the top, and
+    only these are sorted. Negating ``scores`` in place keeps the order of a
+    sort of ``-scores`` (``-inf`` train cells become ``inf``, ranked last)."""
+    k = min(k, scores.shape[1])
+    neg = np.negative(scores, out=scores)
+    kth = np.partition(neg, k - 1, axis=1)[:, k - 1 : k]
+    above = neg < kth
+    ties = neg == kth
+    room = k - np.count_nonzero(above, axis=1)[:, None]
+    top = above | (ties & (np.cumsum(ties, axis=1, dtype=np.int32) <= room))
+    posts = np.nonzero(top)[1].reshape(-1, k)
+    by_score = np.argsort(np.take_along_axis(neg, posts, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(posts, by_score, axis=1)
+
+
 def ranking_metrics(
     model: BprModel,
     test: InteractionGraph,
@@ -402,8 +422,10 @@ def ranking_metrics(
     Users are ranked in blocks of about ``_RANK_BLOCK_CELLS`` scores. Every
     step keeps the bits of scoring, sorting and summing one user at a time:
     a stacked matrix-vector product gives each user's ``post_factors @ u``
-    bits (``U @ P.T`` does not), each user's DCG sums its hit discounts as
-    one row, and the means add the users' values in test-user order.
+    bits (``U @ P.T`` does not), only the first ``max(k_list)`` posts of each
+    row are selected and sorted (``_top_posts``), in the order of a stable
+    sort of every post, each user's DCG sums its hit discounts as one row,
+    and the means add the users' values in test-user order.
     """
     k_list = sorted(set(int(k) for k in k_list))
     if not k_list or k_list[0] < 1:
@@ -430,7 +452,7 @@ def ranking_metrics(
         factors = model.user_factors[rows[users]][:, :, None]
         scores = np.matmul(model.post_factors, factors)[:, :, 0]
         scores[_csr_cells(train_ptr, train_posts, users)] = -np.inf
-        order = np.argsort(-scores, axis=1, kind="stable")[:, : k_list[-1]]
+        order = _top_posts(scores, k_list[-1])
         relevant = np.zeros(scores.shape, dtype=bool)
         relevant[_csr_cells(test_ptr, test_posts, users)] = True
         hits = np.take_along_axis(relevant, order, axis=1)

@@ -18,6 +18,16 @@ Each member equals the boosting of its target on its bag alone, and each
 model the fit of its target alone, bit for bit; ``fit_ebm`` is a stack of
 one.
 
+The work is spread over few numpy calls, each keeping the bits of the plain
+loop it replaced. A term step is one ``bincount``, an in-place divide and
+scale, and one ``take`` and ``subtract`` that update the in-bag residuals
+and the out-of-bag predictions together; only terms with an occupied cell
+too small to update are gated. The pairs of one column are ranked in blocks:
+one ``bincount`` per member sums the residuals of every pair's cells, and
+each pair's strength sums its non-empty cells as one contiguous row, the
+pairs grouped by their number of such cells. Each kind of bins takes the
+quantiles of all its columns in one ``np.quantile`` call.
+
 All shape functions are exported train-mean-centered: the intercept carries
 the average prediction and each curve reads as a deviation from it.
 """
@@ -123,15 +133,29 @@ class Bins:
         return np.searchsorted(self.cuts, np.asarray(x, dtype=np.float64), side="right")
 
 
-def _build_bins(col: np.ndarray, max_bins: int, min_leaf: int) -> Bins:
-    vals = np.unique(col)
-    if vals.size <= max_bins:
-        cuts = (vals[:-1] + vals[1:]) / 2.0
-        levels = vals
-    else:
+def _build_bins(X: np.ndarray, max_bins: int, min_leaf: int) -> list:
+    """The ``Bins`` of every column of ``X``: a cut midway between each two
+    distinct values when a column has at most ``max_bins`` of them, else at
+    its ``max_bins``-quantiles, which one ``np.quantile`` call takes for every
+    such column; then bins of fewer than ``min_leaf`` rows merge."""
+    distinct = [np.unique(X[:, m]) for m in range(X.shape[1])]
+    wide = [m for m, vals in enumerate(distinct) if vals.size > max_bins]
+    quantiles = {}
+    if wide:
         qs = np.linspace(0.0, 1.0, max_bins + 1)[1:-1]
-        cuts = np.unique(np.quantile(col, qs))
-        levels = None
+        quantiles = dict(zip(wide, np.quantile(X[:, wide], qs, axis=0).T))
+    bins = []
+    for m, vals in enumerate(distinct):
+        if m in quantiles:
+            cuts, levels = np.unique(quantiles[m]), None
+        else:
+            cuts, levels = (vals[:-1] + vals[1:]) / 2.0, vals
+        bins.append(_merge_thin_bins(X[:, m], cuts, levels, min_leaf))
+    return bins
+
+
+def _merge_thin_bins(col: np.ndarray, cuts: np.ndarray, levels, min_leaf: int) -> Bins:
+    """``Bins`` on ``cuts`` whose every bin holds at least ``min_leaf`` rows of ``col``."""
     if cuts.size == 0:
         return Bins(cuts=cuts, levels=levels)
     # enforce the occupancy minimum in one left-to-right pass: close a bin
@@ -233,22 +257,28 @@ def _cell_shares(cells: np.ndarray, size: int) -> np.ndarray:
 
 
 class _Term(NamedTuple):
-    """One term of a stack: the members' in-bag and out-of-bag cells end to
-    end, member ``k``'s shifted by ``k * width``, and each cell's divisor and
-    update gate."""
+    """One term of a stack: the members' in-bag cells end to end, member
+    ``k``'s shifted by ``k * width``, then their out-of-bag cells likewise;
+    the in-bag part of these; each cell's divisor; and the occupied cells
+    that may not update."""
 
     cells: np.ndarray
-    oob_cells: np.ndarray
+    in_bag: np.ndarray
     divisors: np.ndarray
-    updatable: np.ndarray
+    frozen: np.ndarray
 
 
 def _term_step(term: _Term, residual: np.ndarray, learning_rate: float) -> np.ndarray:
     """One boosting step of one term for every member of the stack: each cell
-    moves by the learning rate times its rows' mean residual, or stays where
-    it may not update."""
-    sums = np.bincount(term.cells, weights=residual, minlength=term.divisors.size)
-    return learning_rate * np.where(term.updatable, sums / term.divisors, 0.0)
+    moves by the learning rate times its rows' mean in-bag ``residual``, or
+    stays where it may not update. An empty cell sums to +0.0 and steps by
+    +0.0, so only the cells in ``term.frozen`` need the gate."""
+    step = np.bincount(term.in_bag, weights=residual, minlength=term.divisors.size)
+    np.divide(step, term.divisors, out=step)
+    np.multiply(step, learning_rate, out=step)
+    if term.frozen.size:
+        step[term.frozen] = 0.0
+    return step
 
 
 def _layout(cells, widths, members, bags, min_leaf: int) -> list:
@@ -256,10 +286,13 @@ def _layout(cells, widths, members, bags, min_leaf: int) -> list:
     terms = []
     for cells_t, width in zip(cells, widths):
         shifted = [(cells_t[s], bags[b], k * width) for k, (s, b) in enumerate(members)]
-        flat = np.concatenate([c[rows] + o for c, (rows, _), o in shifted])
-        flat_oob = np.concatenate([c[oob] + o for c, (_, oob), o in shifted])
-        counts = np.bincount(flat, minlength=len(members) * width).astype(np.float64)
-        terms.append(_Term(flat, flat_oob, np.maximum(counts, 1), counts >= min_leaf))
+        flat = np.concatenate(
+            [c[rows] + o for c, (rows, _), o in shifted] + [c[oob] + o for c, (_, oob), o in shifted]
+        )
+        in_bag = flat[: len(members) * cells_t[0].size]
+        counts = np.bincount(in_bag, minlength=len(members) * width).astype(np.float64)
+        frozen = np.flatnonzero((counts > 0) & (counts < min_leaf))
+        terms.append(_Term(flat, in_bag, np.maximum(counts, 1), frozen))
     return terms
 
 
@@ -281,17 +314,27 @@ def _boost_bags(cells, widths, base, ys, bags, hyper: EbmHyper, min_leaf: int, r
     array of each member's values at its round with the lowest out-of-bag MSE
     (in-bag MSE when the bag has no out-of-bag rows).
 
+    The out-of-bag predictions are kept negated after the in-bag residuals in
+    one ``state`` array, so one ``take`` of the step at the term's cells and
+    one ``subtract`` update both: ``-p - u`` is ``-(p + u)`` and ``y + (-p)``
+    is ``y - p``, bit for bit, up to the sign of a zero, which squaring drops.
+    The step divides and scales in place, and only a term with an occupied
+    cell that may not update gates its step.
+
     ``min_leaf`` gates updates per occupied cell: 1-D bins already guarantee
-    occupancy at construction, so mains pass 1; 2-D grids are not merged and
-    pass the configured minimum to keep near-empty cells silent. Bag 0's
-    in-bag RMSE per round is appended to ``rmse_curves[s]`` when given.
+    occupancy at construction, so mains pass 1 and are never gated; 2-D grids
+    are not merged and pass the configured minimum to keep near-empty cells
+    silent. Bag 0's in-bag RMSE per round is appended to ``rmse_curves[s]``
+    when given.
     """
     n = ys.shape[1]
     members = [(s, b) for s in range(len(ys)) for b in range(len(bags))]
     active = list(range(len(members)))  # the members still boosting
     terms = _layout(cells, widths, members, bags, min_leaf)
-    residual = np.concatenate([(ys[s] - base[s, b])[bags[b][0]] for s, b in members])
-    oob_pred = np.concatenate([base[s, b][bags[b][1]] for s, b in members])
+    state = np.concatenate(
+        [(ys[s] - base[s, b])[bags[b][0]] for s, b in members]
+        + [-base[s, b][bags[b][1]] for s, b in members]
+    )
     y_oob = np.concatenate([ys[s][bags[b][1]] for s, b in members])
     oob_sizes = [bags[b][1].size for _, b in members]
     values = [np.zeros((len(members), w)) for w in widths]
@@ -299,13 +342,15 @@ def _boost_bags(cells, widths, base, ys, bags, hyper: EbmHyper, min_leaf: int, r
     best_err = [np.inf] * len(members)
     stale = [0] * len(members)
     lr = hyper.learning_rate
+    taken = np.empty_like(state)
+    flat_values = [v.reshape(-1) for v in values]
     for _ in range(hyper.max_rounds):
+        residual = state[: len(active) * n]
         for t, term in enumerate(terms):
-            upd = _term_step(term, residual, lr)
-            values[t] += upd.reshape(values[t].shape)
-            residual -= upd[term.cells]
-            oob_pred += upd[term.oob_cells]
-        squares, end = (y_oob - oob_pred) ** 2, 0
+            step = _term_step(term, residual, lr)
+            flat_values[t] += step
+            np.subtract(state, step.take(term.cells, out=taken, mode="clip"), out=state)
+        squares, end = (y_oob + state[residual.size :]) ** 2, 0
         keep, improved = [], []
         for i, g in enumerate(active):
             (s, b), size = members[g], oob_sizes[g]
@@ -332,11 +377,13 @@ def _boost_bags(cells, widths, base, ys, bags, hyper: EbmHyper, min_leaf: int, r
         if not keep:
             break
         if len(keep) < len(active):
-            residual = residual.reshape(-1, n)[keep].ravel()
             sizes = [oob_sizes[g] for g in active]
             in_oob = np.repeat(np.isin(np.arange(len(active)), keep), sizes)
-            oob_pred, y_oob = oob_pred[in_oob], y_oob[in_oob]
+            state = np.concatenate((residual.reshape(-1, n)[keep].ravel(), state[residual.size :][in_oob]))
+            y_oob = y_oob[in_oob]
+            taken = np.empty_like(state)
             values = [v[keep] for v in values]
+            flat_values = [v.reshape(-1) for v in values]
             active = [active[i] for i in keep]
             del terms  # before the new layout, so the two are never alive at once
             terms = _layout(cells, widths, [members[g] for g in active], bags, min_leaf)
@@ -360,6 +407,12 @@ def fit_ebm_stack(features: FeatureMatrix, ys, hyper: EbmHyper) -> list:
     absorbing the means: main shapes are centered per bag and then averaged,
     pair grids are averaged and then centered. A constant target warns and
     gets an intercept-only model.
+
+    The main effects boost first (``_boost_bags``, never gated). Their
+    stacked values are dropped once each bag's main-effect prediction is
+    summed, and the pairs are then ranked in bounded blocks on each target's
+    averaged-mains residual (``_pair_strengths``) before the chosen pairs
+    boost as 2-D grids on those predictions.
     """
     X = features.X
     n, p = X.shape
@@ -374,7 +427,7 @@ def fit_ebm_stack(features: FeatureMatrix, ys, hyper: EbmHyper) -> list:
     Y = np.array(ys, dtype=np.float64)
     train_ranges = [(float(X[:, m].min()), float(X[:, m].max())) for m in range(p)]
     train_levels = _discrete_levels(X)
-    bins = [_build_bins(X[:, m], hyper.max_bins, hyper.min_samples_leaf) for m in range(p)]
+    bins = _build_bins(X, hyper.max_bins, hyper.min_samples_leaf)
 
     def model(intercept, shapes, pair_terms=(), rmse_curve=()):
         return EffectModel(
@@ -443,21 +496,76 @@ def fit_ebm_stack(features: FeatureMatrix, ys, hyper: EbmHyper) -> list:
     return models
 
 
-def _interaction_strengths(res: np.ndarray, fi: np.ndarray, fj: np.ndarray, nb: int) -> np.ndarray:
-    """Each member's strength of one pair: the variance its 2-D cell means
-    explain of the member's row of ``res``. The cells are counted once, and
-    one ``bincount`` sums every member's residuals, member after member."""
-    flat = fi * nb + fj
-    counts = np.bincount(flat).astype(np.float64)
+_RANK_BLOCK = 1 << 16  # (member, pair, row) residuals a block of the pair ranking sums
+
+
+def _pair_strengths(res: np.ndarray, cells: np.ndarray, n_bins) -> tuple:
+    """The pairs ``(i, j > i)`` of the columns with at least 2 bins, in that
+    order, and each member's strength of each: the variance that the pair's
+    2-D cell means explain of the member's row of ``res``, a ``(pairs,
+    members)`` array. Row ``cells[m]`` holds column ``m``'s bin of every row,
+    out of ``n_bins[m]``.
+
+    The pairs of one column ``i`` are ranked in blocks of at most
+    ``_RANK_BLOCK`` residuals, or one pair, so a block's arrays stay small
+    whatever the number of columns (``_block_strengths``)."""
     members, n = res.shape
-    size = counts.size
-    if members > 1:  # member s's cells follow the cells of the members before it
-        flat = (np.arange(0, members * size, size)[:, None] + flat).ravel()
-    sums = np.bincount(flat, weights=res.ravel(), minlength=members * size)
-    nz = counts > 0
-    # compress keeps the rows contiguous, so each row sums as a 1-D array would
-    picked = sums.reshape(members, size).compress(nz, axis=1)
-    return np.add.reduce(picked * picked / counts[nz], axis=1) / n
+    cols = [m for m, nb in enumerate(n_bins) if nb >= 2]
+    per_block = max(1, min(_RANK_BLOCK // (members * n), len(cols) - 1))
+    tiled = np.tile(res, per_block)  # each member's residuals once per pair of a block
+    pairs, blocks = [], []
+    for a, i in enumerate(cols):
+        partners = cols[a + 1 :]
+        for start in range(0, len(partners), per_block):
+            js = partners[start : start + per_block]
+            nb_j = max(n_bins[j] for j in js)
+            blocks.append(_block_strengths(tiled, cells[i], n_bins[i], cells[js], nb_j))
+            pairs.extend((i, j) for j in js)
+    if not pairs:
+        return pairs, np.empty((0, members))
+    return pairs, np.concatenate(blocks) / n
+
+
+def _block_strengths(tiled, fi, nb_i: int, fj, nb_j: int) -> np.ndarray:
+    """Each member's sum of squared cell sums over cell counts for the pairs
+    of the cells ``fi`` (out of ``nb_i``) with each row of ``fj`` (each out
+    of at most ``nb_j``): a ``(pairs, members)`` array.
+
+    Pair ``q``'s cell ``(a, b)`` is ``q * width + a * nb_j + b``, in the
+    order of a one-pair grid. One ``bincount`` counts the block's cells, and
+    one per member sums its residuals (``tiled``, the member's row once per
+    pair) in every cell of every pair, in row order, as a one-pair
+    ``bincount`` does. Each (pair, member) strength then sums its non-empty
+    cells as one C-contiguous row: the pairs are ordered by their number of
+    non-empty cells, and each group of equal length is one ``np.add.reduce(...,
+    axis=1)``, which gives each row the bits of summing it alone
+    (``np.add.reduceat`` and strided rows do not)."""
+    members = tiled.shape[0]
+    pairs, n = fj.shape
+    width = nb_i * nb_j
+    flat = fi * nb_j + fj
+    flat += np.arange(0, pairs * width, width)[:, None]
+    flat = flat.ravel()
+    counts = np.bincount(flat, minlength=pairs * width).reshape(pairs, width)
+    sums = np.empty((pairs, members, width))
+    for s in range(members):
+        sums[:, s] = np.bincount(flat, weights=tiled[s, : flat.size], minlength=pairs * width).reshape(
+            pairs, width
+        )
+    filled = counts > 0
+    lengths = filled.sum(axis=1)
+    order = np.argsort(lengths, kind="stable")
+    sums = sums[order]
+    ratios = sums * sums / np.maximum(counts[order], 1)[:, None, :]
+    picked = ratios[np.broadcast_to(filled[order][:, None, :], ratios.shape)]
+    strengths = np.empty((pairs, members))
+    start = first = 0
+    for length, count in zip(*(a.tolist() for a in np.unique(lengths, return_counts=True))):
+        stop = start + count * members * length
+        rows = picked[start:stop].reshape(count * members, length)
+        strengths[order[first : first + count]] = np.add.reduce(rows, axis=1).reshape(count, members)
+        start, first = stop, first + count
+    return strengths
 
 
 def _fit_interactions(X, Y, cells, shapes, intercepts, bags, base, hyper: EbmHyper) -> tuple:
@@ -474,21 +582,14 @@ def _fit_interactions(X, Y, cells, shapes, intercepts, bags, base, hyper: EbmHyp
     for m in range(p):
         pred_main += np.array([member[m].values for member in shapes])[:, cells[m]]
     res_full = Y - pred_main
+    del pred_main
 
-    detect = [_build_bins(X[:, m], DETECT_BINS, hyper.min_samples_leaf) for m in range(p)]
-    didx = [detect[m].assign(X[:, m]) for m in range(p)]
-    pairs = [
-        (i, j)
-        for i in range(p)
-        if detect[i].n_bins >= 2
-        for j in range(i + 1, p)
-        if detect[j].n_bins >= 2
-    ]
+    detect = _build_bins(X, DETECT_BINS, hyper.min_samples_leaf)
+    didx = np.array([bins.assign(X[:, m]) for m, bins in enumerate(detect)])
+    pairs, strengths = _pair_strengths(res_full, didx, [bins.n_bins for bins in detect])
+    del res_full, didx
     if not pairs:
         return [[] for _ in intercepts], list(intercepts)
-    strengths = np.array(
-        [_interaction_strengths(res_full, didx[i], didx[j], detect[j].n_bins) for i, j in pairs]
-    )
     first, second = np.array(pairs).T
     # strongest first, ties by (i, j): the order of sorting (-strength, i, j)
     chosen = [
@@ -497,10 +598,8 @@ def _fit_interactions(X, Y, cells, shapes, intercepts, bags, base, hyper: EbmHyp
     ]
 
     used = {pair for member in chosen for pair in member}
-    pair_bins = {
-        m: _build_bins(X[:, m], PAIR_BINS, hyper.min_samples_leaf)
-        for m in sorted({m for pair in used for m in pair})
-    }
+    pair_cols = sorted({m for pair in used for m in pair})
+    pair_bins = dict(zip(pair_cols, _build_bins(X[:, pair_cols], PAIR_BINS, hyper.min_samples_leaf)))
     pair_idx = {m: bins.assign(X[:, m]) for m, bins in pair_bins.items()}
     flat = {(i, j): pair_idx[i] * pair_bins[j].n_bins + pair_idx[j] for i, j in used}
     by_term = list(zip(*chosen))  # term t holds each member's t-th strongest pair

@@ -231,6 +231,96 @@ def reference_build_bins(col, max_bins, min_leaf):
     return new_cuts, levels
 
 
+def reference_pair_strengths(res, fi, fj, nb):
+    """Each member's strength of one pair as ``effects`` first ranked pairs,
+    one pair per call: the variance its 2-D cell means explain of the
+    member's row of ``res``. Its bits are the ones
+    ``effects._pair_strengths`` must reproduce."""
+    flat = fi * nb + fj
+    counts = np.bincount(flat).astype(np.float64)
+    members, n = res.shape
+    size = counts.size
+    if members > 1:  # member s's cells follow the cells of the members before it
+        flat = (np.arange(0, members * size, size)[:, None] + flat).ravel()
+    sums = np.bincount(flat, weights=res.ravel(), minlength=members * size)
+    nz = counts > 0
+    picked = sums.reshape(members, size).compress(nz, axis=1)
+    return np.add.reduce(picked * picked / counts[nz], axis=1) / n
+
+
+def reference_boost_bags(cells, widths, base, ys, bags, hyper, min_leaf, rmse_curves=None):
+    """The stacked boosting loop of ``effects._boost_bags`` as first shipped:
+    a new step array per term, gated by ``np.where`` on every term, and the
+    in-bag residuals and out-of-bag predictions updated by fancy indexing,
+    each on its own. Its values and curves are the bits ``_boost_bags`` must
+    reproduce."""
+
+    def layout(members):
+        terms = []
+        for cells_t, width in zip(cells, widths):
+            shifted = [(cells_t[s], bags[b], k * width) for k, (s, b) in enumerate(members)]
+            flat = np.concatenate([c[rows] + o for c, (rows, _), o in shifted])
+            flat_oob = np.concatenate([c[oob] + o for c, (_, oob), o in shifted])
+            counts = np.bincount(flat, minlength=len(members) * width).astype(np.float64)
+            terms.append((flat, flat_oob, np.maximum(counts, 1), counts >= min_leaf))
+        return terms
+
+    n = ys.shape[1]
+    members = [(s, b) for s in range(len(ys)) for b in range(len(bags))]
+    active = list(range(len(members)))
+    terms = layout(members)
+    residual = np.concatenate([(ys[s] - base[s, b])[bags[b][0]] for s, b in members])
+    oob_pred = np.concatenate([base[s, b][bags[b][1]] for s, b in members])
+    y_oob = np.concatenate([ys[s][bags[b][1]] for s, b in members])
+    oob_sizes = [bags[b][1].size for _, b in members]
+    values = [np.zeros((len(members), w)) for w in widths]
+    best = [np.zeros((len(members), w)) for w in widths]
+    best_err = [np.inf] * len(members)
+    stale = [0] * len(members)
+    lr = hyper.learning_rate
+    for _ in range(hyper.max_rounds):
+        for t, (flat, flat_oob, divisors, updatable) in enumerate(terms):
+            sums = np.bincount(flat, weights=residual, minlength=divisors.size)
+            upd = lr * np.where(updatable, sums / divisors, 0.0)
+            values[t] += upd.reshape(values[t].shape)
+            residual -= upd[flat]
+            oob_pred += upd[flat_oob]
+        squares, end = (y_oob - oob_pred) ** 2, 0
+        keep, improved = [], []
+        for i, g in enumerate(active):
+            (s, b), size = members[g], oob_sizes[g]
+            end += size
+            curve = rmse_curves is not None and b == 0
+            if curve or not size:
+                in_mse = np.add.reduce(residual[i * n : (i + 1) * n] ** 2) / n
+                if curve:
+                    rmse_curves[s].append(float(np.sqrt(in_mse)))
+            e = np.add.reduce(squares[end - size : end]) / size if size else in_mse
+            if e < best_err[g] - hyper.early_stop_tol:
+                best_err[g] = e
+                improved.append(i)
+                stale[g] = 0
+            else:
+                stale[g] += 1
+                if stale[g] >= hyper.early_stop_patience:
+                    continue
+            keep.append(i)
+        if improved:
+            for v, kept in zip(values, best):
+                kept[[active[i] for i in improved]] = v[improved]
+        if not keep:
+            break
+        if len(keep) < len(active):
+            residual = residual.reshape(-1, n)[keep].ravel()
+            sizes = [oob_sizes[g] for g in active]
+            in_oob = np.repeat(np.isin(np.arange(len(active)), keep), sizes)
+            oob_pred, y_oob = oob_pred[in_oob], y_oob[in_oob]
+            values = [v[keep] for v in values]
+            active = [active[i] for i in keep]
+            terms = layout([members[g] for g in active])
+    return [v.reshape(len(ys), len(bags), -1) for v in best]
+
+
 def reference_pair_step(factors, users, pos, neg, w, scale, out):
     """The stacked pairwise step as first shipped: a fancy-index gather, the
     masked sigmoid, the step size applied per batch and the weighted losses

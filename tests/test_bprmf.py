@@ -679,6 +679,19 @@ class TestBlockedRanking:
         if block_cells < 1 << 16:
             assert seen["blocks"] >= 3
 
+    def test_top_posts_are_the_stable_sort_prefix(self, rng):
+        for case in range(300):
+            rows, n_posts = int(rng.integers(1, 6)), int(rng.integers(1, 30))
+            # few distinct scores, so ties often straddle the k-th position
+            scores = rng.integers(-3, 3, (rows, n_posts)).astype(float)
+            scores[rng.random((rows, n_posts)) < 0.2] = -np.inf  # train cells
+            if case % 3 == 0:
+                scores[0] = -np.inf  # a user whose train edges cover every post
+            for k in (1, 2, n_posts // 2 + 1, n_posts, n_posts + 3):
+                want = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+                got = bprmf._top_posts(scores.copy(), k)
+                assert got.tolist() == want.tolist(), (scores, k)
+
     def test_bit_identical_on_models_of_a_pipeline_run(self, tmp_path, monkeypatch):
         calls = []
 

@@ -8,7 +8,7 @@ from reshare.effects import (
     contribution_curve,
     _boost_bags,
     _build_bins,
-    _interaction_strengths,
+    _pair_strengths,
     feature_importance,
     fit_ebm,
     fit_ebm_stack,
@@ -19,7 +19,15 @@ from reshare.errors import ConfigError, DataError
 from reshare.outcomes import compute_outcomes
 from reshare.synthgen import SynthConfig, generate
 
-from conftest import make_graph, make_users, reference_build_bins, subset_matrix
+import reshare.effects as effects
+from conftest import (
+    make_graph,
+    make_users,
+    reference_boost_bags,
+    reference_build_bins,
+    reference_pair_strengths,
+    subset_matrix,
+)
 
 
 def matrix_from(rng, n=1500, uniform=True):
@@ -82,7 +90,7 @@ class TestAssemble:
 
 class TestBuildBins:
     @pytest.mark.parametrize("min_leaf", [1, 3, 10])
-    @pytest.mark.parametrize("max_bins", [8, 64, 512])
+    @pytest.mark.parametrize("max_bins", [8, 16, 64, 512])
     def test_same_bytes_as_the_reference_loop(self, rng, min_leaf, max_bins):
         n = 480
         columns = [
@@ -95,8 +103,8 @@ class TestBuildBins:
             np.r_[np.zeros(n - 2), 1.0, 2.0],  # a two-row tail that merges left
             np.r_[np.zeros(n // 2), np.ones(n // 2 - 2), 2.0, 3.0],  # ... into a kept bin
         ]
-        for col in columns:
-            bins = _build_bins(col, max_bins, min_leaf)
+        # one call bins every column, the quantiles of all wide ones in one pass
+        for col, bins in zip(columns, _build_bins(np.column_stack(columns), max_bins, min_leaf)):
             cuts, levels = reference_build_bins(col, max_bins, min_leaf)
             assert bins.cuts.dtype == cuts.dtype == np.float64
             assert bins.cuts.tobytes() == cuts.tobytes()
@@ -379,11 +387,117 @@ class TestFitEbmStack:
             fit_ebm_stack(fm, [], EbmHyper(n_bags=1))
 
     def test_stacked_pair_strengths_equal_each_row_alone(self, rng):
-        fi, fj = rng.integers(0, 8, 500), rng.integers(0, 8, 500)
+        cells = rng.integers(0, 8, (4, 500))
         res = rng.normal(size=(5, 500))
-        stacked = _interaction_strengths(res, fi, fj, 8)
-        alone = [_interaction_strengths(row[None], fi, fj, 8)[0] for row in res]
-        assert stacked.tolist() == alone
+        pairs, stacked = _pair_strengths(res, cells, [8] * 4)
+        assert pairs == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        for s, row in enumerate(res):
+            assert stacked[:, s].tobytes() == _pair_strengths(row[None], cells, [8] * 4)[1][:, 0].tobytes()
+
+
+def sparse_grid_columns(rng, n):
+    """Detect cells of columns with 1 to 8 bins, skewed so that some 2-D cells
+    stay empty and the pairs of one column differ in their non-empty cells."""
+    bins = [2, 8, 3, 1, 8, 5, 2, 7, 4, 6, 8]
+    cells = []
+    for k, nb in enumerate(bins):
+        weights = np.exp(-np.arange(nb) * (0.3 + 0.4 * (k % 3)))
+        cells.append(rng.choice(nb, size=n, p=weights / weights.sum()))
+    return np.array(cells), bins
+
+
+class TestPairStrengths:
+    @pytest.mark.parametrize("members", [1, 5])
+    @pytest.mark.parametrize("block", [1, 900, 1 << 16])
+    def test_same_bytes_as_one_pair_at_a_time(self, rng, monkeypatch, members, block):
+        monkeypatch.setattr(effects, "_RANK_BLOCK", block)  # blocks of 1, 1-2 and all pairs
+        n = 180
+        cells, bins = sparse_grid_columns(rng, n)
+        res = rng.normal(size=(members, n))
+        pairs, strengths = _pair_strengths(res, cells, bins)
+        wide = [m for m, nb in enumerate(bins) if nb >= 2]
+        assert pairs == [(i, j) for a, i in enumerate(wide) for j in wide[a + 1 :]]
+        assert strengths.shape == (len(pairs), members)
+        filled = set()
+        for (i, j), got in zip(pairs, strengths):
+            want = reference_pair_strengths(res, cells[i], cells[j], bins[j])
+            assert got.tobytes() == want.tobytes(), (i, j)
+            filled.add(np.unique(cells[i] * bins[j] + cells[j]).size)
+        assert len(filled) > 10  # many counts of non-empty cells, so many groups
+
+    def test_no_pair_without_two_columns_of_two_bins(self, rng):
+        cells = np.zeros((3, 40), dtype=np.intp)
+        cells[1] = rng.integers(0, 4, 40)
+        pairs, strengths = _pair_strengths(rng.normal(size=(2, 40)), cells, [1, 4, 1])
+        assert pairs == [] and strengths.shape == (0, 2)
+
+
+def boost_inputs(rng, n=240, targets=3):
+    """Main-like and pair-like terms for a stack of ``targets``: a pair term
+    with near-empty cells (gated under ``min_leaf`` 3) and, per target, its
+    own grid inside a wider width; three bags, the last without out-of-bag
+    rows; and targets that stop at different rounds."""
+    x = rng.uniform(-2.0, 2.0, n)
+    main = np.minimum((x + 2.0) * 4.0, 15).astype(int)
+    other = rng.choice(6, size=n, p=[0.5, 0.3, 0.12, 0.05, 0.02, 0.01])
+    grids = [main // 2 * 6 + other, (main % 5) * 6 + other, other]
+    ys = np.array([
+        np.sin(x) + 0.3 * other + rng.normal(0, 0.5, n),
+        0.2 * x + rng.normal(0, 0.3, n),
+        rng.normal(0, 1.0, n),
+    ])[:targets]
+    draws = [np.random.default_rng(seed).integers(0, n, n) for seed in (1, 2)]
+    bags = [(rows, np.setdiff1d(np.arange(n), rows)) for rows in draws]
+    bags.append((rng.permutation(n), np.array([], dtype=int)))
+    base = rng.normal(0, 0.1, (targets, 3, n))
+    cells = [[main] * targets, [other] * targets, grids[:targets]]
+    return cells, [16, 6, 48], base, ys, bags
+
+
+class TestBoostBags:
+    @pytest.mark.parametrize("min_leaf", [1, 3])
+    @pytest.mark.parametrize("targets", [1, 3])
+    def test_same_bytes_as_the_reference_loop(self, rng, min_leaf, targets):
+        cells, widths, base, ys, bags = boost_inputs(rng, targets=targets)
+        hyper = EbmHyper(learning_rate=0.05, max_rounds=300, early_stop_patience=4)
+        curves, want_curves = [[] for _ in ys], [[] for _ in ys]
+        got = _boost_bags(cells, widths, base, ys, bags, hyper, min_leaf, rmse_curves=curves)
+        want = reference_boost_bags(
+            cells, widths, base, ys, bags, hyper, min_leaf, rmse_curves=want_curves
+        )
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+        assert curves == want_curves
+        assert len({len(c) for c in curves}) == targets and min(map(len, curves)) < 300
+
+    def test_gated_cells_are_the_occupied_ones_under_min_leaf(self, rng):
+        cells, widths, base, ys, bags = boost_inputs(rng)
+        terms = effects._layout(cells, widths, [(0, 0), (2, 1)], bags, 3)
+        for term, width in zip(terms, widths):
+            counts = np.bincount(term.in_bag, minlength=2 * width)
+            assert term.frozen.tolist() == np.flatnonzero((counts > 0) & (counts < 3)).tolist()
+        assert terms[2].frozen.size  # the pair-like grid gates its near-empty cells
+        assert not effects._layout(cells, widths, [(0, 0)], bags, 1)[0].frozen.size
+
+    def test_fit_with_the_reference_loops_gives_the_same_models(self, rng, monkeypatch):
+        X, cols = matrix_from(rng, n=300)
+        X = np.column_stack([X, np.round(rng.exponential(1.0, 300), 1), rng.integers(0, 3, 300)])
+        cols = cols + ("d", "e")
+        ys = [X[:, 0] * X[:, 3] + rng.normal(0, 0.1, 300), X[:, 1] + rng.normal(0, 0.5, 300)]
+        hyper = EbmHyper(n_bags=3, n_interactions=4, max_rounds=200, early_stop_patience=6, seed=18)
+        models = fit_ebm_stack(fmatrix(X, cols), ys, hyper)
+
+        def one_pair_at_a_time(res, cells, n_bins):
+            wide = [m for m, nb in enumerate(n_bins) if nb >= 2]
+            pairs = [(i, j) for a, i in enumerate(wide) for j in wide[a + 1 :]]
+            return pairs, np.array(
+                [reference_pair_strengths(res, cells[i], cells[j], n_bins[j]) for i, j in pairs]
+            )
+
+        monkeypatch.setattr(effects, "_boost_bags", reference_boost_bags)
+        monkeypatch.setattr(effects, "_pair_strengths", one_pair_at_a_time)
+        for got, want in zip(models, fit_ebm_stack(fmatrix(X, cols), ys, hyper)):
+            assert_same_model(got, want)
+            assert got.pair_terms
 
 
 class TestFitLinear:
