@@ -477,8 +477,10 @@ def fit_ebm_stack(features: FeatureMatrix, ys, hyper: EbmHyper) -> list:
         values -= shift[:, :, None]
         intercepts += shift
     root = np.sqrt(hyper.n_bags)
+    # over the bag axis of every target at once: the bits of each target's own
+    means, errors = [v.mean(axis=1) for v in main], [v.std(axis=1) / root for v in main]
     shapes = [
-        [FeatureShape(b, v[s].mean(axis=0), v[s].std(axis=0) / root) for b, v in zip(bins, main)]
+        [FeatureShape(b, mean[s], error[s]) for b, mean, error in zip(bins, means, errors)]
         for s in range(len(Y))
     ]
     intercept = [float(np.mean(row)) for row in intercepts]
