@@ -349,6 +349,7 @@ def _boost_bags(cells, widths, base, ys, bags, hyper: EbmHyper, min_leaf: int, r
         for t, term in enumerate(terms):
             step = _term_step(term, residual, lr)
             flat_values[t] += step
+            # the cells are in range, and "clip" lets take fill ``taken`` unbuffered
             np.subtract(state, step.take(term.cells, out=taken, mode="clip"), out=state)
         squares, end = (y_oob + state[residual.size :]) ** 2, 0
         keep, improved = [], []
