@@ -51,6 +51,7 @@ from .outcomes import OutcomeTable
 
 DETECT_BINS, PAIR_BINS = 8, 16  # bins per column to rank pairs, and of a chosen pair's grid
 CURVE_GRID = 64  # points of a continuous feature's contribution curve
+CURVE_LEVELS = 16  # up to this many distinct values, a curve has one point per value
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,6 @@ class Bins:
     """Piecewise-constant support: interior cuts define n_cuts+1 bins."""
 
     cuts: np.ndarray
-    levels: np.ndarray | None = None  # distinct values, when few enough to keep
 
     @property
     def n_bins(self) -> int:
@@ -146,18 +146,15 @@ def _build_bins(X: np.ndarray, max_bins: int, min_leaf: int) -> list:
         quantiles = dict(zip(wide, np.quantile(X[:, wide], qs, axis=0).T))
     bins = []
     for m, vals in enumerate(distinct):
-        if m in quantiles:
-            cuts, levels = np.unique(quantiles[m]), None
-        else:
-            cuts, levels = (vals[:-1] + vals[1:]) / 2.0, vals
-        bins.append(_merge_thin_bins(X[:, m], cuts, levels, min_leaf))
+        cuts = np.unique(quantiles[m]) if m in quantiles else (vals[:-1] + vals[1:]) / 2.0
+        bins.append(_merge_thin_bins(X[:, m], cuts, min_leaf))
     return bins
 
 
-def _merge_thin_bins(col: np.ndarray, cuts: np.ndarray, levels, min_leaf: int) -> Bins:
+def _merge_thin_bins(col: np.ndarray, cuts: np.ndarray, min_leaf: int) -> Bins:
     """``Bins`` on ``cuts`` whose every bin holds at least ``min_leaf`` rows of ``col``."""
     if cuts.size == 0:
-        return Bins(cuts=cuts, levels=levels)
+        return Bins(cuts=cuts)
     # enforce the occupancy minimum in one left-to-right pass: close a bin
     # whenever it has gathered min_leaf rows; a short tail merges leftwards
     counts = np.bincount(np.searchsorted(cuts, col, side="right"), minlength=cuts.size + 1)
@@ -170,24 +167,34 @@ def _merge_thin_bins(col: np.ndarray, cuts: np.ndarray, levels, min_leaf: int) -
             acc = 0
     if acc + counts[cuts.size] < min_leaf and kept:
         kept.pop()
-    new_cuts = cuts[kept]
-    if levels is not None and new_cuts.size != cuts.size:
-        levels = None  # merged levels no longer map one-to-one
-    return Bins(cuts=new_cuts, levels=levels)
+    return Bins(cuts=cuts[kept])
+
+
+def _grids(X: np.ndarray, bins=None) -> list:
+    """Where each column of ``X`` has its contribution curve read: its
+    distinct values when it has at most ``CURVE_LEVELS`` of them, or when
+    each has its own bin of ``bins`` (the column's ``Bins``, if any), else
+    ``CURVE_GRID`` even points from its least to its greatest value."""
+    grids = []
+    for m in range(X.shape[1]):
+        vals = np.unique(X[:, m])
+        if vals.size <= CURVE_LEVELS or bins is not None and bins[m].n_bins == vals.size:
+            grids.append(vals)
+        else:
+            grids.append(np.linspace(vals[0], vals[-1], CURVE_GRID))
+    return grids
 
 
 @dataclass
 class FeatureShape:
     bins: Bins
     values: np.ndarray
-    stderr: np.ndarray | None = None
+    stderr: np.ndarray
 
     def __call__(self, x) -> np.ndarray:
         return self.values[self.bins.assign(x)]
 
     def stderr_at(self, x) -> np.ndarray:
-        if self.stderr is None:
-            return np.zeros(np.asarray(x).shape, dtype=np.float64)
         return self.stderr[self.bins.assign(x)]
 
 
@@ -220,19 +227,10 @@ class EffectModel:
     columns: tuple[str, ...]
     intercept: float
     shapes: list
+    grids: list  # per column, the x of its contribution curve (``_grids``)
     pair_terms: list = field(default_factory=list)
-    train_ranges: list = field(default_factory=list)
-    train_levels: list = field(default_factory=list)  # distinct values for discrete columns
     train_rmse_curve: list = field(default_factory=list)
     ridge_fallback: bool = False
-
-
-def _discrete_levels(X: np.ndarray, max_levels: int = 16) -> list:
-    out = []
-    for m in range(X.shape[1]):
-        vals = np.unique(X[:, m])
-        out.append(vals if vals.size <= max_levels else None)
-    return out
 
 
 def _predict_array(model: EffectModel, X: np.ndarray) -> np.ndarray:
@@ -401,13 +399,13 @@ def fit_ebm_stack(features: FeatureMatrix, ys, hyper: EbmHyper) -> list:
     """One bagged cyclic gradient-boosting GAM (identity link) per target in
     ``ys``, on the shared ``features.X``, in one boosting loop.
 
-    The bins, cells, bags, train ranges and levels are built once for the
-    stack, and only the targets differ, so every model equals the fit of a
-    stack of one (``fit_ebm``) on its target bit for bit. Every term is
-    centered so its train-set mean is exactly zero, with the intercept
-    absorbing the means: main shapes are centered per bag and then averaged,
-    pair grids are averaged and then centered. A constant target warns and
-    gets an intercept-only model.
+    The bins, cells, bags and curve grids are built once for the stack, and
+    only the targets differ, so every model equals the fit of a stack of
+    one (``fit_ebm``) on its target bit for bit. Every term is centered so
+    its train-set mean is exactly zero, with the intercept absorbing the
+    means: main shapes are centered per bag and then averaged, pair grids
+    are averaged and then centered. A constant target warns and gets an
+    intercept-only model.
 
     The main effects boost first (``_boost_bags``, never gated). Their
     stacked values are dropped once each bag's main-effect prediction is
@@ -426,18 +424,16 @@ def fit_ebm_stack(features: FeatureMatrix, ys, hyper: EbmHyper) -> list:
     if any(np.shape(y) != (n,) for y in ys):
         raise ValueError(f"every target needs one value per row of X ({n})")
     Y = np.array(ys, dtype=np.float64)
-    train_ranges = [(float(X[:, m].min()), float(X[:, m].max())) for m in range(p)]
-    train_levels = _discrete_levels(X)
     bins = _build_bins(X, hyper.max_bins, hyper.min_samples_leaf)
+    grids = _grids(X, bins)
 
     def model(intercept, shapes, pair_terms=(), rmse_curve=()):
         return EffectModel(
             columns=features.columns,
             intercept=intercept,
             shapes=shapes,
+            grids=grids,
             pair_terms=list(pair_terms),
-            train_ranges=list(train_ranges),
-            train_levels=list(train_levels),
             train_rmse_curve=list(rmse_curve),
         )
 
@@ -654,8 +650,7 @@ def fit_linear(features: FeatureMatrix, y) -> EffectModel:
         columns=features.columns,
         intercept=intercept,
         shapes=shapes,
-        train_ranges=[(float(X[:, m].min()), float(X[:, m].max())) for m in range(p)],
-        train_levels=_discrete_levels(X),
+        grids=_grids(X),
         ridge_fallback=ridge_fallback,
     )
 
@@ -698,25 +693,17 @@ class CurveTable:
 
 
 def contribution_curve(model: EffectModel, feature: str) -> CurveTable:
-    """Centered shape curve with +/- 2 bag-standard-error bounds.
+    """Centered shape curve with +/- 2 bag-standard-error bounds, read at the
+    feature's grid, which the fit chose (``EffectModel.grids``).
 
-    Discrete features (including binary ones) get one row per level;
-    continuous features are evaluated on an even grid over the train range.
+    A feature gets one row per distinct train value when it has at most
+    ``CURVE_LEVELS`` of them, or when the EBM gave each value its own bin;
+    otherwise ``CURVE_GRID`` rows, evenly spaced over its train range.
     """
     if feature not in model.columns:
         raise KeyError(f"unknown feature {feature!r}")
     m = model.columns.index(feature)
-    shape = model.shapes[m]
-    lo, hi = model.train_ranges[m]
-    levels = getattr(getattr(shape, "bins", None), "levels", None)
-    if levels is None and model.train_levels:
-        levels = model.train_levels[m]
-    if levels is not None:
-        xs = np.asarray(levels, dtype=np.float64)
-    elif hi > lo:
-        xs = np.linspace(lo, hi, CURVE_GRID)
-    else:
-        xs = np.array([lo])
+    shape, xs = model.shapes[m], model.grids[m]
     value = shape(xs)
     half = 2.0 * shape.stderr_at(xs)
     return CurveTable(feature=feature, x=xs, value=value, lower=value - half, upper=value + half)

@@ -1,11 +1,13 @@
 """Exception types shared across the package, and ``read_config``, the one
 reader that builds every config object from JSON. It converts no value: a
 dataclass field takes an object, ``X | None`` also null, ``tuple[X, ...]`` a
-list of ``X`` (a bare ``tuple`` any list), ``float`` any number, and ``int``,
-``bool`` or ``str`` only an integer, true or false, or a string.
+list of ``X`` (a bare ``tuple`` any list), ``float`` any finite number (not
+the ``NaN`` or ``Infinity`` that ``json`` reads), and ``int``, ``bool`` or
+``str`` only an integer, true or false, or a string.
 """
 
 import dataclasses
+import math
 import typing
 
 
@@ -47,6 +49,8 @@ def _read(tp, value, name: str, label: str):
     if isinstance(value, bool) != (base is bool) or not isinstance(value, json_type):
         null = " or null" if optional else ""
         raise ConfigError(f"{label} field {name!r} must be {_KINDS[base]}{null}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{label} field {name!r} must be a finite number, got {value!r}")
     if base is dict:
         return read_config(tp, value, f"{name} config")
     if base is tuple:

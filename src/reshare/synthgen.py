@@ -35,6 +35,7 @@ VERIFIED_RATE = 0.05
 FOLLOWER_EXPOSURE_EXPONENT = 0.25  # reach ~ (followers / max followers) ** this
 VOCAB_SIZE = 300
 MEAN_TOKENS = 16.0
+TRUTH_GRID = 64  # points of each attribute's curve in effects_truth.csv
 
 
 @dataclass(frozen=True)
@@ -85,9 +86,9 @@ class EffectCurve:
     def __call__(self, x) -> np.ndarray:
         return self._raw(np.asarray(x, dtype=np.float64)) - self.center
 
-    def grid(self, n: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    def grid(self) -> tuple[np.ndarray, np.ndarray]:
         if self.data_max > self.data_min:
-            xs = np.linspace(self.data_min, self.data_max, n)
+            xs = np.linspace(self.data_min, self.data_max, TRUTH_GRID)
         else:
             xs = np.array([self.data_min])
         return xs, self(xs)
@@ -364,12 +365,12 @@ def write_truth(truth: SyntheticTruth, out_dir):
     return path
 
 
-def write_effects_truth(truth: SyntheticTruth, out_dir, grid: int = 64):
+def write_effects_truth(truth: SyntheticTruth, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "effects_truth.csv")
     write_rows(path, ["attribute", "grid_x", "contribution"], (
         [attr, f"{x:.10g}", f"{y:.10g}"]
         for attr in FEATURE_COLUMNS
-        for x, y in zip(*truth.effect_curves[attr].grid(grid))
+        for x, y in zip(*truth.effect_curves[attr].grid())
     ))
     return path

@@ -231,6 +231,22 @@ def reference_build_bins(col, max_bins, min_leaf):
     return new_cuts, levels
 
 
+def reference_curve_grid(col, max_bins=None, min_leaf=None):
+    """The x of a column's contribution curve as ``effects`` first chose it:
+    an EBM's bin levels (``reference_build_bins`` kept them when every value
+    has its own bin; pass ``max_bins`` and ``min_leaf`` for an EBM), else the
+    distinct values when at most 16, else 64 even points over the column's
+    range. Its bytes are the ones ``effects._grids`` must reproduce."""
+    levels = None if max_bins is None else reference_build_bins(col, max_bins, min_leaf)[1]
+    if levels is None:
+        vals = np.unique(col)
+        levels = vals if vals.size <= 16 else None
+    if levels is not None:
+        return np.asarray(levels, dtype=np.float64)
+    lo, hi = float(col.min()), float(col.max())
+    return np.linspace(lo, hi, 64) if hi > lo else np.array([lo])
+
+
 def reference_pair_strengths(res, fi, fj, nb):
     """Each member's strength of one pair as ``effects`` first ranked pairs,
     one pair per call: the variance its 2-D cell means explain of the

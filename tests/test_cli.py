@@ -324,6 +324,13 @@ class TestSynthCommand:
          "unknown effect_spec[0] config fields: ['bogus']"),
         ("synth", "effect_spec", [{"attribute": "verified", "shape": "step", "amplitude": "x"}],
          "effect_spec[0] config field 'amplitude' must be a number, got 'x'"),
+        ("ebm", "learning_rate", float("nan"),
+         "ebm config field 'learning_rate' must be a finite number, got nan"),
+        ("ebm", "early_stop_tol", float("inf"),
+         "ebm config field 'early_stop_tol' must be a finite number, got inf"),
+        ("synth", "noise_sd", float("nan"), "synth config field 'noise_sd' must be a finite number"),
+        ("bpr", "learning_rate", float("nan"),
+         "bpr config field 'learning_rate' must be a finite number, got nan"),
     ])
     def test_malformed_config_value_exits_one(self, tmp_path, capsys, block, name, value,
                                               message):

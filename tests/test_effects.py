@@ -8,6 +8,7 @@ from reshare.effects import (
     contribution_curve,
     _boost_bags,
     _build_bins,
+    _grids,
     _pair_strengths,
     feature_importance,
     fit_ebm,
@@ -25,6 +26,7 @@ from conftest import (
     make_users,
     reference_boost_bags,
     reference_build_bins,
+    reference_curve_grid,
     reference_pair_strengths,
     subset_matrix,
 )
@@ -88,29 +90,60 @@ class TestAssemble:
             assemble_features(self.users, embeddings, self.outcomes)
 
 
+def binning_columns(rng, n=480):
+    return [
+        rng.normal(0.0, 1.0, n),  # distinct values: the quantile path
+        rng.integers(0, 12, n).astype(float),  # ties: a bin per value when they fit
+        np.round(rng.exponential(1.0, n), 1),  # many ties, a long thin right tail
+        (rng.random(n) < 0.05).astype(float),  # two levels, one rare
+        np.where(rng.random(n) < 0.98, 0.0, rng.normal(0.0, 1.0, n)),  # few distinct
+        np.full(n, 3.0),  # one value: no cuts
+        np.r_[np.zeros(n - 2), 1.0, 2.0],  # a two-row tail that merges left
+        np.r_[np.zeros(n // 2), np.ones(n // 2 - 2), 2.0, 3.0],  # ... into a kept bin
+    ]
+
+
 class TestBuildBins:
     @pytest.mark.parametrize("min_leaf", [1, 3, 10])
     @pytest.mark.parametrize("max_bins", [8, 16, 64, 512])
     def test_same_bytes_as_the_reference_loop(self, rng, min_leaf, max_bins):
-        n = 480
-        columns = [
-            rng.normal(0.0, 1.0, n),  # distinct values: the quantile path
-            rng.integers(0, 12, n).astype(float),  # ties: the levels path when they fit
-            np.round(rng.exponential(1.0, n), 1),  # many ties, a long thin right tail
-            (rng.random(n) < 0.05).astype(float),  # two levels, one rare
-            np.where(rng.random(n) < 0.98, 0.0, rng.normal(0.0, 1.0, n)),  # few distinct
-            np.full(n, 3.0),  # one value: no cuts
-            np.r_[np.zeros(n - 2), 1.0, 2.0],  # a two-row tail that merges left
-            np.r_[np.zeros(n // 2), np.ones(n // 2 - 2), 2.0, 3.0],  # ... into a kept bin
-        ]
+        columns = binning_columns(rng)
         # one call bins every column, the quantiles of all wide ones in one pass
         for col, bins in zip(columns, _build_bins(np.column_stack(columns), max_bins, min_leaf)):
-            cuts, levels = reference_build_bins(col, max_bins, min_leaf)
+            cuts, _ = reference_build_bins(col, max_bins, min_leaf)
             assert bins.cuts.dtype == cuts.dtype == np.float64
             assert bins.cuts.tobytes() == cuts.tobytes()
-            assert (bins.levels is None) == (levels is None)
-            if levels is not None:
-                assert bins.levels.tobytes() == levels.tobytes()
+
+
+class TestGrids:
+    @pytest.mark.parametrize("min_leaf", [1, 3, 10])
+    @pytest.mark.parametrize("max_bins", [8, 16, 64, 512])
+    def test_ebm_grids_follow_the_reference_rule(self, rng, min_leaf, max_bins):
+        columns = binning_columns(rng)
+        X = np.column_stack(columns)
+        for col, grid in zip(columns, _grids(X, _build_bins(X, max_bins, min_leaf))):
+            want = reference_curve_grid(col, max_bins, min_leaf)
+            assert grid.dtype == np.float64
+            assert grid.tobytes() == want.tobytes()
+
+    def test_fitted_models_carry_the_reference_grids(self, rng):
+        columns = binning_columns(rng)
+        names = tuple(f"f{m}" for m in range(len(columns)))
+        fm = fmatrix(np.column_stack(columns), names)
+        y = columns[0] + columns[2] + rng.normal(0.0, 0.1, columns[0].size)
+        # one row per bin: the long-tailed column has over 16 values, each its own bin
+        hyper = EbmHyper(max_bins=64, min_samples_leaf=1, n_bags=1, n_interactions=0,
+                         max_rounds=5)
+        ebm = fit_ebm(fm, y, hyper)
+        with pytest.warns(UserWarning, match="rank-deficient"):  # the constant column
+            linear = fit_linear(fm, y)
+        for m, (col, name) in enumerate(zip(columns, names)):
+            for model, want in (
+                (ebm, reference_curve_grid(col, 64, hyper.min_samples_leaf)),
+                (linear, reference_curve_grid(col)),
+            ):
+                assert model.grids[m].tobytes() == want.tobytes()
+                assert contribution_curve(model, name).x.tobytes() == want.tobytes()
 
 
 class TestFitEbm:
@@ -261,18 +294,13 @@ class TestFitEbm:
             EbmHyper(early_stop_tol=-1e-6)
 
 
-def same_levels(a, b):
-    return a is None and b is None or a is not None and b is not None and np.array_equal(a, b)
-
-
 def assert_same_model(a, b):
-    """Two EBMs are equal bit for bit: intercept, shapes and their bins, pairs
-    and their bins, train ranges and levels, and training curve."""
+    """Two EBMs are equal bit for bit: intercept, shapes and their bins, curve
+    grids, pairs and their bins, and training curve."""
     assert a.intercept == b.intercept
     assert len(a.shapes) == len(b.shapes)
     for sa, sb in zip(a.shapes, b.shapes):
         assert np.array_equal(sa.bins.cuts, sb.bins.cuts)
-        assert same_levels(sa.bins.levels, sb.bins.levels)
         assert np.array_equal(sa.values, sb.values)
         assert np.array_equal(sa.stderr, sb.stderr)
     assert [(t.i, t.j) for t in a.pair_terms] == [(t.i, t.j) for t in b.pair_terms]
@@ -280,9 +308,8 @@ def assert_same_model(a, b):
         assert np.array_equal(ta.bins_i.cuts, tb.bins_i.cuts)
         assert np.array_equal(ta.bins_j.cuts, tb.bins_j.cuts)
         assert np.array_equal(ta.values, tb.values)
-    assert a.train_ranges == b.train_ranges
-    assert len(a.train_levels) == len(b.train_levels)
-    assert all(same_levels(la, lb) for la, lb in zip(a.train_levels, b.train_levels))
+    assert len(a.grids) == len(b.grids)
+    assert all(ga.tobytes() == gb.tobytes() for ga, gb in zip(a.grids, b.grids))
     assert a.train_rmse_curve == b.train_rmse_curve
 
 

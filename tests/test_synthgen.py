@@ -163,7 +163,7 @@ class TestExports:
         spec = (EffectShape("log1p_n_posts", "linear", 0.1),)
         cfg = SynthConfig(n_users=60, n_posts=12, n_hate_posts=4, effect_spec=spec, seed=8)
         _, _, truth = generate(cfg)
-        path = write_effects_truth(truth, tmp_path, grid=16)
+        path = write_effects_truth(truth, tmp_path)
         import csv
 
         with open(path) as fh:
@@ -171,7 +171,7 @@ class TestExports:
         attrs = {r["attribute"] for r in rows}
         assert "log1p_n_posts" in attrs and "verified" in attrs
         ours = [r for r in rows if r["attribute"] == "log1p_n_posts"]
-        assert len(ours) == 16
+        assert len(ours) == 64
         xs = np.array([float(r["grid_x"]) for r in ours])
         ys = np.array([float(r["contribution"]) for r in ours])
         assert np.allclose(ys, truth.effect_curves["log1p_n_posts"](xs), atol=1e-9)
